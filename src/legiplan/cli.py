@@ -11,8 +11,8 @@ import sys
 
 from . import scenario_io, svg_render
 from .evaluation import PosteriorModel, evaluate_trajectory
-from .model import ScenarioSpec
-from .planner import PlannerFailure, PlanResult, SimulationResult, plan_once, run_closed_loop
+from .model import ScenarioSpec, wrap_angle
+from .planner import PlannerFailure, PlanResult, _rollout_headings, plan_once, run_closed_loop
 from .scenario_io import ScenarioError
 
 EXIT_OK = 0
@@ -38,10 +38,6 @@ def _error_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
-def _load(path: str) -> ScenarioSpec:
-    return scenario_io.load_scenario(path)
-
-
 def _override(spec: ScenarioSpec, mode: str | None, seed: int | None) -> ScenarioSpec:
     if mode is not None:
         spec = dataclasses.replace(
@@ -54,14 +50,7 @@ def _override(spec: ScenarioSpec, mode: str | None, seed: int | None) -> Scenari
     return spec
 
 
-def _simulate(spec: ScenarioSpec) -> SimulationResult:
-    return run_closed_loop(spec)
-
-
 def _plan_csv(result: PlanResult, spec: ScenarioSpec, out: str) -> None:
-    from .model import wrap_angle
-    from .planner import _rollout_headings
-
     headings = [
         wrap_angle(float(h))
         for h in _rollout_headings(spec.robot, result.controls.controls, spec.planner.dt)
@@ -73,7 +62,7 @@ def _plan_csv(result: PlanResult, spec: ScenarioSpec, out: str) -> None:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    spec = _override(_load(args.scenario), args.mode, args.seed)
+    spec = _override(scenario_io.load_scenario(args.scenario), args.mode, args.seed)
     result = plan_once(spec, rng_seed=spec.seed)
     if args.out:
         _plan_csv(result, spec, args.out)
@@ -88,8 +77,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    spec = _override(_load(args.scenario), args.mode, args.seed)
-    sim = _simulate(spec)
+    spec = _override(scenario_io.load_scenario(args.scenario), args.mode, args.seed)
+    sim = run_closed_loop(spec)
     scenario_io.write_trajectory_csv(args.out, scenario_io.simulation_rows(sim, spec))
     if args.svg:
         data = svg_render.render_svg(spec, [(spec.planner.mode, sim.executed)])
@@ -118,7 +107,7 @@ def _parse_fractions(raw: str) -> tuple[float, ...]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    spec = _load(args.scenario)
+    spec = scenario_io.load_scenario(args.scenario)
     trajectory, _ = scenario_io.load_trajectory_csv(args.trajectory)
     model = PosteriorModel(beta=args.beta)
     report = evaluate_trajectory(
@@ -133,11 +122,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    spec = _override(_load(args.scenario), None, args.seed)
+    spec = _override(scenario_io.load_scenario(args.scenario), None, args.seed)
     runs = {}
     for mode in ("baseline", "legible"):
         mode_spec = _override(spec, mode, None)
-        sim = _simulate(mode_spec)
+        sim = run_closed_loop(mode_spec)
         report = evaluate_trajectory(sim.executed, mode_spec, mode=mode)
         runs[mode] = (mode_spec, sim, report)
 

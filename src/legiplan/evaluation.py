@@ -84,11 +84,15 @@ def goal_posterior(
     length = prefix.arc_length()
     q = prefix.waypoints[-1]
     s = start.as_array()
+    # A goal the prior rules out gets exponent -inf, so it can neither set
+    # the shift below (underflowing every other weight) nor overflow.
     exponents = np.array(
         [
             -model.beta
             * (length + float(np.linalg.norm(q - g.position.as_array()))
                - float(np.linalg.norm(s - g.position.as_array())))
+            if prior[g.id] > 0
+            else -np.inf
             for g in goals
         ]
     )

@@ -85,7 +85,7 @@ def visibility(q: Point2, observer: ObserverState) -> bool:
 
     Depth is infinite; only the angular deviation matters.
     """
-    return theta_dev(q, observer) <= observer.fov / 2.0
+    return bool(visibility_points(q.as_array(), observer))
 
 
 def visibility_points(points: np.ndarray, observer: ObserverState | None) -> np.ndarray:
@@ -211,13 +211,13 @@ def sim_cost(
     return total
 
 
-def fov_cost(candidate: Trajectory, observer: ObserverState) -> float:
+def fov_cost(candidate: Trajectory, observer: ObserverState | None) -> float:
     """Sum of tanh(theta_dev / (fov/2)) over waypoints; 0 when dead ahead."""
-    angles = theta_dev_points(candidate.waypoints, observer)
-    return float(np.sum(np.tanh(angles / (observer.fov / 2.0))))
+    return float(fov_cost_batch(candidate.waypoints[np.newaxis], observer)[0])
 
 
 def fov_cost_batch(cand_waypoints: np.ndarray, observer: ObserverState | None) -> np.ndarray:
+    """fov_cost for a batch of shape (n, T, 2); zero with no observer."""
     if observer is None:
         return np.zeros(cand_waypoints.shape[0], dtype=float)
     angles = theta_dev_points(cand_waypoints, observer)
@@ -244,6 +244,6 @@ def legibility_aware_cost(
     if breakdown.collided:
         return breakdown
     sim = sim_cost(candidate, predictions, goals, observer, params)
-    fov = fov_cost(candidate, observer) if observer is not None else 0.0
+    fov = fov_cost(candidate, observer)
     total = breakdown.total + params.lambda_sim * sim + params.lambda_fov * fov
     return dataclasses.replace(breakdown, sim_term=sim, fov_term=fov, total=total)

@@ -7,15 +7,13 @@ legible mode runs a second optimization of the combined objective with those
 predictions held fixed.
 
 Randomness is counter-based: each candidate's draws come from a Philox
-stream keyed by (seed, iteration, candidate index), so results are identical
-regardless of evaluation order or the LEGIPLAN_THREADS worker count.
+stream keyed by (seed, iteration, candidate index), so results do not depend
+on evaluation order.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -115,7 +113,6 @@ class PlanResult:
     trajectory: Trajectory
     breakdown: CostBreakdown
     predictions: PredictedPathSet
-    cycles_used: int
     reached: bool
     controls: ControlSequence
 
@@ -132,50 +129,15 @@ class SimulationResult:
     cycles_used: int
 
 
-def worker_count() -> int:
-    """Worker cap from LEGIPLAN_THREADS (default 1). Results never depend on it."""
-    raw = os.environ.get("LEGIPLAN_THREADS", "").strip()
-    if not raw:
-        return 1
-    count = int(raw)
-    if count < 1:
-        raise ValueError(f"LEGIPLAN_THREADS must be a positive integer, got {raw!r}")
-    return min(count, 64)
-
-
-_EXECUTORS: dict[int, ThreadPoolExecutor] = {}
-
-
-def _executor(workers: int) -> ThreadPoolExecutor:
-    pool = _EXECUTORS.get(workers)
-    if pool is None:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        _EXECUTORS[workers] = pool
-    return pool
-
-
 def _score_chunked(
-    objective: Callable[[np.ndarray], np.ndarray], waypoints: np.ndarray, workers: int
+    objective: Callable[[np.ndarray], np.ndarray], waypoints: np.ndarray
 ) -> np.ndarray:
-    """Evaluate a population in contiguous chunks, one per worker.
+    """Score a whole candidate population with one objective call.
 
-    Each candidate is scored independently, so the chunking (and thread
-    scheduling) cannot change any result.
+    A function of its own so the scoring step can be wrapped and timed as
+    one layer.
     """
-    n = waypoints.shape[0]
-    if workers <= 1 or n < 2 * workers:
-        return np.asarray(objective(waypoints), dtype=float)
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    out = np.empty(n, dtype=float)
-    pool = _executor(workers)
-    futures = [
-        (lo, hi, pool.submit(objective, waypoints[lo:hi]))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    for lo, hi, fut in futures:
-        out[lo:hi] = fut.result()
-    return out
+    return np.asarray(objective(waypoints), dtype=float)
 
 
 def _candidate_rng(seed: int, iteration: int, candidate: int) -> np.random.Generator:
@@ -283,7 +245,6 @@ def _cem_optimize(
     Tracks the best candidate ever scored; a warm-start sequence, when
     given, is scored under the current objective and seeds that tracker.
     """
-    workers = worker_count()
     mean = init_mean.copy()
     std = init_std.copy()
     best_cost = math.inf
@@ -299,7 +260,7 @@ def _cem_optimize(
         z = _draw_noise(rng_seed, iteration, params.cem_population, params.horizon_w)
         controls = _clip_controls(mean + std * z, state, params.dt)
         waypoints = _rollout_batch(state, controls, params.dt)
-        costs = _score_chunked(objective, waypoints, workers)
+        costs = _score_chunked(objective, waypoints)
         idx = int(np.argmin(costs))
         if costs[idx] < best_cost:
             best_cost = float(costs[idx])
@@ -311,16 +272,6 @@ def _cem_optimize(
         std = np.maximum(elites.std(axis=0), _STD_FLOOR)
         history.append(best_cost)
     return _CEMResult(best_controls, best_waypoints, best_cost, mean, history)
-
-
-def _resolved_init_std(robot: RobotState, params: PlannerParams) -> np.ndarray:
-    std_v = params.cem_init_std_v if params.cem_init_std_v is not None else 0.5 * robot.v_max
-    std_om = (
-        params.cem_init_std_omega
-        if params.cem_init_std_omega is not None
-        else 0.5 * robot.omega_max
-    )
-    return np.array([std_v, std_om], dtype=float)
 
 
 def _task_objective(scenario: ScenarioSpec, goal_xy: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -386,9 +337,9 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
     params = scenario.planner
     robot = scenario.robot
     seed = scenario.seed if rng_seed is None else rng_seed
-    init_std = np.broadcast_to(
-        _resolved_init_std(robot, params), (params.horizon_w, 2)
-    ).copy()
+    init_std = np.full(
+        (params.horizon_w, 2), [params.cem_init_std_v, params.cem_init_std_omega]
+    )
 
     predictions: PredictedPathSet = {}
     cem_results: dict[str, _CEMResult] = {}
@@ -449,7 +400,6 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
         trajectory=trajectory,
         breakdown=breakdown,
         predictions=predictions,
-        cycles_used=1,
         reached=reached,
         controls=ControlSequence(chosen.controls),
     )

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .legibility import LegibilityParams
 from .model import (
+    DEFAULT_FOV,
     CircleObstacle,
     Goal,
     Obstacle,
@@ -155,9 +156,12 @@ def _parse_goal(obj: dict, path: str) -> Goal:
 
 def _parse_observer(obj: dict, path: str) -> ObserverState:
     _check_keys(obj, path, {"id", "position", "heading_deg", "fov_deg", "attached_goal"})
-    fov_deg = _number(obj, path, "fov_deg", 120.0)
-    if not 0 < fov_deg <= 360.0:
-        raise ScenarioError(f"{path}.fov_deg", "must lie in (0, 360]")
+    fov = DEFAULT_FOV
+    if "fov_deg" in obj:
+        fov_deg = _number(obj, path, "fov_deg")
+        if not 0 < fov_deg <= 360.0:
+            raise ScenarioError(f"{path}.fov_deg", "must lie in (0, 360]")
+        fov = math.radians(fov_deg)
     attached = obj.get("attached_goal")
     if attached is not None and not isinstance(attached, str):
         raise ScenarioError(f"{path}.attached_goal", "must be a string")
@@ -165,7 +169,7 @@ def _parse_observer(obj: dict, path: str) -> ObserverState:
         id=_string(obj, path, "id"),
         position=_point(obj, path, "position"),
         heading=wrap_angle(math.radians(_number(obj, path, "heading_deg", 0.0))),
-        fov=math.radians(fov_deg),
+        fov=fov,
         attached_goal=attached,
     )
 
@@ -188,82 +192,61 @@ def _parse_obstacle(obj: dict, path: str) -> Obstacle:
     raise ScenarioError(f"{path}.type", "must be 'circle' or 'rect'")
 
 
-def _parse_planner(obj: dict, path: str, robot: RobotState) -> PlannerParams:
-    _check_keys(
-        obj, path,
-        {
-            "dt", "horizon_w", "mode", "cem_population", "cem_elites",
-            "cem_iterations", "cem_init_std", "execute_steps", "goal_tolerance",
-            "max_cycles",
-        },
-    )
-    mode = _string(obj, path, "mode", "baseline")
-    if mode not in ("baseline", "legible"):
-        raise ScenarioError(f"{path}.mode", "must be 'baseline' or 'legible'")
-    std_v = None
-    std_omega = None
-    if "cem_init_std" in obj:
-        std_obj = _as_object(obj["cem_init_std"], f"{path}.cem_init_std")
-        _check_keys(std_obj, f"{path}.cem_init_std", {"v", "omega_deg"})
-        if "v" in std_obj:
-            std_v = _number(std_obj, f"{path}.cem_init_std", "v")
-            if std_v <= 0:
-                raise ScenarioError(f"{path}.cem_init_std.v", "must be positive")
-        if "omega_deg" in std_obj:
-            std_omega = math.radians(_number(std_obj, f"{path}.cem_init_std", "omega_deg"))
-            if std_omega <= 0:
-                raise ScenarioError(f"{path}.cem_init_std.omega_deg", "must be positive")
-    fields = dict(
-        dt=_number(obj, path, "dt", 0.4),
-        horizon_w=_integer(obj, path, "horizon_w", 12),
-        mode=mode,
-        cem_population=_integer(obj, path, "cem_population", 64),
-        cem_elites=_integer(obj, path, "cem_elites", 8),
-        cem_iterations=_integer(obj, path, "cem_iterations", 4),
-        cem_init_std_v=std_v if std_v is not None else 0.5 * robot.v_max,
-        cem_init_std_omega=std_omega if std_omega is not None else 0.5 * robot.omega_max,
-        execute_steps=_integer(obj, path, "execute_steps", 1),
-        goal_tolerance=_number(obj, path, "goal_tolerance", 0.3),
-        max_cycles=_integer(obj, path, "max_cycles", 500),
-    )
+def _present(obj: dict, path: str, readers: dict[str, Callable]) -> dict:
+    """Read and type-check the keys present in `obj`; absent keys are left
+    to the dataclass defaults."""
+    return {key: read(obj, path, key) for key, read in readers.items() if key in obj}
+
+
+def _build(cls: type, path: str, fields: dict) -> Any:
+    """Construct `cls`, reporting its ValueError as a ScenarioError at `path`."""
     try:
-        return PlannerParams(**fields)
+        return cls(**fields)
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from None
+
+
+def _parse_planner(obj: dict, path: str) -> PlannerParams:
+    readers = {
+        "dt": _number, "horizon_w": _integer, "mode": _string,
+        "cem_population": _integer, "cem_elites": _integer,
+        "cem_iterations": _integer, "execute_steps": _integer,
+        "goal_tolerance": _number, "max_cycles": _integer,
+    }
+    _check_keys(obj, path, {*readers, "cem_init_std"})
+    fields = _present(obj, path, readers)
+    if fields.get("mode", "baseline") not in ("baseline", "legible"):
+        raise ScenarioError(f"{path}.mode", "must be 'baseline' or 'legible'")
+    if "cem_init_std" in obj:
+        std_path = f"{path}.cem_init_std"
+        std_obj = _as_object(obj["cem_init_std"], std_path)
+        _check_keys(std_obj, std_path, {"v", "omega_deg"})
+        if "v" in std_obj:
+            fields["cem_init_std_v"] = _number(std_obj, std_path, "v")
+            if fields["cem_init_std_v"] <= 0:
+                raise ScenarioError(f"{std_path}.v", "must be positive")
+        if "omega_deg" in std_obj:
+            fields["cem_init_std_omega"] = math.radians(_number(std_obj, std_path, "omega_deg"))
+            if fields["cem_init_std_omega"] <= 0:
+                raise ScenarioError(f"{std_path}.omega_deg", "must be positive")
+    return _build(PlannerParams, path, fields)
 
 
 def _parse_task_weights(obj: dict, path: str, robot: RobotState) -> TaskCostWeights:
-    _check_keys(
-        obj, path,
-        {"w_goal", "w_clearance", "w_approach", "w_smooth", "w_speed", "d_safe", "v_pref"},
+    readers = dict.fromkeys(
+        ("w_goal", "w_clearance", "w_approach", "w_smooth", "w_speed", "d_safe"), _number
     )
-    fields = dict(
-        w_goal=_number(obj, path, "w_goal", 1.0),
-        w_clearance=_number(obj, path, "w_clearance", 2.0),
-        w_approach=_number(obj, path, "w_approach", 0.5),
-        w_smooth=_number(obj, path, "w_smooth", 0.1),
-        w_speed=_number(obj, path, "w_speed", 0.2),
-        d_safe=_number(obj, path, "d_safe", 0.5),
-        v_pref=_number(obj, path, "v_pref", 0.8 * robot.v_max),
-    )
-    try:
-        return TaskCostWeights(**fields)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
+    _check_keys(obj, path, {*readers, "v_pref"})
+    fields = _present(obj, path, readers)
+    # The class default for v_pref assumes v_max = 1; derive it from the robot.
+    fields["v_pref"] = _number(obj, path, "v_pref", 0.8 * robot.v_max)
+    return _build(TaskCostWeights, path, fields)
 
 
 def _parse_legibility(obj: dict, path: str) -> LegibilityParams:
-    _check_keys(obj, path, {"lambda_sim", "lambda_fov", "h_max", "eps_v"})
-    fields = dict(
-        lambda_sim=_number(obj, path, "lambda_sim", 1.0),
-        lambda_fov=_number(obj, path, "lambda_fov", 1.0),
-        h_max=_number(obj, path, "h_max", 3.0),
-        eps_v=_number(obj, path, "eps_v", 1e-6),
-    )
-    try:
-        return LegibilityParams(**fields)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
+    readers = dict.fromkeys(("lambda_sim", "lambda_fov", "h_max", "eps_v"), _number)
+    _check_keys(obj, path, set(readers))
+    return _build(LegibilityParams, path, _present(obj, path, readers))
 
 
 def parse_scenario(data: bytes | str | dict) -> ScenarioSpec:
@@ -322,7 +305,7 @@ def parse_scenario(data: bytes | str | dict) -> ScenarioSpec:
         for i, o in enumerate(obstacles_raw)
     )
 
-    planner = _parse_planner(_as_object(doc.get("planner", {}), "$.planner"), "$.planner", robot)
+    planner = _parse_planner(_as_object(doc.get("planner", {}), "$.planner"), "$.planner")
     weights = _parse_task_weights(
         _as_object(doc.get("task_weights", {}), "$.task_weights"), "$.task_weights", robot
     )
@@ -384,12 +367,6 @@ def load_scenario(path: str) -> ScenarioSpec:
 
 def serialize_scenario(spec: ScenarioSpec) -> dict:
     """Scenario document (JSON-ready dict) with every default materialized."""
-    std_v = spec.planner.cem_init_std_v
-    if std_v is None:
-        std_v = 0.5 * spec.robot.v_max
-    std_omega = spec.planner.cem_init_std_omega
-    if std_omega is None:
-        std_omega = 0.5 * spec.robot.omega_max
     return {
         "version": SCHEMA_VERSION,
         "robot": {
@@ -437,8 +414,8 @@ def serialize_scenario(spec: ScenarioSpec) -> dict:
             "cem_elites": spec.planner.cem_elites,
             "cem_iterations": spec.planner.cem_iterations,
             "cem_init_std": {
-                "v": std_v,
-                "omega_deg": math.degrees(std_omega),
+                "v": spec.planner.cem_init_std_v,
+                "omega_deg": math.degrees(spec.planner.cem_init_std_omega),
             },
             "execute_steps": spec.planner.execute_steps,
             "goal_tolerance": spec.planner.goal_tolerance,

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import legiplan
 from legiplan import (
     LegibilityParams,
     ObserverState,
@@ -258,7 +259,11 @@ def test_criterion_8_executed_path_safety():
 
 
 def _cli(args: list[str], threads: str, cwd: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ, LEGIPLAN_THREADS=threads)
+    # The child runs in cwd, so a relative source root on PYTHONPATH would
+    # not resolve there; put the absolute one first.
+    src_root = str(Path(legiplan.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, LEGIPLAN_THREADS=threads, PYTHONPATH=pythonpath)
     return subprocess.run(
         [sys.executable, "-m", "legiplan", *args],
         capture_output=True, env=env, cwd=str(cwd), check=True,

@@ -47,6 +47,15 @@ class TestGoalPosterior:
             1.0 / (1.0 + math.exp(-(3.0 - math.sqrt(5.0)))), abs=1e-12
         )
 
+    def test_zero_prior_goal_does_not_underflow(self):
+        # The path heads to A but the prior rules A out. A's exponent exceeds
+        # B's by 800, so shifting by it would underflow B's weight to 0.
+        prefix = Trajectory([[0, 0], [4, 0]], dt=1.0)
+        goals = (Goal("A", Point2(5, 0), is_target=True), Goal("B", Point2(-5, 0)))
+        model = PosteriorModel(beta=100.0, prior={"A": 0.0, "B": 1.0})
+        post = goal_posterior(prefix, goals, Point2(0, 0), model)
+        assert post == {"A": 0.0, "B": 1.0}
+
     def test_normalization_randomized(self):
         rng = np.random.default_rng(3)
         for _ in range(10_000):

@@ -22,7 +22,12 @@ from legiplan import (
     visibility,
     weighted_similarity,
 )
-from legiplan.legibility import masked_cosines, theta_dev_points
+from legiplan.legibility import (
+    fov_cost_batch,
+    masked_cosines,
+    theta_dev_points,
+    visibility_points,
+)
 from legiplan.task_cost import COLLISION_COST
 from tests.conftest import make_robot
 from tests.test_task_cost import UNIT_WEIGHTS
@@ -400,3 +405,14 @@ def test_theta_dev_points_batch_matches_scalar():
     batch = theta_dev_points(pts, obs)
     for p, angle in zip(pts, batch):
         assert theta_dev(Point2(*p), obs) == pytest.approx(float(angle), abs=1e-12)
+
+
+def test_fov_and_visibility_batch_match_scalar():
+    rng = np.random.default_rng(11)
+    obs = ObserverState("O", Point2(0.5, -1.0), heading=1.1, fov=math.radians(100.0))
+    waypoints = rng.uniform(-4, 4, size=(20, 6, 2))
+    for traj, cost in zip(waypoints, fov_cost_batch(waypoints, obs)):
+        assert fov_cost(Trajectory(traj, 0.4), obs) == pytest.approx(float(cost), abs=1e-12)
+    pts = waypoints.reshape(-1, 2)
+    for p, visible in zip(pts, visibility_points(pts, obs)):
+        assert visibility(Point2(*p), obs) is bool(visible)

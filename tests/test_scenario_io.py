@@ -10,12 +10,13 @@ import pytest
 
 from legiplan import (
     ScenarioError,
+    ScenarioSpec,
     load_scenario,
     parse_scenario,
     run_closed_loop,
     serialize_scenario,
 )
-from legiplan.model import clearance, Point2
+from legiplan.model import DEFAULT_FOV, clearance, Point2
 from legiplan.scenario_io import (
     format_trajectory_csv,
     read_trajectory_csv,
@@ -40,6 +41,8 @@ def test_minimal_file_gets_defaults():
     assert spec.legibility.h_max == 3.0
     assert spec.seed == 0
     assert spec.observers == ()
+    # A file that omits a section gets exactly the library's defaults.
+    assert spec == ScenarioSpec(robot=spec.robot, goals=spec.goals)
 
 
 def test_two_targets_rejected():
@@ -54,10 +57,12 @@ def test_two_targets_rejected():
 def test_fov_degrees_convert_to_radians():
     doc = json.loads(json.dumps(MINIMAL))
     doc["observers"] = [
-        {"id": "O", "position": [3.0, 1.0], "heading_deg": 180.0, "fov_deg": 120.0}
+        {"id": "O", "position": [3.0, 1.0], "heading_deg": 180.0, "fov_deg": 120.0},
+        {"id": "P", "position": [3.0, -1.0]},
     ]
     spec = parse_scenario(json.dumps(doc))
     assert spec.observers[0].fov == pytest.approx(2 * math.pi / 3)
+    assert spec.observers[1].fov == DEFAULT_FOV
     assert spec.observers[0].heading == pytest.approx(math.pi)
 
 
