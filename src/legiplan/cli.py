@@ -12,7 +12,7 @@ import sys
 from . import scenario_io, svg_render
 from .evaluation import PosteriorModel, evaluate_trajectory
 from .model import ScenarioSpec, wrap_angle
-from .planner import PlannerFailure, PlanResult, _rollout_headings, plan_once, run_closed_loop
+from .planner import PlannerFailure, PlanResult, plan_once, rollout_headings, run_closed_loop
 from .scenario_io import ScenarioError
 
 EXIT_OK = 0
@@ -53,7 +53,7 @@ def _override(spec: ScenarioSpec, mode: str | None, seed: int | None) -> Scenari
 def _plan_csv(result: PlanResult, spec: ScenarioSpec, out: str) -> None:
     headings = [
         wrap_angle(float(h))
-        for h in _rollout_headings(spec.robot, result.controls.controls, spec.planner.dt)
+        for h in rollout_headings(spec.robot, result.controls.controls, spec.planner.dt)
     ]
     rows = scenario_io.plan_rows(
         result.trajectory, headings, result.controls.controls, spec.robot.speed, spec

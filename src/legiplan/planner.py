@@ -7,8 +7,10 @@ legible mode runs a second optimization of the combined objective with those
 predictions held fixed.
 
 Randomness is counter-based: each candidate's draws come from a Philox
-stream keyed by (seed, iteration, candidate index), so results do not depend
-on evaluation order.
+stream keyed by (seed mod 2^64, iteration << 32 | candidate index), so
+results do not depend on evaluation order. The noise is drawn once per cycle
+and CEM iteration, and every CEM of the cycle (the per-goal predictions and
+the legible re-optimization) shares it.
 """
 from __future__ import annotations
 
@@ -146,9 +148,20 @@ def _candidate_rng(seed: int, iteration: int, candidate: int) -> np.random.Gener
 
 
 def _draw_noise(seed: int, iteration: int, population: int, horizon: int) -> np.ndarray:
+    """Standard-normal noise for one CEM iteration, shape (population, horizon, 2).
+
+    Candidate i's rows are the first draws of the Philox stream keyed by
+    (seed mod 2^64, iteration << 32 | i). One generator is built per call;
+    each candidate re-keys it and resets its counter and buffer, which draws
+    exactly what a fresh generator per candidate would.
+    """
+    rng = _candidate_rng(seed, iteration, 0)
+    fresh = rng.bit_generator.state  # counter 0, empty buffer
     z = np.empty((population, horizon, 2), dtype=float)
     for i in range(population):
-        z[i] = _candidate_rng(seed, iteration, i).standard_normal((horizon, 2))
+        fresh["state"]["key"][1] = (iteration << 32) | i
+        rng.bit_generator.state = fresh
+        rng.standard_normal(out=z[i])
     return z
 
 
@@ -191,15 +204,15 @@ def _rollout_batch(state: RobotState, controls: np.ndarray, dt: float) -> np.nda
     return waypoints
 
 
-def _rollout_headings(state: RobotState, controls: np.ndarray, dt: float) -> np.ndarray:
-    """Heading at each waypoint of a single rollout, shape (w+1,)."""
-    return np.concatenate([[state.heading], state.heading + np.cumsum(controls[:, 1] * dt)])
-
-
 def rollout(state: RobotState, controls: ControlSequence, dt: float) -> Trajectory:
     """Trajectory traced by one control sequence from the given state."""
     waypoints = _rollout_batch(state, controls.controls[np.newaxis], dt)[0]
     return Trajectory(waypoints, dt)
+
+
+def rollout_headings(state: RobotState, controls: np.ndarray, dt: float) -> np.ndarray:
+    """Heading at each waypoint of a single rollout, shape (w+1,), unwrapped."""
+    return np.concatenate([[state.heading], state.heading + np.cumsum(controls[:, 1] * dt)])
 
 
 def _initial_mean(
@@ -235,15 +248,17 @@ def _cem_optimize(
     objective: Callable[[np.ndarray], np.ndarray],
     state: RobotState,
     params: PlannerParams,
-    rng_seed: int,
+    noise: list[np.ndarray],
     init_mean: np.ndarray,
     init_std: np.ndarray,
     warm_controls: np.ndarray | None = None,
 ) -> _CEMResult:
     """Cross-entropy search over control sequences.
 
-    Tracks the best candidate ever scored; a warm-start sequence, when
-    given, is scored under the current objective and seeds that tracker.
+    ``noise`` holds one standard-normal (population, horizon, 2) array per
+    iteration, as drawn by ``_draw_noise``. Tracks the best candidate ever
+    scored; a warm-start sequence, when given, is scored under the current
+    objective and seeds that tracker.
     """
     mean = init_mean.copy()
     std = init_std.copy()
@@ -256,8 +271,7 @@ def _cem_optimize(
         best_controls = warm_controls.copy()
         best_waypoints = wp[0]
     history: list[float] = []
-    for iteration in range(params.cem_iterations):
-        z = _draw_noise(rng_seed, iteration, params.cem_population, params.horizon_w)
+    for z in noise:
         controls = _clip_controls(mean + std * z, state, params.dt)
         waypoints = _rollout_batch(state, controls, params.dt)
         costs = _score_chunked(objective, waypoints)
@@ -340,6 +354,14 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
     init_std = np.full(
         (params.horizon_w, 2), [params.cem_init_std_v, params.cem_init_std_omega]
     )
+    # Drawn once and shared by every CEM of the cycle; read-only so no search
+    # can alter the samples another one sees.
+    noise = [
+        _draw_noise(seed, k, params.cem_population, params.horizon_w)
+        for k in range(params.cem_iterations)
+    ]
+    for z in noise:
+        z.flags.writeable = False
 
     predictions: PredictedPathSet = {}
     cem_results: dict[str, _CEMResult] = {}
@@ -348,7 +370,7 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
             _task_objective(scenario, goal.position.as_array()),
             robot,
             params,
-            seed,
+            noise,
             _initial_mean(
                 robot, params.horizon_w, params.dt, scenario.task_weights.v_pref, goal.position
             ),
@@ -366,7 +388,7 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
             _legible_objective(scenario, predictions),
             robot,
             params,
-            seed,
+            noise,
             base.final_mean,
             init_std,
             warm_controls=base.controls,
@@ -437,7 +459,7 @@ def run_closed_loop(scenario: ScenarioSpec) -> SimulationResult:
         plan_results.append(result)
 
         controls = result.controls.controls
-        step_headings = _rollout_headings(state, controls, params.dt)
+        step_headings = rollout_headings(state, controls, params.dt)
         for k in range(params.execute_steps):
             pos = result.trajectory.waypoints[k + 1]
             heading = wrap_angle(float(step_headings[k + 1]))

@@ -258,12 +258,12 @@ def test_criterion_8_executed_path_safety():
                f"({elapsed:.1f}s)")
 
 
-def _cli(args: list[str], threads: str, cwd: Path) -> subprocess.CompletedProcess:
+def _cli(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     # The child runs in cwd, so a relative source root on PYTHONPATH would
     # not resolve there; put the absolute one first.
     src_root = str(Path(legiplan.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, LEGIPLAN_THREADS=threads, PYTHONPATH=pythonpath)
+    env = dict(os.environ, PYTHONPATH=pythonpath)
     return subprocess.run(
         [sys.executable, "-m", "legiplan", *args],
         capture_output=True, env=env, cwd=str(cwd), check=True,
@@ -271,28 +271,27 @@ def _cli(args: list[str], threads: str, cwd: Path) -> subprocess.CompletedProces
 
 
 def test_criterion_9_cli_byte_determinism(tmp_path):
-    """simulate and compare are byte-identical across reruns and thread counts."""
+    """simulate and compare are byte-identical across reruns."""
     start = time.monotonic()
     scenario = str(SCENARIO_DIR / "fig1_two_goals.json")
     sim_outputs = []
-    for tag, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+    for tag in ("a", "b", "c"):
         out = tmp_path / f"{tag}.csv"
         proc = _cli(
             ["simulate", "--scenario", scenario, "--mode", "legible", "--seed", "7",
              "--out", str(out)],
-            threads, tmp_path,
+            tmp_path,
         )
         sim_outputs.append((proc.stdout, out.read_bytes()))
     assert sim_outputs[0] == sim_outputs[1], "rerun changed simulate output"
-    assert sim_outputs[0] == sim_outputs[2], "thread count changed simulate output"
+    assert sim_outputs[0] == sim_outputs[2], "rerun changed simulate output"
 
     compare_outputs = [
-        _cli(["compare", "--scenario", scenario, "--seed", "7"], threads, tmp_path).stdout
-        for threads in ("1", "4", "1")
+        _cli(["compare", "--scenario", scenario, "--seed", "7"], tmp_path).stdout
+        for _ in range(3)
     ]
     assert compare_outputs[0] == compare_outputs[1] == compare_outputs[2]
     payload = json.loads(compare_outputs[0])
     assert payload["L_legible"] > payload["L_baseline"]
     elapsed = time.monotonic() - start
-    _report(9, f"simulate/compare byte-identical across runs and "
-               f"LEGIPLAN_THREADS 1 vs 4 ({elapsed:.1f}s)")
+    _report(9, f"simulate/compare byte-identical across reruns ({elapsed:.1f}s)")

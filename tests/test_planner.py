@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import legiplan.planner as planner_module
 from legiplan import (
     CircleObstacle,
     ControlSequence,
@@ -28,6 +29,29 @@ from legiplan.planner import (
     _task_objective,
 )
 from tests.conftest import make_robot, make_scenario
+
+
+def reference_noise(seed: int, iteration: int, population: int, horizon: int) -> np.ndarray:
+    """One fresh Philox generator per candidate, as the noise contract states.
+
+    The key is a uint64 array: a plain list mixing a word >= 2**63 with a
+    smaller one converts to float64, which would key a different stream.
+    """
+    return np.stack([
+        np.random.Generator(
+            np.random.Philox(
+                key=np.array([seed % 2**64, (iteration << 32) | i], dtype=np.uint64)
+            )
+        ).standard_normal((horizon, 2))
+        for i in range(population)
+    ])
+
+
+def _cycle_noise(seed: int, params: PlannerParams) -> list[np.ndarray]:
+    return [
+        _draw_noise(seed, k, params.cem_population, params.horizon_w)
+        for k in range(params.cem_iterations)
+    ]
 
 
 class TestRollout:
@@ -66,6 +90,16 @@ class TestControlSampling:
         wide = _draw_noise(42, 3, 32, 8)
         assert np.array_equal(wide[:16], a)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1, 2**64 + 3])
+    @pytest.mark.parametrize("iteration", [0, 4])
+    @pytest.mark.parametrize("population", [8, 96])
+    @pytest.mark.parametrize("horizon", [2, 12])
+    def test_draws_match_one_generator_per_candidate(self, seed, iteration, population, horizon):
+        assert np.array_equal(
+            _draw_noise(seed, iteration, population, horizon),
+            reference_noise(seed, iteration, population, horizon),
+        )
+
 
 class TestCEM:
     def test_best_cost_non_increasing(self):
@@ -77,7 +111,7 @@ class TestCEM:
             _task_objective(scenario, goal.position.as_array()),
             robot,
             params,
-            rng_seed=5,
+            noise=_cycle_noise(5, params),
             init_mean=_initial_mean(robot, params.horizon_w, params.dt, 0.8, goal.position),
             init_std=np.full(
                 (params.horizon_w, 2), [params.cem_init_std_v, params.cem_init_std_omega]
@@ -96,9 +130,12 @@ class TestCEM:
         init_std = np.full(
             (params.horizon_w, 2), [params.cem_init_std_v, params.cem_init_std_omega]
         )
-        first = _cem_optimize(objective, robot, params, 5, init_mean, init_std)
+        first = _cem_optimize(
+            objective, robot, params, _cycle_noise(5, params), init_mean, init_std
+        )
         second = _cem_optimize(
-            objective, robot, params, 6, first.final_mean, init_std, warm_controls=first.controls
+            objective, robot, params, _cycle_noise(6, params), first.final_mean, init_std,
+            warm_controls=first.controls,
         )
         assert second.cost <= first.cost + 1e-12
 
@@ -144,6 +181,45 @@ class TestPlanOnce:
         rb = plan_once(base, rng_seed=4)
         rl = plan_once(legible, rng_seed=4)
         assert not np.array_equal(rb.trajectory.waypoints, rl.trajectory.waypoints)
+
+    def test_noise_drawn_once_per_iteration(self, monkeypatch):
+        scenario = make_scenario()
+        legible = dataclasses.replace(
+            scenario, planner=dataclasses.replace(scenario.planner, mode="legible")
+        )
+        assert len(legible.goals) == 2
+        calls = []
+        draw = planner_module._draw_noise
+
+        def counted(*args):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(planner_module, "_draw_noise", counted)
+        plan_once(legible, rng_seed=3)
+        assert len(calls) == legible.planner.cem_iterations
+
+    def test_cems_share_read_only_noise(self, monkeypatch):
+        scenario = make_scenario()
+        legible = dataclasses.replace(
+            scenario, planner=dataclasses.replace(scenario.planner, mode="legible")
+        )
+        seen = []
+        optimize = planner_module._cem_optimize
+
+        def spy(objective, state, params, noise, *args, **kwargs):
+            seen.append(noise)
+            return optimize(objective, state, params, noise, *args, **kwargs)
+
+        monkeypatch.setattr(planner_module, "_cem_optimize", spy)
+        plan_once(legible, rng_seed=3)
+        assert len(seen) == 3  # two goal predictions plus the legible search
+        assert all(noise is seen[0] for noise in seen)
+        assert len(seen[0]) == legible.planner.cem_iterations
+        for z in seen[0]:
+            assert not z.flags.writeable
+            with pytest.raises(ValueError):
+                z[0, 0, 0] = 0.0
 
     def test_zero_goals_rejected(self):
         scenario = make_scenario()
