@@ -139,19 +139,38 @@ def weighted_similarity_batch(
     cand_waypoints: np.ndarray,
     cand_velocities: np.ndarray,
     pred_velocities: np.ndarray,
-    goal_xy: np.ndarray,
+    goals_xy: np.ndarray,
     g_star_xy: np.ndarray,
     observer: ObserverState | None,
     params: LegibilityParams,
 ) -> np.ndarray:
-    """Visibility- and h-weighted cosine similarity for a candidate batch.
+    """Visibility- and h-weighted cosine similarity of a candidate batch to
+    the predicted path of each of G goals.
 
-    cand_* have shape (n, T, 2); pred_velocities has shape (T, 2).
+    cand_* have shape (n, T, 2), pred_velocities (G, T, 2) and goals_xy
+    (G, 2); returns shape (G, n). Visibility is computed once for all goals.
     """
-    cos = masked_cosines(cand_velocities, pred_velocities, params.eps_v)  # (n, T)
+    cos = masked_cosines(
+        cand_velocities[np.newaxis], pred_velocities[:, np.newaxis], params.eps_v
+    )  # (G, n, T)
     vis = visibility_points(cand_waypoints, observer)
-    h = h_weight_points(cand_waypoints, g_star_xy, goal_xy, params.h_max)
-    return np.sum(vis * h * cos, axis=-1)
+    return np.stack([
+        np.sum(vis * h_weight_points(cand_waypoints, g_star_xy, g_xy, params.h_max) * c, axis=-1)
+        for g_xy, c in zip(goals_xy, cos)
+    ])
+
+
+def _check_comparable(candidate: Trajectory, predicted: Trajectory) -> None:
+    if candidate.waypoints.shape != predicted.waypoints.shape:
+        raise ValueError(
+            "candidate and predicted trajectories must share waypoint count: "
+            f"{candidate.waypoints.shape[0]} vs {predicted.waypoints.shape[0]}"
+        )
+    if candidate.dt != predicted.dt:
+        raise ValueError(
+            f"candidate and predicted trajectories must share dt: "
+            f"{candidate.dt} vs {predicted.dt}"
+        )
 
 
 def weighted_similarity(
@@ -163,26 +182,17 @@ def weighted_similarity(
     params: LegibilityParams,
 ) -> float:
     """Weighted cosine similarity between a candidate and one predicted path."""
-    if candidate.waypoints.shape != predicted.waypoints.shape:
-        raise ValueError(
-            "candidate and predicted trajectories must share waypoint count: "
-            f"{candidate.waypoints.shape[0]} vs {predicted.waypoints.shape[0]}"
-        )
-    if candidate.dt != predicted.dt:
-        raise ValueError(
-            f"candidate and predicted trajectories must share dt: "
-            f"{candidate.dt} vs {predicted.dt}"
-        )
+    _check_comparable(candidate, predicted)
     result = weighted_similarity_batch(
         candidate.waypoints[np.newaxis],
         velocities(candidate)[np.newaxis],
-        velocities(predicted),
-        goal.position.as_array(),
+        velocities(predicted)[np.newaxis],
+        goal.position.as_array()[np.newaxis],
         g_star.as_array(),
         observer,
         params,
     )
-    return float(result[0])
+    return float(result[0, 0])
 
 
 def sim_cost(
@@ -201,13 +211,21 @@ def sim_cost(
     missing = [g.id for g in goals if g.id not in predictions]
     if missing:
         raise ValueError(f"predictions missing for goals: {missing}")
-
-    total = 0.0
     for goal in goals:
-        sim = weighted_similarity(
-            candidate, predictions[goal.id], goal, g_star.position, observer, params
-        )
-        total += -sim if goal.is_target else sim
+        _check_comparable(candidate, predictions[goal.id])
+
+    sims = weighted_similarity_batch(
+        candidate.waypoints[np.newaxis],
+        velocities(candidate)[np.newaxis],
+        np.stack([velocities(predictions[goal.id]) for goal in goals]),
+        np.array([goal.position.as_array() for goal in goals]),
+        g_star.position.as_array(),
+        observer,
+        params,
+    )
+    total = 0.0
+    for goal, sim in zip(goals, sims[:, 0]):
+        total += float(-sim if goal.is_target else sim)
     return total
 
 

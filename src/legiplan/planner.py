@@ -6,11 +6,13 @@ local path an observer would expect (a pure task-cost optimization), then in
 legible mode runs a second optimization of the combined objective with those
 predictions held fixed.
 
+The per-goal predictions run as one batched search over all goals.
+
 Randomness is counter-based: each candidate's draws come from a Philox
 stream keyed by (seed mod 2^64, iteration << 32 | candidate index), so
 results do not depend on evaluation order. The noise is drawn once per cycle
-and CEM iteration, and every CEM of the cycle (the per-goal predictions and
-the legible re-optimization) shares it.
+and CEM iteration and shared: every goal of the batched prediction search
+and the legible re-optimization sample the same draws.
 """
 from __future__ import annotations
 
@@ -169,16 +171,19 @@ def _clip_controls(raw: np.ndarray, state: RobotState, dt: float) -> np.ndarray:
     """Clip sampled controls to speed, accel and turn-rate bounds.
 
     The speed channel is clipped sequentially so |v_t - v_{t-1}| <= a_max*dt
-    holds along the whole sequence, starting from the current speed.
+    holds along the whole sequence, starting from the current speed. Clipping
+    to [0, v_max] first and to the accel band per step selects the same
+    floats as clipping to their intersection, because every previous speed
+    already lies in [0, v_max].
     """
-    n, w, _ = raw.shape
-    v = np.empty((n, w), dtype=float)
-    prev = np.full(n, state.speed, dtype=float)
-    for t in range(w):
-        lo = np.maximum(0.0, prev - state.a_max * dt)
-        hi = np.minimum(state.v_max, prev + state.a_max * dt)
-        v[:, t] = np.clip(raw[:, t, 0], lo, hi)
-        prev = v[:, t]
+    v = np.clip(raw[:, :, 0], 0.0, state.v_max)
+    step = state.a_max * dt
+    prev = np.full(v.shape[0], state.speed, dtype=float)
+    for t in range(v.shape[1]):
+        col = v[:, t]
+        np.maximum(col, prev - step, out=col)
+        np.minimum(col, prev + step, out=col)
+        prev = col
     om = np.clip(raw[:, :, 1], -state.omega_max, state.omega_max)
     return np.stack([v, om], axis=2)
 
@@ -252,43 +257,56 @@ def _cem_optimize(
     init_mean: np.ndarray,
     init_std: np.ndarray,
     warm_controls: np.ndarray | None = None,
-) -> _CEMResult:
-    """Cross-entropy search over control sequences.
+) -> list[_CEMResult]:
+    """G cross-entropy searches over control sequences, run as one population.
 
-    ``noise`` holds one standard-normal (population, horizon, 2) array per
-    iteration, as drawn by ``_draw_noise``. Tracks the best candidate ever
-    scored; a warm-start sequence, when given, is scored under the current
-    objective and seeds that tracker.
+    ``init_mean`` has shape (G, w, 2). ``noise`` holds one standard-normal
+    (population, horizon, 2) array per iteration, as drawn by
+    ``_draw_noise``, and every search samples it. Each iteration clips, rolls
+    out and scores all G * population candidates in one call each, so
+    ``objective`` must score row r for search r // population; selection and
+    refit run per search. Each search tracks the best candidate it ever
+    scored; warm-start sequences (G, w, 2), when given, are scored under the
+    objective and seed those trackers.
     """
+    g, w, _ = init_mean.shape
+    n = params.cem_population
     mean = init_mean.copy()
-    std = init_std.copy()
-    best_cost = math.inf
-    best_controls = None
-    best_waypoints = None
+    std = np.broadcast_to(init_std, init_mean.shape).copy()
+    best_cost = np.full(g, math.inf)
+    best_controls = np.zeros((g, w, 2), dtype=float)
+    best_waypoints = np.zeros((g, w + 1, 2), dtype=float)
     if warm_controls is not None:
-        wp = _rollout_batch(state, warm_controls[np.newaxis], params.dt)
-        best_cost = float(objective(wp)[0])
+        best_waypoints = _rollout_batch(state, warm_controls, params.dt)
+        best_cost = np.array(objective(best_waypoints), dtype=float)
         best_controls = warm_controls.copy()
-        best_waypoints = wp[0]
-    history: list[float] = []
+    history: list[list[float]] = [[] for _ in range(g)]
     for z in noise:
-        controls = _clip_controls(mean + std * z, state, params.dt)
+        raw = (mean[:, np.newaxis] + std[:, np.newaxis] * z[np.newaxis]).reshape(g * n, w, 2)
+        controls = _clip_controls(raw, state, params.dt)
         waypoints = _rollout_batch(state, controls, params.dt)
-        costs = _score_chunked(objective, waypoints)
-        idx = int(np.argmin(costs))
-        if costs[idx] < best_cost:
-            best_cost = float(costs[idx])
-            best_controls = controls[idx].copy()
-            best_waypoints = waypoints[idx].copy()
-        elite_idx = np.argsort(costs, kind="stable")[: params.cem_elites]
-        elites = controls[elite_idx]
-        mean = elites.mean(axis=0)
-        std = np.maximum(elites.std(axis=0), _STD_FLOOR)
-        history.append(best_cost)
-    return _CEMResult(best_controls, best_waypoints, best_cost, mean, history)
+        costs = _score_chunked(objective, waypoints).reshape(g, n)
+        controls = controls.reshape(g, n, w, 2)
+        waypoints = waypoints.reshape(g, n, w + 1, 2)
+        for i in range(g):
+            idx = int(np.argmin(costs[i]))
+            if costs[i, idx] < best_cost[i]:
+                best_cost[i] = costs[i, idx]
+                best_controls[i] = controls[i, idx]
+                best_waypoints[i] = waypoints[i, idx]
+            elites = controls[i, np.argsort(costs[i], kind="stable")[: params.cem_elites]]
+            mean[i] = elites.mean(axis=0)
+            std[i] = np.maximum(elites.std(axis=0), _STD_FLOOR)
+            history[i].append(float(best_cost[i]))
+    return [
+        _CEMResult(best_controls[i], best_waypoints[i], float(best_cost[i]), mean[i], history[i])
+        for i in range(g)
+    ]
 
 
 def _task_objective(scenario: ScenarioSpec, goal_xy: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Task cost toward ``goal_xy``: one goal (2,), or one per row (n, 1, 2)."""
+
     def objective(waypoints: np.ndarray) -> np.ndarray:
         return task_cost_batch(
             waypoints,
@@ -311,10 +329,10 @@ def _legible_objective(
     observer = designated_observer(scenario)
     g_star = scenario.target_goal()
     g_star_xy = g_star.position.as_array()
-    pred_vel = {}
-    for goal in scenario.goals:
-        diffs = np.diff(predictions[goal.id].waypoints, axis=0) / dt
-        pred_vel[goal.id] = np.vstack([diffs, diffs[-1:]])
+    goals_xy = np.array([goal.position.as_array() for goal in scenario.goals])
+    pred_wp = np.stack([predictions[goal.id].waypoints for goal in scenario.goals])
+    diffs = np.diff(pred_wp, axis=1) / dt
+    pred_vel = np.concatenate([diffs, diffs[:, -1:]], axis=1)  # (G, T, 2)
 
     def objective(waypoints: np.ndarray) -> np.ndarray:
         task = task_cost_batch(
@@ -323,12 +341,11 @@ def _legible_objective(
         )
         step_v = np.diff(waypoints, axis=1) / dt
         cand_vel = np.concatenate([step_v, step_v[:, -1:]], axis=1)
+        terms = weighted_similarity_batch(
+            waypoints, cand_vel, pred_vel, goals_xy, g_star_xy, observer, leg
+        )
         sim = np.zeros(waypoints.shape[0], dtype=float)
-        for goal in scenario.goals:
-            term = weighted_similarity_batch(
-                waypoints, cand_vel, pred_vel[goal.id], goal.position.as_array(),
-                g_star_xy, observer, leg,
-            )
+        for goal, term in zip(scenario.goals, terms):
             sim += -term if goal.is_target else term
         fov = fov_cost_batch(waypoints, observer)
         total = task["total"] + leg.lambda_sim * sim + leg.lambda_fov * fov
@@ -363,35 +380,42 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
     for z in noise:
         z.flags.writeable = False
 
-    predictions: PredictedPathSet = {}
-    cem_results: dict[str, _CEMResult] = {}
-    for goal in scenario.goals:
-        res = _cem_optimize(
-            _task_objective(scenario, goal.position.as_array()),
-            robot,
-            params,
-            noise,
+    # One batched search predicts the path toward every goal; row r of its
+    # population is scored against goal r // cem_population.
+    goals_xy = np.array([goal.position.as_array() for goal in scenario.goals])
+    results = _cem_optimize(
+        _task_objective(
+            scenario, np.repeat(goals_xy, params.cem_population, axis=0)[:, np.newaxis]
+        ),
+        robot,
+        params,
+        noise,
+        np.stack([
             _initial_mean(
                 robot, params.horizon_w, params.dt, scenario.task_weights.v_pref, goal.position
-            ),
-            init_std,
-        )
-        cem_results[goal.id] = res
-        predictions[goal.id] = Trajectory(res.waypoints, params.dt)
+            )
+            for goal in scenario.goals
+        ]),
+        init_std,
+    )
+    predictions: PredictedPathSet = {
+        goal.id: Trajectory(res.waypoints, params.dt)
+        for goal, res in zip(scenario.goals, results)
+    }
 
     g_star = scenario.target_goal()
-    base = cem_results[g_star.id]
+    base = results[scenario.goals.index(g_star)]
     leg = scenario.legibility
     legible_active = params.mode == "legible" and (leg.lambda_sim > 0 or leg.lambda_fov > 0)
     if legible_active:
-        chosen = _cem_optimize(
+        (chosen,) = _cem_optimize(
             _legible_objective(scenario, predictions),
             robot,
             params,
             noise,
-            base.final_mean,
+            base.final_mean[np.newaxis],
             init_std,
-            warm_controls=base.controls,
+            warm_controls=base.controls[np.newaxis],
         )
     else:
         chosen = base

@@ -82,10 +82,11 @@ def task_cost_batch(
     robot_radius: float,
     weights: TaskCostWeights,
 ) -> dict[str, np.ndarray]:
-    """Score a batch of trajectories, shape (n, w+1, 2), against one goal.
+    """Score a batch of trajectories, shape (n, w+1, 2), against a goal.
 
-    Returns arrays keyed by term name plus "total" and "collided", each of
-    shape (n,).
+    ``goal_xy`` is one goal for every row, shape (2,), or one goal per row,
+    shape (n, 1, 2). Returns arrays keyed by term name plus "total" and
+    "collided", each of shape (n,).
     """
     dists = np.linalg.norm(waypoints - goal_xy, axis=2)  # (n, T)
     j_goal = dists[:, -1] + dists.mean(axis=1)

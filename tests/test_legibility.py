@@ -24,12 +24,14 @@ from legiplan import (
 )
 from legiplan.legibility import (
     fov_cost_batch,
+    h_weight_points,
     masked_cosines,
     theta_dev_points,
     visibility_points,
+    weighted_similarity_batch,
 )
 from legiplan.task_cost import COLLISION_COST
-from tests.conftest import make_robot
+from tests.conftest import make_robot, random_trajectory
 from tests.test_task_cost import UNIT_WEIGHTS
 
 OBS = ObserverState("O", Point2(0, 0), heading=0.0)
@@ -165,6 +167,35 @@ class TestWeightedSimilarity:
             assert abs(value) <= 7 * params.h_max + 1e-9
 
 
+def reference_similarity(cand_wp, cand_vel, pred_vel, goal_xy, g_star_xy, observer, params):
+    """Similarity of a candidate batch to one goal's prediction, (T, 2)."""
+    cos = masked_cosines(cand_vel, pred_vel, params.eps_v)
+    vis = visibility_points(cand_wp, observer)
+    h = h_weight_points(cand_wp, g_star_xy, goal_xy, params.h_max)
+    return np.sum(vis * h * cos, axis=-1)
+
+
+@pytest.mark.parametrize("observer", [OBS, ObserverState("O", Point2(1, -2), 2.0), None])
+def test_similarity_batch_matches_one_goal_at_a_time(observer):
+    rng = np.random.default_rng(21)
+    cand_wp = np.cumsum(rng.normal(scale=0.4, size=(40, 9, 2)), axis=1)
+    cand_wp[:5] = cand_wp[:5, :1]  # stationary rows: every cosine masked
+    steps = np.diff(cand_wp, axis=1)
+    cand_vel = np.concatenate([steps, steps[:, -1:]], axis=1)
+    pred_vel = rng.normal(size=(3, 9, 2))
+    pred_vel[2, 3] = 0.0
+    goals_xy = rng.uniform(-4, 4, size=(3, 2))
+    g_star_xy = goals_xy[1]  # h is exactly 1 for this goal
+    batch = weighted_similarity_batch(
+        cand_wp, cand_vel, pred_vel, goals_xy, g_star_xy, observer, PARAMS
+    )
+    assert batch.shape == (3, 40)
+    for g in range(3):
+        assert np.array_equal(batch[g], reference_similarity(
+            cand_wp, cand_vel, pred_vel[g], goals_xy[g], g_star_xy, observer, PARAMS
+        ))
+
+
 def test_masked_cosines_bounds():
     rng = np.random.default_rng(4)
     va = rng.normal(size=(200, 9, 2))
@@ -213,6 +244,38 @@ class TestSimCost:
         obs = ObserverState("O", Point2(-1, 0), heading=0.0, fov=2 * math.pi)
         value = sim_cost(LINE, {"G1": LINE}, (g1,), obs, PARAMS)
         assert value == pytest.approx(-6.0)
+
+    def test_matches_signed_sum_of_per_goal_similarities(self):
+        rng = np.random.default_rng(8)
+        goals = (
+            Goal("G1", Point2(3, 1)),
+            Goal("G2", Point2(-2, 4), is_target=True),
+            Goal("G3", Point2(1, -3)),
+        )
+        for observer in (OBS, None):
+            for _ in range(20):
+                candidate = random_trajectory(rng)
+                predictions = {goal.id: random_trajectory(rng) for goal in goals}
+                expected = 0.0
+                for goal in goals:
+                    sim = weighted_similarity(
+                        candidate, predictions[goal.id], goal, goals[1].position, observer,
+                        PARAMS,
+                    )
+                    expected += -sim if goal.is_target else sim
+                assert sim_cost(candidate, predictions, goals, observer, PARAMS) == expected
+
+    def test_incompatible_prediction_rejected(self):
+        g1 = Goal("G1", Point2(10, 0), is_target=True)
+        g2 = Goal("G2", Point2(0, 10))
+        short = Trajectory([[0, 0], [1, 0]], dt=1.0)
+        slow = Trajectory(LINE.waypoints, dt=0.5)
+        with pytest.raises(ValueError, match="must share waypoint count: 6 vs 2"):
+            sim_cost(LINE, {"G1": LINE, "G2": short}, (g1, g2), OBS, PARAMS)
+        with pytest.raises(ValueError, match="must share dt: 1.0 vs 0.5"):
+            sim_cost(LINE, {"G1": LINE, "G2": slow}, (g1, g2), OBS, PARAMS)
+        with pytest.raises(ValueError, match="exactly one target, found 0"):
+            sim_cost(LINE, {"G2": LINE}, (g2,), OBS, PARAMS)
 
     def test_missing_prediction_rejected(self):
         g1 = Goal("G1", Point2(10, 0), is_target=True)

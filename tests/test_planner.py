@@ -26,9 +26,11 @@ from legiplan.planner import (
     _clip_controls,
     _draw_noise,
     _initial_mean,
+    _rollout_batch,
     _task_objective,
 )
-from tests.conftest import make_robot, make_scenario
+from legiplan.scenario_io import load_scenario
+from tests.conftest import SCENARIO_DIR, SCENARIO_NAMES, make_robot, make_scenario
 
 
 def reference_noise(seed: int, iteration: int, population: int, horizon: int) -> np.ndarray:
@@ -45,6 +47,51 @@ def reference_noise(seed: int, iteration: int, population: int, horizon: int) ->
         ).standard_normal((horizon, 2))
         for i in range(population)
     ])
+
+
+def reference_clip(raw: np.ndarray, state, dt: float) -> np.ndarray:
+    """Sequential clip to the intersection of the speed and accel bands."""
+    n, w, _ = raw.shape
+    v = np.empty((n, w), dtype=float)
+    prev = np.full(n, state.speed, dtype=float)
+    for t in range(w):
+        lo = np.maximum(0.0, prev - state.a_max * dt)
+        hi = np.minimum(state.v_max, prev + state.a_max * dt)
+        v[:, t] = np.clip(raw[:, t, 0], lo, hi)
+        prev = v[:, t]
+    om = np.clip(raw[:, :, 1], -state.omega_max, state.omega_max)
+    return np.stack([v, om], axis=2)
+
+
+def reference_cem(objective, state, params, noise, init_mean, init_std, warm_controls=None):
+    """One cross-entropy search on its own, shapes (w, 2), as run per goal
+    before the searches were batched. Returns the _CEMResult fields in order."""
+    mean = init_mean.copy()
+    std = init_std.copy()
+    best_cost = math.inf
+    best_controls = None
+    best_waypoints = None
+    if warm_controls is not None:
+        wp = _rollout_batch(state, warm_controls[np.newaxis], params.dt)
+        best_cost = float(objective(wp)[0])
+        best_controls = warm_controls.copy()
+        best_waypoints = wp[0]
+    history = []
+    for z in noise:
+        controls = reference_clip(mean + std * z, state, params.dt)
+        waypoints = _rollout_batch(state, controls, params.dt)
+        costs = np.asarray(objective(waypoints), dtype=float)
+        idx = int(np.argmin(costs))
+        if costs[idx] < best_cost:
+            best_cost = float(costs[idx])
+            best_controls = controls[idx].copy()
+            best_waypoints = waypoints[idx].copy()
+        elite_idx = np.argsort(costs, kind="stable")[: params.cem_elites]
+        elites = controls[elite_idx]
+        mean = elites.mean(axis=0)
+        std = np.maximum(elites.std(axis=0), planner_module._STD_FLOOR)
+        history.append(best_cost)
+    return best_controls, best_waypoints, best_cost, mean, history
 
 
 def _cycle_noise(seed: int, params: PlannerParams) -> list[np.ndarray]:
@@ -78,6 +125,7 @@ class TestControlSampling:
         params = PlannerParams(horizon_w=10)
         raw = _draw_noise(9, 0, 40, 10) * 3.0  # deliberately wild
         controls = _clip_controls(raw, rng_state, params.dt)
+        assert np.array_equal(controls, reference_clip(raw, rng_state, params.dt))
         for i in range(controls.shape[0]):
             seq = ControlSequence(controls[i])
             assert seq.respects(rng_state, params.dt)
@@ -112,11 +160,13 @@ class TestCEM:
             robot,
             params,
             noise=_cycle_noise(5, params),
-            init_mean=_initial_mean(robot, params.horizon_w, params.dt, 0.8, goal.position),
+            init_mean=_initial_mean(
+                robot, params.horizon_w, params.dt, 0.8, goal.position
+            )[np.newaxis],
             init_std=np.full(
                 (params.horizon_w, 2), [params.cem_init_std_v, params.cem_init_std_omega]
             ),
-        )
+        )[0]
         history = res.best_cost_history
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
@@ -131,13 +181,74 @@ class TestCEM:
             (params.horizon_w, 2), [params.cem_init_std_v, params.cem_init_std_omega]
         )
         first = _cem_optimize(
-            objective, robot, params, _cycle_noise(5, params), init_mean, init_std
-        )
+            objective, robot, params, _cycle_noise(5, params), init_mean[np.newaxis], init_std
+        )[0]
         second = _cem_optimize(
-            objective, robot, params, _cycle_noise(6, params), first.final_mean, init_std,
-            warm_controls=first.controls,
-        )
+            objective, robot, params, _cycle_noise(6, params), first.final_mean[np.newaxis],
+            init_std, warm_controls=first.controls[np.newaxis],
+        )[0]
         assert second.cost <= first.cost + 1e-12
+
+    @staticmethod
+    def _setup(seed):
+        scenario = make_scenario(
+            goals=(
+                Goal("G1", Point2(4.0, 0.8), is_target=True),
+                Goal("G2", Point2(4.0, -0.8)),
+                Goal("G3", Point2(2.0, -0.9)),  # inside the obstacle: collisions
+            ),
+            robot=make_robot(speed=0.3),
+        )
+        robot, params = scenario.robot, scenario.planner
+        goals_xy = np.array([goal.position.as_array() for goal in scenario.goals])
+        init_mean = np.stack([
+            _initial_mean(robot, params.horizon_w, params.dt, 0.8, goal.position)
+            for goal in scenario.goals
+        ])
+        init_std = np.full(
+            (params.horizon_w, 2), [params.cem_init_std_v, params.cem_init_std_omega]
+        )
+        return scenario, goals_xy, _cycle_noise(seed, params), init_mean, init_std
+
+    @staticmethod
+    def _assert_matches(res, reference):
+        controls, waypoints, cost, final_mean, history = reference
+        assert np.array_equal(res.controls, controls)
+        assert np.array_equal(res.waypoints, waypoints)
+        assert res.cost == cost
+        assert np.array_equal(res.final_mean, final_mean)
+        assert res.best_cost_history == history
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 1])
+    def test_batched_search_matches_one_search_per_goal(self, seed):
+        scenario, goals_xy, noise, init_mean, init_std = self._setup(seed)
+        robot, params = scenario.robot, scenario.planner
+        per_row = np.repeat(goals_xy, params.cem_population, axis=0)[:, np.newaxis]
+        batched = _cem_optimize(
+            _task_objective(scenario, per_row), robot, params, noise, init_mean, init_std
+        )
+        assert len(batched) == len(scenario.goals)
+        for i, res in enumerate(batched):
+            self._assert_matches(res, reference_cem(
+                _task_objective(scenario, goals_xy[i]), robot, params, noise, init_mean[i],
+                init_std,
+            ))
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 1])
+    def test_warm_search_matches_single_search(self, seed):
+        # The legible search: one search, seeded by a warm-start sequence.
+        scenario, goals_xy, noise, init_mean, init_std = self._setup(seed)
+        robot, params = scenario.robot, scenario.planner
+        objective = _task_objective(scenario, goals_xy[0])
+        warm = _clip_controls(
+            init_mean[:1] + _draw_noise(seed, 9, 1, params.horizon_w), robot, params.dt
+        )
+        (res,) = _cem_optimize(
+            objective, robot, params, noise, init_mean[:1], init_std, warm_controls=warm
+        )
+        self._assert_matches(res, reference_cem(
+            objective, robot, params, noise, init_mean[0], init_std, warm_controls=warm[0]
+        ))
 
 
 class TestPlanOnce:
@@ -213,13 +324,43 @@ class TestPlanOnce:
 
         monkeypatch.setattr(planner_module, "_cem_optimize", spy)
         plan_once(legible, rng_seed=3)
-        assert len(seen) == 3  # two goal predictions plus the legible search
+        assert len(seen) == 2  # one batched prediction search plus the legible search
         assert all(noise is seen[0] for noise in seen)
         assert len(seen[0]) == legible.planner.cem_iterations
         for z in seen[0]:
             assert not z.flags.writeable
             with pytest.raises(ValueError):
                 z[0, 0, 0] = 0.0
+
+    def test_baseline_runs_one_batched_search(self, monkeypatch):
+        scenario = make_scenario()
+        params = scenario.planner
+        assert params.mode == "baseline" and len(scenario.goals) == 2
+        calls = []
+        optimize = planner_module._cem_optimize
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(planner_module, "_cem_optimize", spy)
+        result = plan_once(scenario, rng_seed=3)
+        assert len(calls) == 1
+        # Each goal's prediction is what a search of its own toward that goal finds.
+        init_std = np.full(
+            (params.horizon_w, 2), [params.cem_init_std_v, params.cem_init_std_omega]
+        )
+        for goal in scenario.goals:
+            _, waypoints, *_ = reference_cem(
+                _task_objective(scenario, goal.position.as_array()), scenario.robot, params,
+                _cycle_noise(3, params),
+                _initial_mean(
+                    scenario.robot, params.horizon_w, params.dt, scenario.task_weights.v_pref,
+                    goal.position,
+                ),
+                init_std,
+            )
+            assert np.array_equal(result.predictions[goal.id].waypoints, waypoints)
 
     def test_zero_goals_rejected(self):
         scenario = make_scenario()
@@ -310,3 +451,18 @@ class TestClosedLoop:
         assert np.array_equal(
             sim.plan_results[0].trajectory.waypoints, first.trajectory.waypoints
         )
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+@pytest.mark.parametrize("mode", ["baseline", "legible"])
+def test_executed_controls_respect_kinodynamics(name, mode):
+    # Every cycle starts from the last executed speed, so the whole executed
+    # sequence obeys the bounds; any prefix of a run shows it, hence the cap.
+    spec = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    spec = dataclasses.replace(
+        spec, planner=dataclasses.replace(spec.planner, mode=mode, max_cycles=30)
+    )
+    sim = run_closed_loop(spec)
+    if sim.controls.shape[0] == 0:
+        pytest.skip("the run executes no control")
+    assert ControlSequence(sim.controls).respects(spec.robot, spec.planner.dt)
