@@ -11,9 +11,8 @@ import sys
 
 from . import scenario_io, svg_render
 from .evaluation import PosteriorModel, evaluate_trajectory
-from .model import ScenarioSpec, wrap_angle
+from .model import ScenarioError, ScenarioSpec, wrap_angle
 from .planner import PlannerFailure, PlanResult, plan_once, rollout_headings, run_closed_loop
-from .scenario_io import ScenarioError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

@@ -17,6 +17,20 @@ if TYPE_CHECKING:
     from .planner import PlannerParams
     from .task_cost import TaskCostWeights
 
+
+class ScenarioError(ValueError):
+    """A scenario violated the schema or an invariant.
+
+    `path` locates the offending value (JSON-path style), `rule` states the
+    violated rule.
+    """
+
+    def __init__(self, path: str, rule: str):
+        super().__init__(f"{path}: {rule}")
+        self.path = path
+        self.rule = rule
+
+
 # Clearance reported when there are no obstacles at all. A large finite
 # value keeps downstream cost arithmetic finite.
 EMPTY_CLEARANCE = 1e9
@@ -159,7 +173,9 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Complete declarative world: robot, goals, observers, obstacles, params."""
+    """Complete declarative world: robot, goals, observers, obstacles, params.
+
+    Construction checks the cross-field invariants; see _check_invariants."""
 
     robot: RobotState
     goals: tuple[Goal, ...]
@@ -200,12 +216,46 @@ class ScenarioSpec:
                     ),
                 ),
             )
+        self._check_invariants()
+
+    def _check_invariants(self) -> None:
+        """Cross-field invariants, reported at the scenario file's JSON paths."""
+        if len([g for g in self.goals if g.is_target]) != 1:
+            raise ScenarioError("$.goals", "exactly one target goal required")
+        ids = [g.id for g in self.goals]
+        if len(set(ids)) != len(ids):
+            raise ScenarioError("$.goals", "goal ids must be unique")
+        obs_ids = [o.id for o in self.observers]
+        if len(set(obs_ids)) != len(obs_ids):
+            raise ScenarioError("$.observers", "observer ids must be unique")
+        for i, obs in enumerate(self.observers):
+            if obs.attached_goal is not None and obs.attached_goal not in ids:
+                raise ScenarioError(
+                    f"$.observers[{i}].attached_goal",
+                    f"references unknown goal id {obs.attached_goal!r}",
+                )
+        radius = self.robot.radius
+        points = [self.robot.position.as_array(), *(g.position.as_array() for g in self.goals)]
+        start_clr, *goal_clr = clearance_points(np.array(points), self.obstacles)
+        if start_clr < radius:
+            raise ScenarioError("$.robot.position", "start clearance must be >= robot radius")
+        for i, clr in enumerate(goal_clr):
+            if clr < radius:
+                raise ScenarioError(
+                    f"$.goals[{i}].position", "goal clearance must be >= robot radius"
+                )
+        # Worst-case stopping rule: the horizon must be long enough to shed
+        # v_max. A horizon_w beyond float range satisfies it trivially.
+        p = self.planner
+        try:
+            stopping_span = self.robot.a_max * p.horizon_w * p.dt
+        except OverflowError:
+            stopping_span = math.inf
+        if self.robot.v_max > stopping_span:
+            raise ScenarioError("$.planner", "v_max must be <= a_max * horizon_w * dt")
 
     def target_goal(self) -> Goal:
-        targets = [g for g in self.goals if g.is_target]
-        if len(targets) != 1:
-            raise ValueError(f"scenario must have exactly one target goal, found {len(targets)}")
-        return targets[0]
+        return next(g for g in self.goals if g.is_target)
 
 
 def clearance_points(points: np.ndarray, obstacles: tuple[Obstacle, ...]) -> np.ndarray:

@@ -81,6 +81,9 @@ class PlannerParams:
             raise ValueError("cem_elites must be in [2, cem_population]")
         if self.cem_iterations < 1:
             raise ValueError("cem_iterations must be >= 1")
+        for name in ("cem_init_std_v", "cem_init_std_omega"):
+            if getattr(self, name) is not None and not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if not 1 <= self.execute_steps <= self.horizon_w:
             raise ValueError("execute_steps must be in [1, horizon_w]")
         if self.goal_tolerance <= 0:
@@ -363,8 +366,6 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
     zero that objective coincides with the task cost, so the target
     prediction is returned unchanged.
     """
-    if not scenario.goals:
-        raise ValueError("scenario must contain at least one goal")
     params = scenario.planner
     robot = scenario.robot
     seed = scenario.seed if rng_seed is None else rng_seed

@@ -22,9 +22,10 @@ from .model import (
     Point2,
     RectObstacle,
     RobotState,
+    ScenarioError,
     ScenarioSpec,
     Trajectory,
-    clearance,
+    clearance_points,
     wrap_angle,
 )
 from .planner import PlannerParams, SimulationResult
@@ -33,19 +34,6 @@ from .task_cost import TaskCostWeights
 SCHEMA_VERSION = 1
 
 CSV_HEADER = "t,x,y,heading,v,omega,clearance"
-
-
-class ScenarioError(ValueError):
-    """A scenario file violated the schema or an invariant.
-
-    `path` locates the offending value (JSON-path style), `rule` states the
-    violated rule.
-    """
-
-    def __init__(self, path: str, rule: str):
-        super().__init__(f"{path}: {rule}")
-        self.path = path
-        self.rule = rule
 
 
 def _check_keys(obj: dict, path: str, allowed: set[str]) -> None:
@@ -60,6 +48,17 @@ def _as_object(value: Any, path: str) -> dict:
     return value
 
 
+def _finite(value: int | float, path: str, rule: str) -> float:
+    """`value` as a finite float; an integer beyond float range is not finite."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioError(path, rule)
+    return value
+
+
 def _number(obj: dict, path: str, key: str, default: float | None = None) -> float:
     if key not in obj:
         if default is None:
@@ -68,9 +67,7 @@ def _number(obj: dict, path: str, key: str, default: float | None = None) -> flo
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}.{key}", "must be a number")
-    if not math.isfinite(value):
-        raise ScenarioError(f"{path}.{key}", "must be finite")
-    return float(value)
+    return _finite(value, f"{path}.{key}", "must be finite")
 
 
 def _integer(obj: dict, path: str, key: str, default: int | None = None) -> int:
@@ -94,9 +91,8 @@ def _point(obj: dict, path: str, key: str) -> Point2:
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
         raise ScenarioError(f"{path}.{key}", "must be a [x, y] pair of numbers")
-    if any(not math.isfinite(v) for v in value):
-        raise ScenarioError(f"{path}.{key}", "coordinates must be finite")
-    return Point2(float(value[0]), float(value[1]))
+    x, y = (_finite(v, f"{path}.{key}", "coordinates must be finite") for v in value)
+    return Point2(x, y)
 
 
 def _string(obj: dict, path: str, key: str, default: str | None = None) -> str:
@@ -223,12 +219,8 @@ def _parse_planner(obj: dict, path: str) -> PlannerParams:
         _check_keys(std_obj, std_path, {"v", "omega_deg"})
         if "v" in std_obj:
             fields["cem_init_std_v"] = _number(std_obj, std_path, "v")
-            if fields["cem_init_std_v"] <= 0:
-                raise ScenarioError(f"{std_path}.v", "must be positive")
         if "omega_deg" in std_obj:
             fields["cem_init_std_omega"] = math.radians(_number(std_obj, std_path, "omega_deg"))
-            if fields["cem_init_std_omega"] <= 0:
-                raise ScenarioError(f"{std_path}.omega_deg", "must be positive")
     return _build(PlannerParams, path, fields)
 
 
@@ -253,7 +245,8 @@ def parse_scenario(data: bytes | str | dict) -> ScenarioSpec:
     """Parse and fully validate a scenario document.
 
     Accepts raw bytes, a JSON string or an already-decoded object. Raises
-    ScenarioError naming the JSON path and the violated rule.
+    ScenarioError naming the JSON path and the violated rule; the
+    cross-field invariants are ScenarioSpec's own.
     """
     if isinstance(data, bytes):
         try:
@@ -317,7 +310,7 @@ def parse_scenario(data: bytes | str | dict) -> ScenarioSpec:
     if not 0 <= seed < 2**64:
         raise ScenarioError("$.seed", "must be a 64-bit unsigned integer")
 
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         robot=robot,
         goals=goals,
         observers=observers,
@@ -327,37 +320,6 @@ def parse_scenario(data: bytes | str | dict) -> ScenarioSpec:
         legibility=legibility,
         seed=seed,
     )
-    validate_spec(spec)
-    return spec
-
-
-def validate_spec(spec: ScenarioSpec) -> None:
-    """Cross-field invariants that individual parsers cannot check."""
-    targets = [g for g in spec.goals if g.is_target]
-    if len(targets) != 1:
-        raise ScenarioError("$.goals", "exactly one target goal required")
-    ids = [g.id for g in spec.goals]
-    if len(set(ids)) != len(ids):
-        raise ScenarioError("$.goals", "goal ids must be unique")
-    obs_ids = [o.id for o in spec.observers]
-    if len(set(obs_ids)) != len(obs_ids):
-        raise ScenarioError("$.observers", "observer ids must be unique")
-    for i, obs in enumerate(spec.observers):
-        if obs.attached_goal is not None and obs.attached_goal not in ids:
-            raise ScenarioError(
-                f"$.observers[{i}].attached_goal", f"references unknown goal id {obs.attached_goal!r}"
-            )
-    if clearance(spec.robot.position, spec.obstacles) < spec.robot.radius:
-        raise ScenarioError("$.robot.position", "start clearance must be >= robot radius")
-    for i, goal in enumerate(spec.goals):
-        if clearance(goal.position, spec.obstacles) < spec.robot.radius:
-            raise ScenarioError(
-                f"$.goals[{i}].position", "goal clearance must be >= robot radius"
-            )
-    p = spec.planner
-    # Worst-case stopping rule: the horizon must be long enough to shed v_max.
-    if spec.robot.v_max > spec.robot.a_max * p.horizon_w * p.dt:
-        raise ScenarioError("$.planner", "v_max must be <= a_max * horizon_w * dt")
 
 
 def load_scenario(path: str) -> ScenarioSpec:
@@ -444,6 +406,27 @@ def scenario_to_bytes(spec: ScenarioSpec) -> bytes:
     return (json.dumps(serialize_scenario(spec), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _log_rows(
+    trajectory: Trajectory,
+    indices: list[int],
+    headings: np.ndarray,
+    controls: np.ndarray,
+    initial_speed: float,
+    obstacles: tuple[Obstacle, ...],
+) -> list[tuple]:
+    """Log rows at the waypoint `indices` of `trajectory`. Waypoint 0 gets
+    the control (initial_speed, 0); waypoint i > 0 the control of step i-1."""
+    positions = trajectory.waypoints[indices]
+    rows = []
+    for idx, (x, y), clr in zip(indices, positions, clearance_points(positions, obstacles)):
+        v, omega = controls[idx - 1] if idx else (initial_speed, 0.0)
+        rows.append(
+            (idx * trajectory.dt, float(x), float(y), float(headings[idx]), float(v),
+             float(omega), float(clr))
+        )
+    return rows
+
+
 def simulation_rows(sim: SimulationResult, spec: ScenarioSpec) -> list[tuple]:
     """Log rows (t, x, y, heading, v, omega, clearance), one per cycle.
 
@@ -451,31 +434,13 @@ def simulation_rows(sim: SimulationResult, spec: ScenarioSpec) -> list[tuple]:
     cycle's executed controls (so t advances by dt * execute_steps). The v
     and omega columns hold the last applied control.
     """
-    dt = spec.planner.dt
-    stride = spec.planner.execute_steps
     n_steps = sim.executed.waypoints.shape[0] - 1
-    indices = list(range(0, n_steps + 1, stride))
+    indices = list(range(0, n_steps + 1, spec.planner.execute_steps))
     if indices[-1] != n_steps:
         indices.append(n_steps)  # partial final cycle (stopped at the goal)
-    rows = []
-    for idx in indices:
-        pos = sim.executed.waypoints[idx]
-        if idx == 0:
-            v, omega = spec.robot.speed, 0.0
-        else:
-            v, omega = sim.controls[idx - 1]
-        rows.append(
-            (
-                idx * dt,
-                float(pos[0]),
-                float(pos[1]),
-                float(sim.headings[idx]),
-                float(v),
-                float(omega),
-                clearance(Point2(float(pos[0]), float(pos[1])), spec.obstacles),
-            )
-        )
-    return rows
+    return _log_rows(
+        sim.executed, indices, sim.headings, sim.controls, spec.robot.speed, spec.obstacles
+    )
 
 
 def plan_rows(
@@ -486,24 +451,8 @@ def plan_rows(
     spec: ScenarioSpec,
 ) -> list[tuple]:
     """Log rows for a single planned horizon (one row per waypoint)."""
-    rows = []
-    for idx, pos in enumerate(trajectory.waypoints):
-        if idx == 0:
-            v, omega = initial_speed, 0.0
-        else:
-            v, omega = controls[idx - 1]
-        rows.append(
-            (
-                idx * trajectory.dt,
-                float(pos[0]),
-                float(pos[1]),
-                float(headings[idx]),
-                float(v),
-                float(omega),
-                clearance(Point2(float(pos[0]), float(pos[1])), spec.obstacles),
-            )
-        )
-    return rows
+    indices = list(range(trajectory.waypoints.shape[0]))
+    return _log_rows(trajectory, indices, headings, controls, initial_speed, spec.obstacles)
 
 
 def format_trajectory_csv(rows: list[tuple]) -> str:

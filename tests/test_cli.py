@@ -58,6 +58,20 @@ def test_invalid_scenario_exits_one(tmp_path, capsys):
     assert error["path"] == "$.goals"
 
 
+def test_integer_beyond_float_range_exits_one(tmp_path, capsys):
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps({
+        "robot": {"position": [0, 0], "speed": 10**400},
+        "goals": [{"id": "A", "position": [1, 0], "is_target": True}],
+    }))
+    code = cli_main(["plan", "--scenario", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err) == {
+        "error": "validation", "path": "$.robot.speed", "rule": "must be finite",
+    }
+
+
 def test_missing_file_exits_one(capsys):
     code = cli_main(["plan", "--scenario", "/nonexistent/x.json"])
     assert code == 1

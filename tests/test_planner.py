@@ -191,19 +191,15 @@ class TestCEM:
 
     @staticmethod
     def _setup(seed):
-        scenario = make_scenario(
-            goals=(
-                Goal("G1", Point2(4.0, 0.8), is_target=True),
-                Goal("G2", Point2(4.0, -0.8)),
-                Goal("G3", Point2(2.0, -0.9)),  # inside the obstacle: collisions
-            ),
-            robot=make_robot(speed=0.3),
-        )
+        scenario = make_scenario(robot=make_robot(speed=0.3))
         robot, params = scenario.robot, scenario.planner
-        goals_xy = np.array([goal.position.as_array() for goal in scenario.goals])
+        # A third search toward a point inside the obstacle (collisions); a
+        # spec cannot hold that point as a goal.
+        positions = [*(goal.position for goal in scenario.goals), Point2(2.0, -0.9)]
+        goals_xy = np.array([position.as_array() for position in positions])
         init_mean = np.stack([
-            _initial_mean(robot, params.horizon_w, params.dt, 0.8, goal.position)
-            for goal in scenario.goals
+            _initial_mean(robot, params.horizon_w, params.dt, 0.8, position)
+            for position in positions
         ])
         init_std = np.full(
             (params.horizon_w, 2), [params.cem_init_std_v, params.cem_init_std_omega]
@@ -227,7 +223,7 @@ class TestCEM:
         batched = _cem_optimize(
             _task_objective(scenario, per_row), robot, params, noise, init_mean, init_std
         )
-        assert len(batched) == len(scenario.goals)
+        assert len(batched) == len(goals_xy)
         for i, res in enumerate(batched):
             self._assert_matches(res, reference_cem(
                 _task_objective(scenario, goals_xy[i]), robot, params, noise, init_mean[i],
@@ -364,8 +360,8 @@ class TestPlanOnce:
 
     def test_zero_goals_rejected(self):
         scenario = make_scenario()
-        broken = dataclasses.replace(scenario, goals=())
         with pytest.raises(ValueError):
+            broken = dataclasses.replace(scenario, goals=())
             plan_once(broken, rng_seed=1)
 
 

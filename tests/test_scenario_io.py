@@ -8,7 +8,12 @@ import math
 import numpy as np
 import pytest
 
+import legiplan
 from legiplan import (
+    CircleObstacle,
+    Goal,
+    ObserverState,
+    PlannerParams,
     ScenarioError,
     ScenarioSpec,
     load_scenario,
@@ -16,6 +21,7 @@ from legiplan import (
     run_closed_loop,
     serialize_scenario,
 )
+from legiplan import model, scenario_io
 from legiplan.model import DEFAULT_FOV, clearance, Point2
 from legiplan.scenario_io import (
     format_trajectory_csv,
@@ -23,7 +29,7 @@ from legiplan.scenario_io import (
     scenario_to_bytes,
     simulation_rows,
 )
-from tests.conftest import SCENARIO_NAMES, make_scenario
+from tests.conftest import SCENARIO_NAMES, make_robot, make_scenario
 
 MINIMAL = {
     "robot": {"position": [0.0, 0.0]},
@@ -131,6 +137,126 @@ def test_unknown_attached_goal_rejected():
     assert "unknown goal id" in err.value.rule
 
 
+def test_scenario_error_has_one_home():
+    assert scenario_io.ScenarioError is model.ScenarioError
+    assert legiplan.ScenarioError is model.ScenarioError
+
+
+@pytest.mark.parametrize(
+    "edit, path, rule",
+    [
+        (lambda d: d["robot"].update(speed=10**400), "$.robot.speed", "must be finite"),
+        (
+            lambda d: d["goals"][0].update(position=[10**400, 0]),
+            "$.goals[0].position", "coordinates must be finite",
+        ),
+        (lambda d: d.update(planner={"dt": -10**400}), "$.planner.dt", "must be finite"),
+        (
+            lambda d: d.update(observers=[{"id": "O", "position": [1, 1], "fov_deg": 10**400}]),
+            "$.observers[0].fov_deg", "must be finite",
+        ),
+    ],
+    ids=["robot.speed", "goal.position", "planner.dt", "observer.fov_deg"],
+)
+def test_integer_beyond_float_range_rejected(edit, path, rule):
+    doc = json.loads(json.dumps(MINIMAL))
+    edit(doc)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(json.dumps(doc))
+    assert (err.value.path, err.value.rule) == (path, rule)
+
+
+def test_integer_just_inside_float_range_accepted():
+    # The largest integer that rounds to a finite float: a number, not an error.
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["goals"][0]["position"] = [2**1024 - 2**970 - 1, 0]
+    spec = parse_scenario(json.dumps(doc))
+    assert spec.goals[0].position.x == 1.7976931348623157e308
+
+
+def test_huge_horizon_satisfies_stopping_rule():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["planner"] = {"horizon_w": 10**400}
+    assert parse_scenario(json.dumps(doc)).planner.horizon_w == 10**400
+
+
+def test_nonpositive_init_std_rejected():
+    with pytest.raises(ValueError, match="cem_init_std_v must be positive"):
+        PlannerParams(cem_init_std_v=-1.0, cem_init_std_omega=0.0)
+    with pytest.raises(ValueError, match="cem_init_std_omega must be positive"):
+        PlannerParams(cem_init_std_omega=0.0)
+    for std in ({"v": 0.0}, {"omega_deg": -5.0}):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["planner"] = {"cem_init_std": std}
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(json.dumps(doc))
+        assert err.value.path == "$.planner"
+        assert "must be positive" in err.value.rule
+
+
+# Each cross-field invariant broken the same way twice: as an edit of
+# make_scenario()'s serialized document, and as make_scenario overrides.
+G1 = Goal("G1", Point2(4.0, 0.8), is_target=True)
+G2 = Goal("G2", Point2(4.0, -0.8))
+O1 = ObserverState("O1", Point2(4.8, 0.8), math.pi, attached_goal="G1")
+OBSTACLE = CircleObstacle(Point2(2.0, -0.9), 0.3)
+BROKEN_INVARIANTS = {
+    "two targets": (
+        lambda d: d["goals"][1].update(is_target=True),
+        dict(goals=(G1, Goal("G2", G2.position, is_target=True))),
+        "$.goals", "exactly one target goal required",
+    ),
+    "no target": (
+        lambda d: d["goals"][0].update(is_target=False),
+        dict(goals=(Goal("G1", G1.position), G2)),
+        "$.goals", "exactly one target goal required",
+    ),
+    "duplicate goal ids": (
+        lambda d: d["goals"][1].update(id="G1"),
+        dict(goals=(G1, Goal("G1", G2.position))),
+        "$.goals", "goal ids must be unique",
+    ),
+    "duplicate observer ids": (
+        lambda d: d["observers"].append(dict(d["observers"][0])),
+        dict(observers=(O1, O1)),
+        "$.observers", "observer ids must be unique",
+    ),
+    "unknown attached goal": (
+        lambda d: d["observers"][0].update(attached_goal="nope"),
+        dict(observers=(ObserverState("O1", O1.position, O1.heading, attached_goal="nope"),)),
+        "$.observers[0].attached_goal", "references unknown goal id 'nope'",
+    ),
+    "start clearance": (
+        lambda d: d["obstacles"].append({"type": "circle", "center": [0.1, 0.0], "radius": 0.5}),
+        dict(obstacles=(OBSTACLE, CircleObstacle(Point2(0.1, 0.0), 0.5))),
+        "$.robot.position", "start clearance must be >= robot radius",
+    ),
+    "goal clearance": (
+        lambda d: d["obstacles"].append({"type": "circle", "center": [4.1, -0.8], "radius": 0.4}),
+        dict(obstacles=(OBSTACLE, CircleObstacle(Point2(4.1, -0.8), 0.4))),
+        "$.goals[1].position", "goal clearance must be >= robot radius",
+    ),
+    "stopping rule": (
+        lambda d: d["robot"].update(v_max=4.0),
+        dict(robot=make_robot(v_max=4.0)),
+        "$.planner", "v_max must be <= a_max * horizon_w * dt",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_INVARIANTS)
+def test_spec_built_in_code_enforces_file_invariants(case):
+    edit_doc, overrides, path, rule = BROKEN_INVARIANTS[case]
+    doc = serialize_scenario(make_scenario())
+    edit_doc(doc)
+    with pytest.raises(ScenarioError) as from_file:
+        parse_scenario(doc)
+    with pytest.raises(ScenarioError) as from_code:
+        make_scenario(**overrides)
+    assert (from_file.value.path, from_file.value.rule) == (path, rule)
+    assert (from_code.value.path, from_code.value.rule) == (path, rule)
+
+
 def test_seed_range_checked():
     doc = json.loads(json.dumps(MINIMAL))
     doc["seed"] = 2**64
@@ -229,6 +355,12 @@ class TestTrajectoryCsv:
         )
         with pytest.raises(ValueError):
             read_trajectory_csv(text)
+
+    def test_clearance_column_is_the_scalar_clearance(self):
+        scenario, sim, rows = self._simulate()
+        assert [row[6] for row in rows] == [
+            clearance(Point2(row[1], row[2]), scenario.obstacles) for row in rows
+        ]
 
     def test_nine_significant_digits(self):
         rows = [(0.0, 1.23456789123, -2.0, 0.5, 0.25, 0.0, 1e9)]

@@ -1,0 +1,63 @@
+"""Print the sha256 of every CLI output on the shipped scenarios.
+
+For each scenario in ``scenarios/`` and seeds 3 and 7 it runs
+``simulate`` in both modes (CSV and stdout), ``compare`` (stdout) and
+``plan --mode legible`` (CSV and stdout): 98 outputs, one
+``sha256  label`` line each. A refactor that keeps output bytes prints the
+same lines before and after, so diff the output of two checkouts:
+
+    python3 tools/cli_output_hashes.py > after.txt
+
+The package is imported from this checkout's ``src/``.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from legiplan.cli import cli_main  # noqa: E402
+
+SEEDS = (3, 7)
+
+
+def _run(argv: list[str]) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli_main(argv)
+    if status != 0:
+        raise SystemExit(f"exit {status}: legiplan {' '.join(argv)}")
+    return out.getvalue().encode("utf-8")
+
+
+def outputs(scenario: Path, seed: int, tmp: Path):
+    """Yield (label, bytes) for every output of one scenario and seed."""
+    common = ["--scenario", str(scenario), "--seed", str(seed)]
+    csv = tmp / "out.csv"
+    for mode in ("baseline", "legible"):
+        stdout = _run(["simulate", *common, "--mode", mode, "--out", str(csv)])
+        yield f"simulate-{mode}.csv", csv.read_bytes()
+        yield f"simulate-{mode}.stdout", stdout
+    yield "compare.stdout", _run(["compare", *common])
+    stdout = _run(["plan", *common, "--mode", "legible", "--out", str(csv)])
+    yield "plan-legible.csv", csv.read_bytes()
+    yield "plan-legible.stdout", stdout
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for scenario in sorted((ROOT / "scenarios").glob("*.json")):
+            for seed in SEEDS:
+                for label, data in outputs(scenario, seed, Path(tmp)):
+                    digest = hashlib.sha256(data).hexdigest()
+                    print(f"{digest}  {scenario.stem}/seed{seed}/{label}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
