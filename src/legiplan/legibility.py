@@ -3,7 +3,9 @@
 Covers the deviation angle and visibility test, the distance-ratio weighting
 h(q), the weighted velocity-cosine similarity between a candidate and the
 per-goal predicted paths, the field-of-view cost, and the combined
-legibility-aware objective that adds both terms to the task cost.
+legibility-aware objective that adds both terms to the task cost. One batch
+kernel, legible_cost_batch, scores both the planner's search and the
+reported CostBreakdown, so the two agree by construction.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .model import (
     Trajectory,
     velocities,
 )
-from .task_cost import CostBreakdown, TaskCostWeights, task_cost
+from .task_cost import COLLISION_COST, CostBreakdown, TaskCostWeights, task_cost_batch
 
 # Per-goal predicted local paths, keyed by goal id. Must cover every goal in
 # the scenario (including the target) and share dt/horizon with the
@@ -141,21 +143,20 @@ def weighted_similarity_batch(
     pred_velocities: np.ndarray,
     goals_xy: np.ndarray,
     g_star_xy: np.ndarray,
-    observer: ObserverState | None,
+    visible: np.ndarray,
     params: LegibilityParams,
 ) -> np.ndarray:
     """Visibility- and h-weighted cosine similarity of a candidate batch to
     the predicted path of each of G goals.
 
-    cand_* have shape (n, T, 2), pred_velocities (G, T, 2) and goals_xy
-    (G, 2); returns shape (G, n). Visibility is computed once for all goals.
+    cand_* have shape (n, T, 2), pred_velocities (G, T, 2), goals_xy (G, 2)
+    and the visibility mask ``visible`` (n, T); returns shape (G, n).
     """
     cos = masked_cosines(
         cand_velocities[np.newaxis], pred_velocities[:, np.newaxis], params.eps_v
     )  # (G, n, T)
-    vis = visibility_points(cand_waypoints, observer)
     return np.stack([
-        np.sum(vis * h_weight_points(cand_waypoints, g_star_xy, g_xy, params.h_max) * c, axis=-1)
+        np.sum(visible * h_weight_points(cand_waypoints, g_star_xy, g_xy, params.h_max) * c, axis=-1)
         for g_xy, c in zip(goals_xy, cos)
     ])
 
@@ -189,10 +190,45 @@ def weighted_similarity(
         velocities(predicted)[np.newaxis],
         goal.position.as_array()[np.newaxis],
         g_star.as_array(),
-        observer,
+        visibility_points(candidate.waypoints[np.newaxis], observer),
         params,
     )
     return float(result[0, 0])
+
+
+def _prediction_velocities(
+    candidate: Trajectory, predictions: PredictedPathSet, goals: tuple[Goal, ...] | list[Goal]
+) -> np.ndarray:
+    """Velocities of each goal's predicted path in goals order, (G, T, 2), once
+    the goals hold one target and every prediction matches the candidate."""
+    targets = [g for g in goals if g.is_target]
+    if len(targets) != 1:
+        raise ValueError(f"goals must contain exactly one target, found {len(targets)}")
+    missing = [g.id for g in goals if g.id not in predictions]
+    if missing:
+        raise ValueError(f"predictions missing for goals: {missing}")
+    for goal in goals:
+        _check_comparable(candidate, predictions[goal.id])
+    return np.stack([velocities(predictions[goal.id]) for goal in goals])
+
+
+def _signed_similarity(
+    cand_waypoints: np.ndarray, dt: float, pred_velocities: np.ndarray,
+    goals: tuple[Goal, ...] | list[Goal], visible: np.ndarray, params: LegibilityParams,
+) -> np.ndarray:
+    """Similarity cost of a batch (n, T, 2), shape (n,): the similarity to each
+    goal's prediction summed in goals order, the target's negated."""
+    g_star_xy = next(g for g in goals if g.is_target).position.as_array()
+    goals_xy = np.array([goal.position.as_array() for goal in goals])
+    step_v = np.diff(cand_waypoints, axis=1) / dt
+    cand_velocities = np.concatenate([step_v, step_v[:, -1:]], axis=1)  # as model.velocities
+    sims = weighted_similarity_batch(
+        cand_waypoints, cand_velocities, pred_velocities, goals_xy, g_star_xy, visible, params
+    )
+    total = np.zeros(cand_waypoints.shape[0], dtype=float)
+    for goal, sim in zip(goals, sims):
+        total += -sim if goal.is_target else sim
+    return total
 
 
 def sim_cost(
@@ -204,29 +240,22 @@ def sim_cost(
 ) -> float:
     """Similarity cost: likeness to unintended predictions minus likeness to
     the target's prediction."""
-    targets = [g for g in goals if g.is_target]
-    if len(targets) != 1:
-        raise ValueError(f"goals must contain exactly one target, found {len(targets)}")
-    g_star = targets[0]
-    missing = [g.id for g in goals if g.id not in predictions]
-    if missing:
-        raise ValueError(f"predictions missing for goals: {missing}")
-    for goal in goals:
-        _check_comparable(candidate, predictions[goal.id])
+    pred_velocities = _prediction_velocities(candidate, predictions, goals)
+    waypoints = candidate.waypoints[np.newaxis]
+    visible = visibility_points(waypoints, observer)
+    return float(_signed_similarity(waypoints, candidate.dt, pred_velocities, goals, visible, params)[0])
 
-    sims = weighted_similarity_batch(
-        candidate.waypoints[np.newaxis],
-        velocities(candidate)[np.newaxis],
-        np.stack([velocities(predictions[goal.id]) for goal in goals]),
-        np.array([goal.position.as_array() for goal in goals]),
-        g_star.position.as_array(),
-        observer,
-        params,
-    )
-    total = 0.0
-    for goal, sim in zip(goals, sims[:, 0]):
-        total += float(-sim if goal.is_target else sim)
-    return total
+
+def _observer_terms(
+    cand_waypoints: np.ndarray, observer: ObserverState | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Visibility mask (n, T) and FOV cost (n,) of a batch (n, T, 2), from one
+    deviation-angle pass. With no observer all is visible and the cost is 0."""
+    if observer is None:
+        return np.ones(cand_waypoints.shape[:2]), np.zeros(cand_waypoints.shape[0])
+    half_fov = observer.fov / 2.0
+    angles = theta_dev_points(cand_waypoints, observer)
+    return (angles <= half_fov).astype(float), np.sum(np.tanh(angles / half_fov), axis=-1)
 
 
 def fov_cost(candidate: Trajectory, observer: ObserverState | None) -> float:
@@ -236,10 +265,27 @@ def fov_cost(candidate: Trajectory, observer: ObserverState | None) -> float:
 
 def fov_cost_batch(cand_waypoints: np.ndarray, observer: ObserverState | None) -> np.ndarray:
     """fov_cost for a batch of shape (n, T, 2); zero with no observer."""
-    if observer is None:
-        return np.zeros(cand_waypoints.shape[0], dtype=float)
-    angles = theta_dev_points(cand_waypoints, observer)
-    return np.sum(np.tanh(angles / (observer.fov / 2.0)), axis=-1)
+    return _observer_terms(cand_waypoints, observer)[1]
+
+
+def legible_cost_batch(
+    waypoints: np.ndarray, dt: float, pred_velocities: np.ndarray,
+    goals: tuple[Goal, ...] | list[Goal], observer: ObserverState | None,
+    obstacles: tuple[Obstacle, ...] | list[Obstacle], robot_radius: float,
+    task_weights: TaskCostWeights, params: LegibilityParams,
+) -> dict[str, np.ndarray]:
+    """Combined objective of a batch (n, T, 2), for the legible search and the
+    reported CostBreakdown alike. ``pred_velocities`` (G, T, 2) holds the goals'
+    predicted path velocities in goals order. Returns task_cost_batch's terms
+    plus "sim", "fov" and total = task + lambda_sim*sim + lambda_fov*fov, each
+    (n,); a collided row keeps COLLISION_COST, legibility cannot rescue it.
+    """
+    g_star_xy = next(g for g in goals if g.is_target).position.as_array()
+    task = task_cost_batch(waypoints, dt, g_star_xy, obstacles, robot_radius, task_weights)
+    visible, fov = _observer_terms(waypoints, observer)
+    sim = _signed_similarity(waypoints, dt, pred_velocities, goals, visible, params)
+    total = task["total"] + params.lambda_sim * sim + params.lambda_fov * fov
+    return {**task, "sim": sim, "fov": fov, "total": np.where(task["collided"], COLLISION_COST, total)}
 
 
 def legibility_aware_cost(
@@ -253,15 +299,15 @@ def legibility_aware_cost(
     task_weights: TaskCostWeights,
     params: LegibilityParams,
 ) -> CostBreakdown:
-    """Combined objective: task cost plus weighted similarity and FOV costs.
-
-    A collided candidate keeps the collision sentinel as its total; the
-    legibility terms cannot rescue it.
-    """
-    breakdown = task_cost(candidate, goal_star, obstacles, robot, task_weights)
+    """legible_cost_batch of one candidate; ``goal_star`` must be the target's
+    position. A collided candidate reports zero legibility terms."""
+    pred_velocities = _prediction_velocities(candidate, predictions, goals)
+    if goal_star != next(g for g in goals if g.is_target).position:
+        raise ValueError("goal_star must be the target goal's position")
+    breakdown = CostBreakdown.from_terms(legible_cost_batch(
+        candidate.waypoints[np.newaxis], candidate.dt, pred_velocities, goals, observer,
+        obstacles, robot.radius, task_weights, params,
+    ))
     if breakdown.collided:
-        return breakdown
-    sim = sim_cost(candidate, predictions, goals, observer, params)
-    fov = fov_cost(candidate, observer)
-    total = breakdown.total + params.lambda_sim * sim + params.lambda_fov * fov
-    return dataclasses.replace(breakdown, sim_term=sim, fov_term=fov, total=total)
+        return dataclasses.replace(breakdown, sim_term=0.0, fov_term=0.0)
+    return breakdown

@@ -220,6 +220,8 @@ class ScenarioSpec:
 
     def _check_invariants(self) -> None:
         """Cross-field invariants, reported at the scenario file's JSON paths."""
+        if not 0 <= self.seed < 2**64:
+            raise ScenarioError("$.seed", "must be a 64-bit unsigned integer")
         if len([g for g in self.goals if g.is_target]) != 1:
             raise ScenarioError("$.goals", "exactly one target goal required")
         ids = [g.id for g in self.goals]

@@ -4,7 +4,8 @@ Candidates are unicycle control sequences (v, omega) optimized with the
 cross-entropy method. Every cycle the planner first predicts, per goal, the
 local path an observer would expect (a pure task-cost optimization), then in
 legible mode runs a second optimization of the combined objective with those
-predictions held fixed.
+predictions held fixed. That objective and the reported cost breakdown come
+from the same kernel, legibility.legible_cost_batch.
 
 The per-goal predictions run as one batched search over all goals.
 
@@ -24,14 +25,11 @@ from typing import Callable
 import numpy as np
 
 from .legibility import (
-    PredictedPathSet,
-    designated_observer,
-    fov_cost_batch,
-    legibility_aware_cost,
-    weighted_similarity_batch,
+    PredictedPathSet, designated_observer, legibility_aware_cost, legible_cost_batch,
+    fov_cost_batch, weighted_similarity_batch,  # unused here; kept only for the benchmark tracer
 )
-from .model import Point2, RobotState, ScenarioSpec, Trajectory, wrap_angle
-from .task_cost import COLLISION_COST, CostBreakdown, task_cost, task_cost_batch
+from .model import Point2, RobotState, ScenarioSpec, Trajectory, velocities, wrap_angle
+from .task_cost import CostBreakdown, task_cost, task_cost_batch
 
 _SEED_MODULUS = 2**64
 _STD_FLOOR = 1e-3  # keeps the sampling distribution from collapsing
@@ -327,32 +325,15 @@ def _legible_objective(
     scenario: ScenarioSpec, predictions: PredictedPathSet
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Combined objective with the predicted paths held fixed."""
-    dt = scenario.planner.dt
-    leg = scenario.legibility
+    pred_velocities = np.stack([velocities(predictions[goal.id]) for goal in scenario.goals])
     observer = designated_observer(scenario)
-    g_star = scenario.target_goal()
-    g_star_xy = g_star.position.as_array()
-    goals_xy = np.array([goal.position.as_array() for goal in scenario.goals])
-    pred_wp = np.stack([predictions[goal.id].waypoints for goal in scenario.goals])
-    diffs = np.diff(pred_wp, axis=1) / dt
-    pred_vel = np.concatenate([diffs, diffs[:, -1:]], axis=1)  # (G, T, 2)
 
     def objective(waypoints: np.ndarray) -> np.ndarray:
-        task = task_cost_batch(
-            waypoints, dt, g_star_xy, scenario.obstacles, scenario.robot.radius,
-            scenario.task_weights,
-        )
-        step_v = np.diff(waypoints, axis=1) / dt
-        cand_vel = np.concatenate([step_v, step_v[:, -1:]], axis=1)
-        terms = weighted_similarity_batch(
-            waypoints, cand_vel, pred_vel, goals_xy, g_star_xy, observer, leg
-        )
-        sim = np.zeros(waypoints.shape[0], dtype=float)
-        for goal, term in zip(scenario.goals, terms):
-            sim += -term if goal.is_target else term
-        fov = fov_cost_batch(waypoints, observer)
-        total = task["total"] + leg.lambda_sim * sim + leg.lambda_fov * fov
-        return np.where(task["collided"], COLLISION_COST, total)
+        return legible_cost_batch(
+            waypoints, scenario.planner.dt, pred_velocities, scenario.goals, observer,
+            scenario.obstacles, scenario.robot.radius, scenario.task_weights,
+            scenario.legibility,
+        )["total"]
 
     return objective
 

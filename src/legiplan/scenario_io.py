@@ -306,10 +306,6 @@ def parse_scenario(data: bytes | str | dict) -> ScenarioSpec:
         _as_object(doc.get("legibility", {}), "$.legibility"), "$.legibility"
     )
 
-    seed = _integer(doc, "$", "seed", 0)
-    if not 0 <= seed < 2**64:
-        raise ScenarioError("$.seed", "must be a 64-bit unsigned integer")
-
     return ScenarioSpec(
         robot=robot,
         goals=goals,
@@ -318,7 +314,7 @@ def parse_scenario(data: bytes | str | dict) -> ScenarioSpec:
         planner=planner,
         task_weights=weights,
         legibility=legibility,
-        seed=seed,
+        seed=_integer(doc, "$", "seed", 0),
     )
 
 
@@ -414,12 +410,13 @@ def _log_rows(
     initial_speed: float,
     obstacles: tuple[Obstacle, ...],
 ) -> list[tuple]:
-    """Log rows at the waypoint `indices` of `trajectory`. Waypoint 0 gets
-    the control (initial_speed, 0); waypoint i > 0 the control of step i-1."""
+    """Log rows at the waypoint `indices` of `trajectory`. Waypoint i > 0 gets
+    the control of step i-1; waypoint 0, and the repeated start of a run that
+    executed no step (it started at the goal), get (initial_speed, 0)."""
     positions = trajectory.waypoints[indices]
     rows = []
     for idx, (x, y), clr in zip(indices, positions, clearance_points(positions, obstacles)):
-        v, omega = controls[idx - 1] if idx else (initial_speed, 0.0)
+        v, omega = controls[idx - 1] if idx and len(controls) else (initial_speed, 0.0)
         rows.append(
             (idx * trajectory.dt, float(x), float(y), float(headings[idx]), float(v),
              float(omega), float(clr))

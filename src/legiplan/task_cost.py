@@ -60,6 +60,12 @@ class CostBreakdown:
     total: float = 0.0
     collided: bool = False
 
+    @classmethod
+    def from_terms(cls, terms: dict[str, np.ndarray]) -> "CostBreakdown":
+        """Row 0 of a batch kernel's term arrays; terms it lacks stay 0."""
+        values = {f"{k}_term": float(v[0]) for k, v in terms.items() if k not in ("total", "collided")}
+        return cls(**values, total=float(terms["total"][0]), collided=bool(terms["collided"][0]))
+
     def to_dict(self) -> dict:
         return {
             "goal_term": self.goal_term,
@@ -140,12 +146,4 @@ def task_cost(
         robot.radius,
         weights,
     )
-    return CostBreakdown(
-        goal_term=float(terms["goal"][0]),
-        clearance_term=float(terms["clearance"][0]),
-        approach_term=float(terms["approach"][0]),
-        smooth_term=float(terms["smooth"][0]),
-        speed_term=float(terms["speed"][0]),
-        total=float(terms["total"][0]),
-        collided=bool(terms["collided"][0]),
-    )
+    return CostBreakdown.from_terms(terms)

@@ -179,3 +179,17 @@ def test_planner_failure_exits_two(tmp_path, capsys):
         # simply times out without reaching the goal
         assert code == 0
         assert json.loads(captured.out)["reached"] is False
+
+
+def test_simulate_started_at_goal_logs_start_twice(tmp_path, capsys):
+    scenario = tmp_path / "at_goal.json"
+    scenario.write_text(json.dumps({
+        "robot": {"position": [0, 0]},
+        "goals": [{"id": "G", "position": [0.1, 0], "is_target": True}],
+    }))
+    out = tmp_path / "at_goal.csv"
+    assert cli_main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["executed_steps"] == 0
+    header, *rows = out.read_text().splitlines()
+    assert len(rows) == 2
+    assert cli_main(["evaluate", "--scenario", str(scenario), "--trajectory", str(out)]) == 0

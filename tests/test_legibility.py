@@ -187,7 +187,8 @@ def test_similarity_batch_matches_one_goal_at_a_time(observer):
     goals_xy = rng.uniform(-4, 4, size=(3, 2))
     g_star_xy = goals_xy[1]  # h is exactly 1 for this goal
     batch = weighted_similarity_batch(
-        cand_wp, cand_vel, pred_vel, goals_xy, g_star_xy, observer, PARAMS
+        cand_wp, cand_vel, pred_vel, goals_xy, g_star_xy,
+        visibility_points(cand_wp, observer), PARAMS,
     )
     assert batch.shape == (3, 40)
     for g in range(3):
@@ -357,6 +358,14 @@ class TestCombinedCost:
             UNIT_WEIGHTS, PARAMS,
         )
         assert b.collided and b.total == COLLISION_COST
+        assert b.sim_term == 0.0 and b.fov_term == 0.0
+
+    def test_goal_star_must_be_the_target(self):
+        robot, goals, obs, predictions = self._world()
+        with pytest.raises(ValueError, match="goal_star"):
+            legibility_aware_cost(
+                LINE, goals[1].position, predictions, goals, obs, [], robot, UNIT_WEIGHTS, PARAMS
+            )
 
     def test_combined_hand_example(self):
         # task total 1 (three-waypoint example), sim -6, fov 6*tanh(1):

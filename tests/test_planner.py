@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import legiplan.legibility as legibility_module
 import legiplan.planner as planner_module
 from legiplan import (
     CircleObstacle,
@@ -16,6 +17,9 @@ from legiplan import (
     PlannerFailure,
     PlannerParams,
     Point2,
+    Trajectory,
+    designated_observer,
+    legibility_aware_cost,
     plan_once,
     rollout,
     run_closed_loop,
@@ -26,9 +30,11 @@ from legiplan.planner import (
     _clip_controls,
     _draw_noise,
     _initial_mean,
+    _legible_objective,
     _rollout_batch,
     _task_objective,
 )
+from legiplan.task_cost import COLLISION_COST
 from legiplan.scenario_io import load_scenario
 from tests.conftest import SCENARIO_DIR, SCENARIO_NAMES, make_robot, make_scenario
 
@@ -462,3 +468,55 @@ def test_executed_controls_respect_kinodynamics(name, mode):
     if sim.controls.shape[0] == 0:
         pytest.skip("the run executes no control")
     assert ControlSequence(sim.controls).respects(spec.robot, spec.planner.dt)
+
+
+OBSTACLE_SCENES = ("fig1_two_goals", "fig3_obstacle_detour", "restaurant_front", "restaurant_side")
+
+
+def _inside(obstacle) -> np.ndarray:
+    if isinstance(obstacle, CircleObstacle):
+        return obstacle.center.as_array()
+    return 0.5 * (obstacle.min.as_array() + obstacle.max.as_array())
+
+
+@pytest.mark.parametrize("observed", [True, False], ids=["observer", "no_observer"])
+@pytest.mark.parametrize("name", OBSTACLE_SCENES)
+def test_legible_objective_is_the_reported_total(name, observed):
+    # The search minimizes exactly the total plan_once reports, row by row.
+    scenario = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    if not observed:
+        scenario = dataclasses.replace(scenario, observers=())
+    predictions = plan_once(scenario, rng_seed=5).predictions
+    dt = scenario.planner.dt
+    rng = np.random.default_rng(17)
+    steps = rng.normal(scale=0.3, size=(64, scenario.planner.horizon_w, 2))
+    start = scenario.robot.position.as_array()
+    batch = np.concatenate(
+        [np.broadcast_to(start, (64, 1, 2)), start + np.cumsum(steps, axis=1)], axis=1
+    )
+    batch[:6, -1] = _inside(scenario.obstacles[0])
+    costs = _legible_objective(scenario, predictions)(batch)
+    assert np.all(costs[:6] == COLLISION_COST)
+    for waypoints, cost in zip(batch, costs):
+        breakdown = legibility_aware_cost(
+            Trajectory(waypoints, dt), scenario.target_goal().position, predictions,
+            scenario.goals, designated_observer(scenario), scenario.obstacles, scenario.robot,
+            scenario.task_weights, scenario.legibility,
+        )
+        assert breakdown.total == cost
+
+
+def test_legible_objective_computes_deviation_angles_once(monkeypatch):
+    scenario = make_scenario()
+    predictions = plan_once(scenario, rng_seed=3).predictions
+    objective = _legible_objective(scenario, predictions)
+    calls = []
+    theta_dev_points = legibility_module.theta_dev_points
+
+    def counted(*args):
+        calls.append(args)
+        return theta_dev_points(*args)
+
+    monkeypatch.setattr(legibility_module, "theta_dev_points", counted)
+    objective(np.stack([path.waypoints for path in predictions.values()]))
+    assert len(calls) == 1

@@ -241,6 +241,16 @@ BROKEN_INVARIANTS = {
         dict(robot=make_robot(v_max=4.0)),
         "$.planner", "v_max must be <= a_max * horizon_w * dt",
     ),
+    "negative seed": (
+        lambda d: d.update(seed=-1),
+        dict(seed=-1),
+        "$.seed", "must be a 64-bit unsigned integer",
+    ),
+    "seed beyond 64 bits": (
+        lambda d: d.update(seed=2**64),
+        dict(seed=2**64),
+        "$.seed", "must be a 64-bit unsigned integer",
+    ),
 }
 
 
