@@ -23,6 +23,7 @@ from .model import (
     RobotState,
     ScenarioSpec,
     Trajectory,
+    _hypot2,
     velocities,
 )
 from .task_cost import COLLISION_COST, CostBreakdown, TaskCostWeights, task_cost_batch
@@ -70,7 +71,7 @@ def theta_dev_points(points: np.ndarray, observer: ObserverState) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float)
     rel = pts - observer.position.as_array()
-    norm = np.linalg.norm(rel, axis=-1)
+    norm = _hypot2(rel[..., 0], rel[..., 1])
     gaze = np.array([math.cos(observer.heading), math.sin(observer.heading)])
     safe = np.where(norm == 0.0, 1.0, norm)
     cosang = (rel @ gaze) / safe
@@ -116,8 +117,9 @@ def h_weight_points(
     pts = np.asarray(points, dtype=float)
     if bool(np.all(g_star_xy == g_xy)):
         return np.ones(pts.shape[:-1], dtype=float)
-    d_star = np.linalg.norm(pts - g_star_xy, axis=-1)
-    d_g = np.linalg.norm(pts - g_xy, axis=-1)
+    x, y = pts[..., 0], pts[..., 1]
+    d_star = _hypot2(x - g_star_xy[0], y - g_star_xy[1])
+    d_g = _hypot2(x - g_xy[0], y - g_xy[1])
     ratio = np.where(d_g == 0.0, h_max, d_star / np.where(d_g == 0.0, 1.0, d_g))
     return np.minimum(ratio, h_max)
 
@@ -129,11 +131,15 @@ def masked_cosines(
 
     Broadcasts over leading batch dimensions; last two axes are (T, 2).
     """
-    na = np.linalg.norm(vel_a, axis=-1)
-    nb = np.linalg.norm(vel_b, axis=-1)
+    ax, ay = vel_a[..., 0], vel_a[..., 1]
+    bx, by = vel_b[..., 0], vel_b[..., 1]
+    na = _hypot2(ax, ay)
+    nb = _hypot2(bx, by)
     usable = (na >= eps_v) & (nb >= eps_v)
     denom = np.where(usable, na * nb, 1.0)
-    cos = np.sum(vel_a * vel_b, axis=-1) / denom
+    # The value of np.sum(vel_a * vel_b, axis=-1), except that two -0.0
+    # products give -0.0 where that sum gave +0.0; callers' sums erase it.
+    cos = (ax * bx + ay * by) / denom
     return np.where(usable, cos, 0.0)
 
 

@@ -36,6 +36,25 @@ class ScenarioError(ValueError):
 EMPTY_CLEARANCE = 1e9
 
 
+def _hypot2(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Length of the 2-D vectors (dx, dy), bit-identical to
+    ``np.linalg.norm(np.stack([dx, dy], axis=-1), axis=-1)`` and faster.
+
+    For float64 with ``ord=None`` and an ``axis``, numpy (2.4) computes
+    ``sqrt(add.reduce(x * x, axis))``; over two elements that reduce is
+    exactly ``x0*x0 + x1*x1``, so the same bits come out without the stack,
+    the reduction machinery or norm's dispatch. Do not swap in
+    near-equivalents that round differently (share of random float64 inputs
+    whose last bit differs, numpy 2.4.6):
+    - ``np.hypot`` / ``math.hypot``: ~17%, they rescale to avoid overflow;
+    - the no-axis scalar ``np.linalg.norm(v)``: ~8%, it takes a ``dot`` path,
+      so the scalar call in evaluation.goal_posterior stays as it is;
+    - a per-channel ``x*gx + y*gy`` for a matmul such as ``rel @ gaze``:
+      ~30%, the matmul rounds differently.
+    """
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def wrap_angle(angle: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     wrapped = (angle + math.pi) % math.tau - math.pi
@@ -168,7 +187,7 @@ class Trajectory:
         return Point2(float(self.waypoints[-1, 0]), float(self.waypoints[-1, 1]))
 
     def arc_length(self) -> float:
-        return float(np.sum(np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1)))
+        return float(np.sum(_segment_lengths(self.waypoints)))
 
 
 @dataclass(frozen=True)
@@ -247,7 +266,8 @@ class ScenarioSpec:
                     f"$.goals[{i}].position", "goal clearance must be >= robot radius"
                 )
         # Worst-case stopping rule: the horizon must be long enough to shed
-        # v_max. A horizon_w beyond float range satisfies it trivially.
+        # v_max. A product beyond float range (an integer dt from a library
+        # caller) satisfies it trivially.
         p = self.planner
         try:
             stopping_span = self.robot.a_max * p.horizon_w * p.dt
@@ -267,16 +287,19 @@ def clearance_points(points: np.ndarray, obstacles: tuple[Obstacle, ...]) -> np.
     EMPTY_CLEARANCE sentinel. `points` has shape (..., 2).
     """
     pts = np.asarray(points, dtype=float)
+    x, y = pts[..., 0], pts[..., 1]
     out = np.full(pts.shape[:-1], EMPTY_CLEARANCE, dtype=float)
     for obs in obstacles:
         if isinstance(obs, CircleObstacle):
-            d = np.linalg.norm(pts - obs.center.as_array(), axis=-1) - obs.radius
+            cx, cy = obs.center.as_array()
+            d = _hypot2(x - cx, y - cy) - obs.radius
         else:
-            center = 0.5 * (obs.min.as_array() + obs.max.as_array())
-            half = 0.5 * (obs.max.as_array() - obs.min.as_array())
-            q = np.abs(pts - center) - half
-            outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
-            inside = np.minimum(np.max(q, axis=-1), 0.0)
+            cx, cy = 0.5 * (obs.min.as_array() + obs.max.as_array())
+            hx, hy = 0.5 * (obs.max.as_array() - obs.min.as_array())
+            qx = np.abs(x - cx) - hx
+            qy = np.abs(y - cy) - hy
+            outside = _hypot2(np.maximum(qx, 0.0), np.maximum(qy, 0.0))
+            inside = np.minimum(np.maximum(qx, qy), 0.0)
             d = outside + inside
         np.minimum(out, d, out=out)
     return out
@@ -285,6 +308,11 @@ def clearance_points(points: np.ndarray, obstacles: tuple[Obstacle, ...]) -> np.
 def clearance(p: Point2, obstacles: tuple[Obstacle, ...] | list[Obstacle]) -> float:
     """Signed clearance of a single point; see clearance_points."""
     return float(clearance_points(p.as_array(), tuple(obstacles)))
+
+
+def _segment_lengths(pts: np.ndarray) -> np.ndarray:
+    """Lengths of the w segments between the (w+1, 2) waypoints."""
+    return _hypot2(*np.diff(pts, axis=0).T)
 
 
 def velocities(traj: Trajectory) -> np.ndarray:
@@ -307,7 +335,7 @@ def arc_length_prefix(traj: Trajectory, fraction: float) -> Trajectory:
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     pts = traj.waypoints
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    seg = _segment_lengths(pts)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     target = fraction * cum[-1]
     j = int(np.searchsorted(cum, target, side="left"))

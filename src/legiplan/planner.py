@@ -33,6 +33,11 @@ from .task_cost import CostBreakdown, task_cost, task_cost_batch
 
 _SEED_MODULUS = 2**64
 _STD_FLOOR = 1e-3  # keeps the sampling distribution from collapsing
+# _candidate_rng packs (iteration << 32) | candidate into one uint64 key word,
+# so both counts must fit in 32 bits or keys collide or overflow.
+_KEY_FIELD_LIMIT = 2**32
+# Longest plan accepted, in steps; the shipped scenes use 10-12.
+HORIZON_W_MAX = 10_000
 
 _MODES = ("baseline", "legible")
 
@@ -73,12 +78,17 @@ class PlannerParams:
             raise ValueError("dt must be positive")
         if self.horizon_w < 2:
             raise ValueError("horizon_w must be >= 2")
+        if self.horizon_w > HORIZON_W_MAX:
+            raise ValueError(f"horizon_w must be <= {HORIZON_W_MAX}")
         if self.cem_population < 8:
             raise ValueError("cem_population must be >= 8")
         if not 2 <= self.cem_elites <= self.cem_population:
             raise ValueError("cem_elites must be in [2, cem_population]")
         if self.cem_iterations < 1:
             raise ValueError("cem_iterations must be >= 1")
+        for name in ("cem_population", "cem_iterations"):
+            if getattr(self, name) >= _KEY_FIELD_LIMIT:
+                raise ValueError(f"{name} must be < 2**32")
         for name in ("cem_init_std_v", "cem_init_std_omega"):
             if getattr(self, name) is not None and not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Obstacle, Point2, RobotState, Trajectory, clearance_points
+from .model import Obstacle, Point2, RobotState, Trajectory, _hypot2, clearance_points
 
 # Any trajectory touching an obstacle gets this finite sentinel so candidate
 # ranking stays a total order under floating point.
@@ -94,7 +94,8 @@ def task_cost_batch(
     shape (n, 1, 2). Returns arrays keyed by term name plus "total" and
     "collided", each of shape (n,).
     """
-    dists = np.linalg.norm(waypoints - goal_xy, axis=2)  # (n, T)
+    to_goal = waypoints - goal_xy
+    dists = _hypot2(to_goal[..., 0], to_goal[..., 1])  # (n, T)
     j_goal = dists[:, -1] + dists.mean(axis=1)
 
     c = clearance_points(waypoints, obstacles) - robot_radius  # (n, T)
@@ -106,7 +107,7 @@ def task_cost_batch(
     j_sm = np.sum(accel**2, axis=(1, 2)) / dt**4
 
     step_v = np.diff(waypoints, axis=1) / dt
-    speeds = np.linalg.norm(step_v, axis=2)  # (n, T-1)
+    speeds = _hypot2(step_v[..., 0], step_v[..., 1])  # (n, T-1)
     # Last velocity repeated so all w+1 indices contribute a speed term.
     speeds = np.concatenate([speeds, speeds[:, -1:]], axis=1)
     j_sp = np.sum((weights.v_pref - speeds) ** 2, axis=1) / weights.v_pref**2

@@ -72,6 +72,23 @@ def test_integer_beyond_float_range_exits_one(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("key, value, rule", [
+    ("horizon_w", 10**400, "horizon_w must be <= 10000"),
+    ("cem_population", 2**64, "cem_population must be < 2**32"),
+])
+def test_oversized_planner_exits_one(tmp_path, capsys, key, value, rule):
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps({
+        "robot": {"position": [0, 0]},
+        "goals": [{"id": "A", "position": [1, 0], "is_target": True}],
+        "planner": {key: value},
+    }))
+    code = cli_main(["plan", "--scenario", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err) == {"error": "validation", "path": "$.planner", "rule": rule}
+
+
 def test_missing_file_exits_one(capsys):
     code = cli_main(["plan", "--scenario", "/nonexistent/x.json"])
     assert code == 1

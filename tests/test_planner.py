@@ -520,3 +520,40 @@ def test_legible_objective_computes_deviation_angles_once(monkeypatch):
     monkeypatch.setattr(legibility_module, "theta_dev_points", counted)
     objective(np.stack([path.waypoints for path in predictions.values()]))
     assert len(calls) == 1
+
+
+def _shifted(spec, dx: float, dy: float):
+    """The same scene moved by (dx, dy): robot, goals, observers and obstacles."""
+
+    def move(p: Point2) -> Point2:
+        return Point2(p.x + dx, p.y + dy)
+
+    def move_obstacle(obs):
+        if isinstance(obs, CircleObstacle):
+            return dataclasses.replace(obs, center=move(obs.center))
+        return dataclasses.replace(obs, min=move(obs.min), max=move(obs.max))
+
+    return dataclasses.replace(
+        spec,
+        robot=dataclasses.replace(spec.robot, position=move(spec.robot.position)),
+        goals=tuple(dataclasses.replace(g, position=move(g.position)) for g in spec.goals),
+        observers=tuple(dataclasses.replace(o, position=move(o.position)) for o in spec.observers),
+        obstacles=tuple(move_obstacle(obs) for obs in spec.obstacles),
+    )
+
+
+@pytest.mark.parametrize("mode", ["baseline", "legible"])
+@pytest.mark.parametrize("name", OBSTACLE_SCENES)
+def test_closed_loop_is_translation_equivariant(name, mode):
+    # Moving the whole scene moves the executed path and nothing else; only
+    # rounding of the shifted coordinates may differ.
+    spec = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    spec = dataclasses.replace(
+        spec, planner=dataclasses.replace(spec.planner, mode=mode, max_cycles=15)
+    )
+    here = run_closed_loop(spec)
+    there = run_closed_loop(_shifted(spec, 10.0, -5.0))
+    assert there.cycles_used == here.cycles_used
+    assert there.reached == here.reached
+    error = np.abs(there.executed.waypoints - (here.executed.waypoints + [10.0, -5.0]))
+    assert float(error.max()) <= 1e-9

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,10 +175,38 @@ def test_integer_just_inside_float_range_accepted():
     assert spec.goals[0].position.x == 1.7976931348623157e308
 
 
-def test_huge_horizon_satisfies_stopping_rule():
+# Planner sizes beyond the horizon maximum or the 32-bit noise-key fields are
+# rejected when the file is parsed, at $.planner; nothing here plans at them.
+OVERSIZED_PLANNER = [
+    ("horizon_w", 10**400, "horizon_w must be <= 10000"),
+    ("horizon_w", 10_001, "horizon_w must be <= 10000"),
+    ("cem_population", 2**64, "cem_population must be < 2**32"),
+    ("cem_population", 2**32, "cem_population must be < 2**32"),
+    ("cem_iterations", 2**32, "cem_iterations must be < 2**32"),
+]
+
+
+@pytest.mark.parametrize("key, value, rule", OVERSIZED_PLANNER)
+def test_oversized_planner_rejected(key, value, rule):
     doc = json.loads(json.dumps(MINIMAL))
-    doc["planner"] = {"horizon_w": 10**400}
-    assert parse_scenario(json.dumps(doc)).planner.horizon_w == 10**400
+    doc["planner"] = {key: value}
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(json.dumps(doc))
+    assert (err.value.path, err.value.rule) == ("$.planner", rule)
+    with pytest.raises(ValueError, match=re.escape(rule)):
+        PlannerParams(**{key: value})
+
+
+def test_stopping_rule_beyond_float_range_satisfied():
+    # Files cannot carry such a dt, but a library caller's integer can push
+    # a_max * horizon_w * dt beyond float range.
+    assert make_scenario(planner=PlannerParams(dt=10**400)).planner.dt == 10**400
+
+
+def test_largest_planner_sizes_accepted():
+    # Constructed only: a plan at these sizes would not fit in memory.
+    params = PlannerParams(horizon_w=10_000, cem_population=2**32 - 1, cem_iterations=2**32 - 1)
+    assert params.cem_iterations == 2**32 - 1
 
 
 def test_nonpositive_init_std_rejected():
