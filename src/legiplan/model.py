@@ -290,12 +290,13 @@ def clearance_points(points: np.ndarray, obstacles: tuple[Obstacle, ...]) -> np.
     x, y = pts[..., 0], pts[..., 1]
     out = np.full(pts.shape[:-1], EMPTY_CLEARANCE, dtype=float)
     for obs in obstacles:
+        # Plain-float constants: no small arrays built per obstacle and call.
         if isinstance(obs, CircleObstacle):
-            cx, cy = obs.center.as_array()
-            d = _hypot2(x - cx, y - cy) - obs.radius
+            d = _hypot2(x - obs.center.x, y - obs.center.y) - obs.radius
         else:
-            cx, cy = 0.5 * (obs.min.as_array() + obs.max.as_array())
-            hx, hy = 0.5 * (obs.max.as_array() - obs.min.as_array())
+            lo, hi = obs.min, obs.max
+            cx, cy = 0.5 * (lo.x + hi.x), 0.5 * (lo.y + hi.y)
+            hx, hy = 0.5 * (hi.x - lo.x), 0.5 * (hi.y - lo.y)
             qx = np.abs(x - cx) - hx
             qy = np.abs(y - cy) - hy
             outside = _hypot2(np.maximum(qx, 0.0), np.maximum(qy, 0.0))

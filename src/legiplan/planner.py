@@ -4,10 +4,14 @@ Candidates are unicycle control sequences (v, omega) optimized with the
 cross-entropy method. Every cycle the planner first predicts, per goal, the
 local path an observer would expect (a pure task-cost optimization), then in
 legible mode runs a second optimization of the combined objective with those
-predictions held fixed. That objective and the reported cost breakdown come
-from the same kernel, legibility.legible_cost_batch.
+predictions held fixed.
 
-The per-goal predictions run as one batched search over all goals.
+An objective returns its cost kernel's term dict (task_cost_batch or
+legibility.legible_cost_batch), and each search keeps the terms of the best
+row it scored. The reported cost breakdown is that row, so every candidate
+is scored once per cycle and the chosen path is not scored again. The
+per-goal predictions run as one batched search over all goals, and the
+legible search's warm-start row is scored with its first iteration.
 
 Randomness is counter-based: each candidate's draws come from a Philox
 stream keyed by (seed mod 2^64, iteration << 32 | candidate index), so
@@ -29,7 +33,10 @@ from .legibility import (
     fov_cost_batch, weighted_similarity_batch,  # unused here; kept only for the benchmark tracer
 )
 from .model import Point2, RobotState, ScenarioSpec, Trajectory, velocities, wrap_angle
-from .task_cost import CostBreakdown, task_cost, task_cost_batch
+from .task_cost import (
+    CostBreakdown, task_cost_batch,
+    task_cost,  # unused here; kept only for the benchmark tracer
+)
 
 _SEED_MODULUS = 2**64
 _STD_FLOOR = 1e-3  # keeps the sampling distribution from collapsing
@@ -43,7 +50,8 @@ _MODES = ("baseline", "legible")
 
 
 class PlannerFailure(RuntimeError):
-    """Raised when every candidate stays in collision.
+    """Raised when every candidate stays in collision, or none scores a
+    finite cost.
 
     Carries the best breakdown seen, and in closed-loop runs the partial
     simulation log up to the failing cycle.
@@ -144,15 +152,19 @@ class SimulationResult:
     cycles_used: int
 
 
-def _score_chunked(
-    objective: Callable[[np.ndarray], np.ndarray], waypoints: np.ndarray
-) -> np.ndarray:
+# An objective scores a batch of rollouts (n, w+1, 2) and returns its cost
+# kernel's term dict: arrays of shape (n,) keyed by term name, "total" (what
+# the search minimizes) and "collided".
+Objective = Callable[[np.ndarray], dict[str, np.ndarray]]
+
+
+def _score_chunked(objective: Objective, waypoints: np.ndarray) -> dict[str, np.ndarray]:
     """Score a whole candidate population with one objective call.
 
     A function of its own so the scoring step can be wrapped and timed as
     one layer.
     """
-    return np.asarray(objective(waypoints), dtype=float)
+    return objective(waypoints)
 
 
 def _candidate_rng(seed: int, iteration: int, candidate: int) -> np.random.Generator:
@@ -167,13 +179,25 @@ def _draw_noise(seed: int, iteration: int, population: int, horizon: int) -> np.
     (seed mod 2^64, iteration << 32 | i). One generator is built per call;
     each candidate re-keys it and resets its counter and buffer, which draws
     exactly what a fresh generator per candidate would.
+
+    The re-key writes a state dict of plain Python ints and lists: the state
+    setter reads every word by index, and indexing the numpy arrays that the
+    getter returns builds a numpy scalar per word, which more than doubles
+    the cost of each re-key.
     """
     rng = _candidate_rng(seed, iteration, 0)
-    fresh = rng.bit_generator.state  # counter 0, empty buffer
+    bit_generator = rng.bit_generator
+    fresh = bit_generator.state  # counter 0, empty buffer
+    key = fresh["state"]["key"].tolist()
+    state = {
+        **fresh,
+        "state": {"counter": fresh["state"]["counter"].tolist(), "key": key},
+        "buffer": fresh["buffer"].tolist(),
+    }
     z = np.empty((population, horizon, 2), dtype=float)
     for i in range(population):
-        fresh["state"]["key"][1] = (iteration << 32) | i
-        rng.bit_generator.state = fresh
+        key[1] = (iteration << 32) | i
+        bit_generator.state = state
         rng.standard_normal(out=z[i])
     return z
 
@@ -258,10 +282,13 @@ class _CEMResult:
     cost: float
     final_mean: np.ndarray  # (w, 2) fitted mean after the last iteration
     best_cost_history: list[float]  # best-ever cost after each iteration
+    # The objective's terms for the best sequence, each of shape (1,); None
+    # when no candidate scored below +inf.
+    terms: dict[str, np.ndarray] | None
 
 
 def _cem_optimize(
-    objective: Callable[[np.ndarray], np.ndarray],
+    objective: Objective,
     state: RobotState,
     params: PlannerParams,
     noise: list[np.ndarray],
@@ -277,8 +304,11 @@ def _cem_optimize(
     out and scores all G * population candidates in one call each, so
     ``objective`` must score row r for search r // population; selection and
     refit run per search. Each search tracks the best candidate it ever
-    scored; warm-start sequences (G, w, 2), when given, are scored under the
-    objective and seed those trackers.
+    scored and keeps that row of the objective's term dict, so the caller
+    can report it without scoring the sequence again. Warm-start sequences
+    (G, w, 2), when given, ride along in iteration 0's rollout and objective
+    call as G extra rows; they seed the trackers before that iteration's
+    candidates are compared, and take no part in its refit.
     """
     g, w, _ = init_mean.shape
     n = params.cem_population
@@ -287,38 +317,57 @@ def _cem_optimize(
     best_cost = np.full(g, math.inf)
     best_controls = np.zeros((g, w, 2), dtype=float)
     best_waypoints = np.zeros((g, w + 1, 2), dtype=float)
-    if warm_controls is not None:
-        best_waypoints = _rollout_batch(state, warm_controls, params.dt)
-        best_cost = np.array(objective(best_waypoints), dtype=float)
-        best_controls = warm_controls.copy()
+    best_terms: list[dict[str, np.ndarray] | None] = [None] * g
     history: list[list[float]] = [[] for _ in range(g)]
-    for z in noise:
+    for k, z in enumerate(noise):
         raw = (mean[:, np.newaxis] + std[:, np.newaxis] * z[np.newaxis]).reshape(g * n, w, 2)
         controls = _clip_controls(raw, state, params.dt)
+        warm = k == 0 and warm_controls is not None
+        if warm:
+            controls = np.concatenate([controls, warm_controls])
         waypoints = _rollout_batch(state, controls, params.dt)
-        costs = _score_chunked(objective, waypoints).reshape(g, n)
-        controls = controls.reshape(g, n, w, 2)
-        waypoints = waypoints.reshape(g, n, w + 1, 2)
+        terms = _score_chunked(objective, waypoints)
+        if warm:
+            best_cost = terms["total"][g * n:].copy()
+            best_controls = warm_controls.copy()
+            best_waypoints = waypoints[g * n:].copy()
+            best_terms = [_terms_row(terms, g * n + i) for i in range(g)]
+        costs = terms["total"][: g * n].reshape(g, n)
+        controls = controls[: g * n].reshape(g, n, w, 2)
+        waypoints = waypoints[: g * n].reshape(g, n, w + 1, 2)
         for i in range(g):
             idx = int(np.argmin(costs[i]))
             if costs[i, idx] < best_cost[i]:
                 best_cost[i] = costs[i, idx]
                 best_controls[i] = controls[i, idx]
                 best_waypoints[i] = waypoints[i, idx]
+                best_terms[i] = _terms_row(terms, i * n + idx)
             elites = controls[i, np.argsort(costs[i], kind="stable")[: params.cem_elites]]
-            mean[i] = elites.mean(axis=0)
-            std[i] = np.maximum(elites.std(axis=0), _STD_FLOOR)
+            elite_mean = elites.mean(axis=0)
+            # elites.std(axis=0) without computing the mean a second time;
+            # numpy's std takes exactly these steps, so the bits are the same.
+            elite_std = np.sqrt(np.square(elites - elite_mean).mean(axis=0))
+            mean[i] = elite_mean
+            std[i] = np.maximum(elite_std, _STD_FLOOR)
             history[i].append(float(best_cost[i]))
     return [
-        _CEMResult(best_controls[i], best_waypoints[i], float(best_cost[i]), mean[i], history[i])
+        _CEMResult(
+            best_controls[i], best_waypoints[i], float(best_cost[i]), mean[i], history[i],
+            best_terms[i],
+        )
         for i in range(g)
     ]
 
 
-def _task_objective(scenario: ScenarioSpec, goal_xy: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _terms_row(terms: dict[str, np.ndarray], row: int) -> dict[str, np.ndarray]:
+    """One row of a term dict, each array kept as shape (1,)."""
+    return {name: values[row:row + 1] for name, values in terms.items()}
+
+
+def _task_objective(scenario: ScenarioSpec, goal_xy: np.ndarray) -> Objective:
     """Task cost toward ``goal_xy``: one goal (2,), or one per row (n, 1, 2)."""
 
-    def objective(waypoints: np.ndarray) -> np.ndarray:
+    def objective(waypoints: np.ndarray) -> dict[str, np.ndarray]:
         return task_cost_batch(
             waypoints,
             scenario.planner.dt,
@@ -326,24 +375,22 @@ def _task_objective(scenario: ScenarioSpec, goal_xy: np.ndarray) -> Callable[[np
             scenario.obstacles,
             scenario.robot.radius,
             scenario.task_weights,
-        )["total"]
+        )
 
     return objective
 
 
-def _legible_objective(
-    scenario: ScenarioSpec, predictions: PredictedPathSet
-) -> Callable[[np.ndarray], np.ndarray]:
+def _legible_objective(scenario: ScenarioSpec, predictions: PredictedPathSet) -> Objective:
     """Combined objective with the predicted paths held fixed."""
     pred_velocities = np.stack([velocities(predictions[goal.id]) for goal in scenario.goals])
     observer = designated_observer(scenario)
 
-    def objective(waypoints: np.ndarray) -> np.ndarray:
+    def objective(waypoints: np.ndarray) -> dict[str, np.ndarray]:
         return legible_cost_batch(
             waypoints, scenario.planner.dt, pred_velocities, scenario.goals, observer,
             scenario.obstacles, scenario.robot.radius, scenario.task_weights,
             scenario.legibility,
-        )["total"]
+        )
 
     return objective
 
@@ -356,6 +403,12 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
     target prediction's control distribution; when both lambda weights are
     zero that objective coincides with the task cost, so the target
     prediction is returned unchanged.
+
+    The reported breakdown is the chosen row's terms as its search scored
+    them, with zero similarity and FOV terms on a collided row, which raises
+    PlannerFailure. Only legible mode with both lambdas zero scores the plan
+    again, through legibility_aware_cost, to report its raw similarity and
+    FOV terms.
     """
     params = scenario.planner
     robot = scenario.robot
@@ -412,8 +465,12 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
     else:
         chosen = base
 
+    if chosen.terms is None:
+        raise PlannerFailure("no candidate scored a finite cost")
     trajectory = Trajectory(chosen.waypoints, params.dt)
-    if params.mode == "legible":
+    if params.mode == "legible" and not legible_active:
+        # The target prediction was scored by the task cost alone; the report
+        # still shows its raw similarity and FOV terms.
         breakdown = legibility_aware_cost(
             trajectory,
             g_star.position,
@@ -426,9 +483,11 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
             leg,
         )
     else:
-        breakdown = task_cost(
-            trajectory, g_star.position, scenario.obstacles, robot, scenario.task_weights
-        )
+        # The search's own scores for the chosen row: task_cost's in baseline
+        # mode, legibility_aware_cost's in legible mode.
+        breakdown = CostBreakdown.from_terms(chosen.terms)
+        if breakdown.collided:
+            breakdown = dataclasses.replace(breakdown, sim_term=0.0, fov_term=0.0)
     if breakdown.collided:
         raise PlannerFailure(
             "no collision-free candidate found", breakdown=breakdown

@@ -17,6 +17,7 @@ from legiplan import (
     PlannerFailure,
     PlannerParams,
     Point2,
+    RectObstacle,
     Trajectory,
     designated_observer,
     legibility_aware_cost,
@@ -34,7 +35,7 @@ from legiplan.planner import (
     _rollout_batch,
     _task_objective,
 )
-from legiplan.task_cost import COLLISION_COST
+from legiplan.task_cost import COLLISION_COST, task_cost
 from legiplan.scenario_io import load_scenario
 from tests.conftest import SCENARIO_DIR, SCENARIO_NAMES, make_robot, make_scenario
 
@@ -79,14 +80,14 @@ def reference_cem(objective, state, params, noise, init_mean, init_std, warm_con
     best_waypoints = None
     if warm_controls is not None:
         wp = _rollout_batch(state, warm_controls[np.newaxis], params.dt)
-        best_cost = float(objective(wp)[0])
+        best_cost = float(objective(wp)["total"][0])
         best_controls = warm_controls.copy()
         best_waypoints = wp[0]
     history = []
     for z in noise:
         controls = reference_clip(mean + std * z, state, params.dt)
         waypoints = _rollout_batch(state, controls, params.dt)
-        costs = np.asarray(objective(waypoints), dtype=float)
+        costs = objective(waypoints)["total"]
         idx = int(np.argmin(costs))
         if costs[idx] < best_cost:
             best_cost = float(costs[idx])
@@ -252,6 +253,57 @@ class TestCEM:
             objective, robot, params, noise, init_mean[0], init_std, warm_controls=warm[0]
         ))
 
+    @staticmethod
+    def _assert_terms_of_best(res, objective):
+        expected = objective(res.waypoints[np.newaxis])
+        assert res.terms.keys() == expected.keys()
+        for name, values in expected.items():
+            assert np.array_equal(res.terms[name], values), name
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 1])
+    def test_results_keep_the_best_rows_terms(self, seed):
+        scenario, goals_xy, noise, init_mean, init_std = self._setup(seed)
+        robot, params = scenario.robot, scenario.planner
+        per_row = np.repeat(goals_xy, params.cem_population, axis=0)[:, np.newaxis]
+        batched = _cem_optimize(
+            _task_objective(scenario, per_row), robot, params, noise, init_mean, init_std
+        )
+        for i, res in enumerate(batched):
+            self._assert_terms_of_best(res, _task_objective(scenario, goals_xy[i]))
+
+    def test_unbeaten_warm_row_keeps_its_terms(self):
+        scenario, _, noise, init_mean, init_std = self._setup(0)
+        robot, params = scenario.robot, scenario.planner
+
+        def progress(waypoints):
+            return {
+                "total": -waypoints[:, -1, 0],
+                "end_y": waypoints[:, -1, 1].copy(),
+                "collided": np.zeros(waypoints.shape[0], dtype=bool),
+            }
+
+        # Full speed straight ahead from the first step, which no clipped
+        # candidate can match, so the warm row stays the best.
+        warm = np.zeros((1, params.horizon_w, 2))
+        warm[..., 0] = robot.v_max
+        (res,) = _cem_optimize(
+            progress, robot, params, noise, init_mean[:1], init_std, warm_controls=warm
+        )
+        assert np.array_equal(res.controls, warm[0])
+        assert res.cost == res.terms["total"][0]
+        self._assert_terms_of_best(res, progress)
+
+    def test_no_terms_when_nothing_scores_below_infinity(self):
+        scenario, _, noise, init_mean, init_std = self._setup(0)
+
+        def unusable(waypoints):
+            return {"total": np.full(waypoints.shape[0], math.inf)}
+
+        (res,) = _cem_optimize(
+            unusable, scenario.robot, scenario.planner, noise, init_mean[:1], init_std
+        )
+        assert res.terms is None and res.cost == math.inf
+
 
 class TestPlanOnce:
     def test_progress_toward_single_goal(self):
@@ -363,6 +415,18 @@ class TestPlanOnce:
                 init_std,
             )
             assert np.array_equal(result.predictions[goal.id].waypoints, waypoints)
+
+    def test_no_finite_cost_raises(self):
+        # Every goal distance overflows to inf, so no candidate gets a score
+        # to report; the cycle fails rather than return an unscored path.
+        scenario = make_scenario(
+            robot=make_robot(position=Point2(1e200, 0.0)),
+            goals=(Goal("G", Point2(-1e200, 0.0), is_target=True),),
+            observers=(),
+            obstacles=(),
+        )
+        with np.errstate(over="ignore"), pytest.raises(PlannerFailure, match="finite cost"):
+            plan_once(scenario, rng_seed=1)
 
     def test_zero_goals_rejected(self):
         scenario = make_scenario()
@@ -495,7 +559,7 @@ def test_legible_objective_is_the_reported_total(name, observed):
         [np.broadcast_to(start, (64, 1, 2)), start + np.cumsum(steps, axis=1)], axis=1
     )
     batch[:6, -1] = _inside(scenario.obstacles[0])
-    costs = _legible_objective(scenario, predictions)(batch)
+    costs = _legible_objective(scenario, predictions)(batch)["total"]
     assert np.all(costs[:6] == COLLISION_COST)
     for waypoints, cost in zip(batch, costs):
         breakdown = legibility_aware_cost(
@@ -557,3 +621,136 @@ def test_closed_loop_is_translation_equivariant(name, mode):
     assert there.reached == here.reached
     error = np.abs(there.executed.waypoints - (here.executed.waypoints + [10.0, -5.0]))
     assert float(error.max()) <= 1e-9
+
+
+FIG4_SCENES = ("fig4_fov_sweep_left", "fig4_fov_sweep_center", "fig4_fov_sweep_right")
+
+
+def _scene(name: str, mode: str, max_cycles: int):
+    spec = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    return dataclasses.replace(
+        spec, planner=dataclasses.replace(spec.planner, mode=mode, max_cycles=max_cycles)
+    )
+
+
+def _rescored(scenario, result):
+    """The chosen path scored again by the public cost function of the mode:
+    legibility_aware_cost in legible mode, task_cost in baseline mode."""
+    g_star = scenario.target_goal().position
+    if scenario.planner.mode == "legible":
+        return legibility_aware_cost(
+            result.trajectory, g_star, result.predictions, scenario.goals,
+            designated_observer(scenario), scenario.obstacles, scenario.robot,
+            scenario.task_weights, scenario.legibility,
+        )
+    return task_cost(
+        result.trajectory, g_star, scenario.obstacles, scenario.robot, scenario.task_weights
+    )
+
+
+@pytest.mark.parametrize(
+    ("name", "mode"),
+    [(name, "legible") for name in OBSTACLE_SCENES] + [(name, "baseline") for name in FIG4_SCENES],
+)
+def test_reported_breakdown_is_the_rescored_chosen_path(name, mode):
+    # plan_once reports the search's own scores for the chosen row; they are
+    # the scores the public cost function gives that path, field by field.
+    spec = _scene(name, mode, max_cycles=6)
+    sim = run_closed_loop(spec)
+    assert sim.plan_results
+    for result in sim.plan_results:
+        assert result.breakdown == _rescored(spec, result)
+
+
+def test_legible_cycle_scores_each_candidate_once(monkeypatch):
+    scenario = make_scenario()
+    legible = dataclasses.replace(
+        scenario, planner=dataclasses.replace(scenario.planner, mode="legible")
+    )
+    params = legible.planner
+    assert len(legible.goals) == 2
+    rows = []
+    score = planner_module._score_chunked
+
+    def counted(objective, waypoints):
+        rows.append(waypoints.shape[0])
+        return score(objective, waypoints)
+
+    def rescore(*args, **kwargs):
+        raise AssertionError("the chosen path was scored a second time")
+
+    monkeypatch.setattr(planner_module, "_score_chunked", counted)
+    monkeypatch.setattr(planner_module, "task_cost", rescore)
+    monkeypatch.setattr(planner_module, "legibility_aware_cost", rescore)
+    plan_once(legible, rng_seed=3)
+    # One call per iteration of each of the two searches; the warm-start row
+    # rides along in the legible search's first call.
+    assert len(rows) == 2 * params.cem_iterations
+    assert min(rows) >= params.cem_population
+    assert sum(rows) == 3 * params.cem_iterations * params.cem_population + 1
+
+
+def test_lambda_zero_legible_reports_raw_legibility_terms():
+    # With both lambdas zero the target prediction is the plan; its report
+    # still carries the similarity and FOV terms the weights switch off.
+    base = make_scenario()
+    legible = dataclasses.replace(
+        base,
+        planner=dataclasses.replace(base.planner, mode="legible"),
+        legibility=LegibilityParams(lambda_sim=0.0, lambda_fov=0.0),
+    )
+    for seed in (0, 9, 1234):
+        result = plan_once(legible, rng_seed=seed)
+        assert result.breakdown == _rescored(legible, result)
+        assert result.breakdown.sim_term != 0.0 and result.breakdown.fov_term != 0.0
+        assert result.breakdown.total == plan_once(base, rng_seed=seed).breakdown.total
+
+
+@pytest.mark.parametrize("mode", ["baseline", "legible"])
+def test_all_candidates_colliding_raises_with_collided_breakdown(mode):
+    # Too fast to stop before a wall just ahead: every candidate collides.
+    scenario = make_scenario(
+        robot=make_robot(speed=1.0, a_max=0.1, omega_max=0.1),
+        goals=(Goal("G1", Point2(2.0, 0.8), is_target=True), Goal("G2", Point2(2.0, -0.8))),
+        obstacles=(RectObstacle(Point2(0.35, -5.0), Point2(0.6, 5.0)),),
+        planner=PlannerParams(cem_population=16, cem_iterations=2, horizon_w=30, mode=mode),
+    )
+    with pytest.raises(PlannerFailure) as failure:
+        plan_once(scenario, rng_seed=1)
+    breakdown = failure.value.breakdown
+    assert breakdown.collided and breakdown.total == COLLISION_COST
+    assert breakdown.sim_term == 0.0 and breakdown.fov_term == 0.0
+    assert breakdown.goal_term > 0.0
+
+
+def _relabelled(spec, names: dict[str, str]):
+    """The same scene with goal ids renamed by ``names``, observers' attached
+    goals renamed to match."""
+    return dataclasses.replace(
+        spec,
+        goals=tuple(dataclasses.replace(g, id=names[g.id]) for g in spec.goals),
+        observers=tuple(
+            dataclasses.replace(o, attached_goal=names.get(o.attached_goal))
+            for o in spec.observers
+        ),
+    )
+
+
+@pytest.mark.parametrize("change", ["relabel", "reverse"])
+@pytest.mark.parametrize("mode", ["baseline", "legible"])
+@pytest.mark.parametrize("name", OBSTACLE_SCENES)
+def test_closed_loop_ignores_goal_ids_and_order(name, mode, change):
+    # Goal ids are names only and goal order is bookkeeping: the run is the
+    # same to the bit. The new ids sort in the opposite order to the old.
+    spec = _scene(name, mode, max_cycles=15)
+    if change == "relabel":
+        count = len(spec.goals)
+        other = _relabelled(spec, {g.id: f"goal-{count - k}" for k, g in enumerate(spec.goals)})
+    else:
+        other = dataclasses.replace(spec, goals=spec.goals[::-1])
+    here = run_closed_loop(spec)
+    there = run_closed_loop(other)
+    assert np.array_equal(there.executed.waypoints, here.executed.waypoints)
+    assert np.array_equal(there.controls, here.controls)
+    assert there.cycles_used == here.cycles_used
+    assert [r.breakdown for r in there.plan_results] == [r.breakdown for r in here.plan_results]
