@@ -30,8 +30,8 @@ class PosteriorModel:
             raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
         if self.prior is not None:
             values = list(self.prior.values())
-            if any(p < 0 for p in values):
-                raise ValueError("prior probabilities must be nonnegative")
+            if not all(0 <= p < np.inf for p in values):
+                raise ValueError("prior probabilities must be finite and nonnegative")
             if abs(sum(values) - 1.0) > 1e-9:
                 raise ValueError(f"prior must sum to 1, got {sum(values)}")
 
@@ -84,20 +84,24 @@ def goal_posterior(
     length = prefix.arc_length()
     q = prefix.waypoints[-1]
     s = start.as_array()
+    costs = [
+        length + float(np.linalg.norm(q - g.position.as_array()))
+        - float(np.linalg.norm(s - g.position.as_array()))
+        for g in goals
+    ]
+    weights = np.array([prior[g.id] for g in goals])
     # A goal the prior rules out gets exponent -inf, so it can neither set
     # the shift below (underflowing every other weight) nor overflow.
-    exponents = np.array(
-        [
-            -model.beta
-            * (length + float(np.linalg.norm(q - g.position.as_array()))
-               - float(np.linalg.norm(s - g.position.as_array())))
-            if prior[g.id] > 0
-            else -np.inf
-            for g in goals
-        ]
-    )
-    # Shift before exponentiating for numerical stability.
-    weights = np.array([prior[g.id] for g in goals]) * np.exp(exponents - exponents.max())
+    exponents = np.array([-model.beta * c if w > 0 else -np.inf for c, w in zip(costs, weights)])
+    shift = exponents.max()
+    if shift == -np.inf:
+        # beta * cost overflowed for every goal the prior allows: take the
+        # beta -> inf limit, the prior's mass on the cheapest of those goals.
+        cheapest = min(c for c, w in zip(costs, weights) if w > 0)
+        weights = np.where([c == cheapest for c in costs], weights, 0.0)
+    else:
+        # Shift before exponentiating for numerical stability.
+        weights = weights * np.exp(exponents - shift)
     weights /= weights.sum()
     return {g.id: float(w) for g, w in zip(goals, weights)}
 

@@ -9,7 +9,6 @@ reported CostBreakdown, so the two agree by construction.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ from .model import (
     Trajectory,
     _hypot2,
     velocities,
+    velocity_points,
 )
 from .task_cost import COLLISION_COST, CostBreakdown, TaskCostWeights, task_cost_batch
 
@@ -42,9 +42,9 @@ class LegibilityParams:
     eps_v: float = 1e-6  # m/s, below this a velocity carries no direction
 
     def __post_init__(self) -> None:
-        if self.lambda_sim < 0 or self.lambda_fov < 0:
+        if not (0 <= self.lambda_sim < math.inf and 0 <= self.lambda_fov < math.inf):
             raise ValueError("lambda_sim and lambda_fov must be nonnegative")
-        if self.h_max <= 0 or self.eps_v <= 0:
+        if not (0 < self.h_max < math.inf and 0 < self.eps_v < math.inf):
             raise ValueError("h_max and eps_v must be positive")
 
 
@@ -226,10 +226,9 @@ def _signed_similarity(
     goal's prediction summed in goals order, the target's negated."""
     g_star_xy = next(g for g in goals if g.is_target).position.as_array()
     goals_xy = np.array([goal.position.as_array() for goal in goals])
-    step_v = np.diff(cand_waypoints, axis=1) / dt
-    cand_velocities = np.concatenate([step_v, step_v[:, -1:]], axis=1)  # as model.velocities
     sims = weighted_similarity_batch(
-        cand_waypoints, cand_velocities, pred_velocities, goals_xy, g_star_xy, visible, params
+        cand_waypoints, velocity_points(cand_waypoints, dt), pred_velocities, goals_xy,
+        g_star_xy, visible, params,
     )
     total = np.zeros(cand_waypoints.shape[0], dtype=float)
     for goal, sim in zip(goals, sims):
@@ -310,10 +309,7 @@ def legibility_aware_cost(
     pred_velocities = _prediction_velocities(candidate, predictions, goals)
     if goal_star != next(g for g in goals if g.is_target).position:
         raise ValueError("goal_star must be the target goal's position")
-    breakdown = CostBreakdown.from_terms(legible_cost_batch(
+    return CostBreakdown.from_terms(legible_cost_batch(
         candidate.waypoints[np.newaxis], candidate.dt, pred_velocities, goals, observer,
         obstacles, robot.radius, task_weights, params,
     ))
-    if breakdown.collided:
-        return dataclasses.replace(breakdown, sim_term=0.0, fov_term=0.0)
-    return breakdown

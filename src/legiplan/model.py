@@ -94,8 +94,11 @@ class RobotState:
     omega_max: float  # rad/s
 
     def __post_init__(self) -> None:
-        if self.radius <= 0 or self.v_max <= 0 or self.a_max <= 0 or self.omega_max <= 0:
+        limits = (self.radius, self.v_max, self.a_max, self.omega_max)
+        if not all(0 < limit < math.inf for limit in limits):
             raise ValueError("radius, v_max, a_max and omega_max must be positive")
+        if not math.isfinite(self.heading):
+            raise ValueError(f"heading must be finite, got {self.heading}")
         if not 0 <= self.speed <= self.v_max:
             raise ValueError(f"speed {self.speed} outside [0, v_max={self.v_max}]")
 
@@ -124,6 +127,8 @@ class ObserverState:
     attached_goal: str | None = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.heading):
+            raise ValueError(f"heading must be finite, got {self.heading}")
         if not 0 < self.fov <= math.tau:
             raise ValueError(f"fov {self.fov} outside (0, 2*pi]")
 
@@ -134,7 +139,7 @@ class CircleObstacle:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
+        if not 0 < self.radius < math.inf:
             raise ValueError(f"circle radius must be positive, got {self.radius}")
 
 
@@ -316,14 +321,19 @@ def _segment_lengths(pts: np.ndarray) -> np.ndarray:
     return _hypot2(*np.diff(pts, axis=0).T)
 
 
-def velocities(traj: Trajectory) -> np.ndarray:
-    """Per-step velocity vectors, shape (w+1, 2).
+def velocity_points(waypoints: np.ndarray, dt: float) -> np.ndarray:
+    """Per-step velocity vectors of waypoints (..., w+1, 2), same shape.
 
     Finite differences (q_{t+1} - q_t) / dt; the last value is repeated so
     every waypoint index has a velocity.
     """
-    diffs = np.diff(traj.waypoints, axis=0) / traj.dt
-    return np.vstack([diffs, diffs[-1:]])
+    diffs = np.diff(waypoints, axis=-2) / dt
+    return np.concatenate([diffs, diffs[..., -1:, :]], axis=-2)
+
+
+def velocities(traj: Trajectory) -> np.ndarray:
+    """velocity_points of one trajectory, shape (w+1, 2)."""
+    return velocity_points(traj.waypoints, traj.dt)
 
 
 def arc_length_prefix(traj: Trajectory, fraction: float) -> Trajectory:

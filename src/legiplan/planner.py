@@ -8,10 +8,13 @@ predictions held fixed.
 
 An objective returns its cost kernel's term dict (task_cost_batch or
 legibility.legible_cost_batch), and each search keeps the terms of the best
-row it scored. The reported cost breakdown is that row, so every candidate
-is scored once per cycle and the chosen path is not scored again. The
-per-goal predictions run as one batched search over all goals, and the
-legible search's warm-start row is scored with its first iteration.
+row it scored. Every reported cost breakdown is one such row, read by
+CostBreakdown.from_terms, so every candidate is scored once per cycle. The
+one exception is legible mode with both lambdas zero: the plan is then the
+target prediction, and the cycle's legible objective scores that one row
+again so the report carries its raw similarity and FOV terms. The per-goal
+predictions run as one batched search over all goals, and the legible
+search's warm-start row is scored with its first iteration.
 
 Randomness is counter-based: each candidate's draws come from a Philox
 stream keyed by (seed mod 2^64, iteration << 32 | candidate index), so
@@ -29,8 +32,9 @@ from typing import Callable
 import numpy as np
 
 from .legibility import (
-    PredictedPathSet, designated_observer, legibility_aware_cost, legible_cost_batch,
-    fov_cost_batch, weighted_similarity_batch,  # unused here; kept only for the benchmark tracer
+    PredictedPathSet, designated_observer, legible_cost_batch,
+    # unused here; kept only for the benchmark tracer
+    fov_cost_batch, legibility_aware_cost, weighted_similarity_batch,
 )
 from .model import Point2, RobotState, ScenarioSpec, Trajectory, velocities, wrap_angle
 from .task_cost import (
@@ -82,29 +86,29 @@ class PlannerParams:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.dt <= 0:
+        if not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive")
-        if self.horizon_w < 2:
+        if not self.horizon_w >= 2:
             raise ValueError("horizon_w must be >= 2")
         if self.horizon_w > HORIZON_W_MAX:
             raise ValueError(f"horizon_w must be <= {HORIZON_W_MAX}")
-        if self.cem_population < 8:
+        if not self.cem_population >= 8:
             raise ValueError("cem_population must be >= 8")
         if not 2 <= self.cem_elites <= self.cem_population:
             raise ValueError("cem_elites must be in [2, cem_population]")
-        if self.cem_iterations < 1:
+        if not self.cem_iterations >= 1:
             raise ValueError("cem_iterations must be >= 1")
         for name in ("cem_population", "cem_iterations"):
             if getattr(self, name) >= _KEY_FIELD_LIMIT:
                 raise ValueError(f"{name} must be < 2**32")
         for name in ("cem_init_std_v", "cem_init_std_omega"):
-            if getattr(self, name) is not None and not getattr(self, name) > 0:
+            if getattr(self, name) is not None and not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive")
         if not 1 <= self.execute_steps <= self.horizon_w:
             raise ValueError("execute_steps must be in [1, horizon_w]")
-        if self.goal_tolerance <= 0:
+        if not 0 < self.goal_tolerance < math.inf:
             raise ValueError("goal_tolerance must be positive")
-        if self.max_cycles < 1:
+        if not 1 <= self.max_cycles < math.inf:
             raise ValueError("max_cycles must be >= 1")
 
 
@@ -136,7 +140,6 @@ class PlanResult:
     trajectory: Trajectory
     breakdown: CostBreakdown
     predictions: PredictedPathSet
-    reached: bool
     controls: ControlSequence
 
 
@@ -404,11 +407,12 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
     zero that objective coincides with the task cost, so the target
     prediction is returned unchanged.
 
-    The reported breakdown is the chosen row's terms as its search scored
-    them, with zero similarity and FOV terms on a collided row, which raises
-    PlannerFailure. Only legible mode with both lambdas zero scores the plan
-    again, through legibility_aware_cost, to report its raw similarity and
-    FOV terms.
+    The reported breakdown is CostBreakdown.from_terms of the chosen row's
+    terms: as its search scored them, or, in legible mode with both lambdas
+    zero, as the cycle's legible objective scores that row, to report its raw
+    similarity and FOV terms. A prediction search that scored no candidate
+    finitely raises PlannerFailure, and so does a collided chosen row, whose
+    breakdown carries zero similarity and FOV terms.
     """
     params = scenario.planner
     robot = scenario.robot
@@ -443,6 +447,8 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
         ]),
         init_std,
     )
+    if not all(math.isfinite(res.cost) for res in results):
+        raise PlannerFailure("no candidate scored a finite cost")
     predictions: PredictedPathSet = {
         goal.id: Trajectory(res.waypoints, params.dt)
         for goal, res in zip(scenario.goals, results)
@@ -465,39 +471,20 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
     else:
         chosen = base
 
-    if chosen.terms is None:
-        raise PlannerFailure("no candidate scored a finite cost")
-    trajectory = Trajectory(chosen.waypoints, params.dt)
+    terms = chosen.terms
     if params.mode == "legible" and not legible_active:
         # The target prediction was scored by the task cost alone; the report
         # still shows its raw similarity and FOV terms.
-        breakdown = legibility_aware_cost(
-            trajectory,
-            g_star.position,
-            predictions,
-            scenario.goals,
-            designated_observer(scenario),
-            scenario.obstacles,
-            robot,
-            scenario.task_weights,
-            leg,
-        )
-    else:
-        # The search's own scores for the chosen row: task_cost's in baseline
-        # mode, legibility_aware_cost's in legible mode.
-        breakdown = CostBreakdown.from_terms(chosen.terms)
-        if breakdown.collided:
-            breakdown = dataclasses.replace(breakdown, sim_term=0.0, fov_term=0.0)
+        terms = _legible_objective(scenario, predictions)(chosen.waypoints[np.newaxis])
+    breakdown = CostBreakdown.from_terms(terms)
     if breakdown.collided:
         raise PlannerFailure(
             "no collision-free candidate found", breakdown=breakdown
         )
-    reached = trajectory.end.distance_to(g_star.position) <= params.goal_tolerance
     return PlanResult(
-        trajectory=trajectory,
+        trajectory=Trajectory(chosen.waypoints, params.dt),
         breakdown=breakdown,
         predictions=predictions,
-        reached=reached,
         controls=ControlSequence(chosen.controls),
     )
 
@@ -541,14 +528,11 @@ def run_closed_loop(scenario: ScenarioSpec) -> SimulationResult:
             positions.append(pos)
             headings.append(heading)
             controls_log.append(controls[k].copy())
-            state = RobotState(
+            state = dataclasses.replace(
+                state,
                 position=Point2(float(pos[0]), float(pos[1])),
                 heading=heading,
                 speed=float(controls[k, 0]),
-                radius=robot.radius,
-                v_max=robot.v_max,
-                a_max=robot.a_max,
-                omega_max=robot.omega_max,
             )
             if state.position.distance_to(g_star.position) <= params.goal_tolerance:
                 reached = True

@@ -33,7 +33,8 @@ from .task_cost import TaskCostWeights
 
 SCHEMA_VERSION = 1
 
-CSV_HEADER = "t,x,y,heading,v,omega,clearance"
+CSV_COLUMNS = ("t", "x", "y", "heading", "v", "omega", "clearance")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 def _check_keys(obj: dict, path: str, allowed: set[str]) -> None:
@@ -477,16 +478,15 @@ def read_trajectory_csv(data: str | bytes) -> tuple[Trajectory, dict[str, np.nda
     values = np.array(
         [[float(cell) for cell in line.split(",")] for line in lines[1:]], dtype=float
     )
-    if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] != 7:
-        raise ValueError("trajectory CSV needs at least two data rows of 7 columns")
+    if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] != len(CSV_COLUMNS):
+        raise ValueError(
+            f"trajectory CSV needs at least two data rows of {len(CSV_COLUMNS)} columns"
+        )
     t = values[:, 0]
     steps = np.diff(t)
     if np.any(steps <= 0):
         raise ValueError("trajectory CSV rows must be strictly increasing in t")
-    columns = {
-        name: values[:, i]
-        for i, name in enumerate(["t", "x", "y", "heading", "v", "omega", "clearance"])
-    }
+    columns = {name: values[:, i] for i, name in enumerate(CSV_COLUMNS)}
     return Trajectory(values[:, 1:3], float(steps[0])), columns
 
 

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Obstacle, Point2, RobotState, Trajectory, _hypot2, clearance_points
+from .model import (
+    Obstacle, Point2, RobotState, Trajectory, _hypot2, clearance_points, velocity_points,
+)
 
 # Any trajectory touching an obstacle gets this finite sentinel so candidate
 # ranking stays a total order under floating point.
@@ -38,7 +40,7 @@ class TaskCostWeights:
         weights = (self.w_goal, self.w_clearance, self.w_approach, self.w_smooth, self.w_speed)
         if any(w < 0 or not np.isfinite(w) for w in weights):
             raise ValueError("all weights must be finite and nonnegative")
-        if self.d_safe <= 0 or self.v_pref <= 0:
+        if not (0 < self.d_safe < np.inf and 0 < self.v_pref < np.inf):
             raise ValueError("d_safe and v_pref must be positive")
 
 
@@ -62,9 +64,12 @@ class CostBreakdown:
 
     @classmethod
     def from_terms(cls, terms: dict[str, np.ndarray]) -> "CostBreakdown":
-        """Row 0 of a batch kernel's term arrays; terms it lacks stay 0."""
-        values = {f"{k}_term": float(v[0]) for k, v in terms.items() if k not in ("total", "collided")}
-        return cls(**values, total=float(terms["total"][0]), collided=bool(terms["collided"][0]))
+        """Row 0 of a batch kernel's term arrays; terms it lacks stay 0, and so
+        do sim and fov on a collided row: legibility cannot rescue a collision."""
+        collided = bool(terms["collided"][0])
+        skip = ("total", "collided", "sim", "fov") if collided else ("total", "collided")
+        values = {f"{k}_term": float(v[0]) for k, v in terms.items() if k not in skip}
+        return cls(**values, total=float(terms["total"][0]), collided=collided)
 
     def to_dict(self) -> dict:
         return {
@@ -106,10 +111,8 @@ def task_cost_batch(
     accel = waypoints[:, 2:] - 2.0 * waypoints[:, 1:-1] + waypoints[:, :-2]
     j_sm = np.sum(accel**2, axis=(1, 2)) / dt**4
 
-    step_v = np.diff(waypoints, axis=1) / dt
-    speeds = _hypot2(step_v[..., 0], step_v[..., 1])  # (n, T-1)
-    # Last velocity repeated so all w+1 indices contribute a speed term.
-    speeds = np.concatenate([speeds, speeds[:, -1:]], axis=1)
+    vel = velocity_points(waypoints, dt)
+    speeds = _hypot2(vel[..., 0], vel[..., 1])  # (n, T)
     j_sp = np.sum((weights.v_pref - speeds) ** 2, axis=1) / weights.v_pref**2
 
     total = (

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,29 @@ def test_evaluate_mask_fov_flag(fast_scenario, tmp_path, capsys):
         "evaluate", "--scenario", fast_scenario, "--trajectory", str(out), "--mask-fov",
     ]) == 0
     assert "correctness" in json.loads(capsys.readouterr().out)
+
+
+def test_evaluate_at_overflowing_beta(tmp_path, capsys):
+    # At beta 1e308 every -beta * cost of some prefixes overflows to -inf;
+    # the observer then takes the beta -> inf limit, which a large beta that
+    # does not overflow agrees with, instead of a NaN posterior.
+    log = tmp_path / "zigzag.csv"
+    points = [(0, 0), (1, 1.5), (2, -1.5), (3, 0.2), (4, 0.1)]
+    log.write_text("t,x,y,heading,v,omega,clearance\n" + "".join(
+        f"{0.4 * i:.6f},{x},{y},0,0,0,1\n" for i, (x, y) in enumerate(points)
+    ))
+    reports = []
+    for beta in ("1e308", "1e300"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main([
+                "evaluate", "--scenario", FIG1, "--trajectory", str(log), "--beta", beta,
+            ])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        reports.append(json.loads(captured.out))
+    assert reports[0] == reports[1]
+    assert reports[0]["correctness"] == [1.0, 0.0, 0.0]
 
 
 def test_compare_reports_both_modes(fast_scenario, tmp_path, capsys):

@@ -56,6 +56,46 @@ class TestGoalPosterior:
         post = goal_posterior(prefix, goals, Point2(0, 0), model)
         assert post == {"A": 0.0, "B": 1.0}
 
+    def test_overflowing_beta_takes_the_limit(self):
+        # beta * cost overflows to inf for every goal, so every exponent is
+        # -inf; the posterior is the beta -> inf limit, not NaN: the prior's
+        # mass on the cheapest allowed goals, split by the prior on a tie.
+        prefix = Trajectory([[0, 0], [1, 3], [2, -3], [3, 0]], dt=1.0)
+        start = Point2(0, 0)
+        huge = PosteriorModel(beta=1e308)
+        apart = (Goal("A", Point2(10, 0), is_target=True), Goal("B", Point2(10, 1)))
+        assert goal_posterior(prefix, apart, start, huge) == {"A": 1.0, "B": 0.0}
+        ruled_out = PosteriorModel(beta=1e308, prior={"A": 0.0, "B": 1.0})
+        assert goal_posterior(prefix, apart, start, ruled_out) == {"A": 0.0, "B": 1.0}
+        mirrored = (Goal("A", Point2(10, 1), is_target=True), Goal("B", Point2(10, -1)))
+        skewed = PosteriorModel(beta=1e308, prior={"A": 0.25, "B": 0.75})
+        assert goal_posterior(prefix, mirrored, start, skewed) == {"A": 0.25, "B": 0.75}
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 37.5, 1e300])
+    def test_non_overflowing_beta_keeps_its_bits(self, beta):
+        # The formula before the overflow limit existed, written out.
+        rng = np.random.default_rng(11)
+        goals = (
+            Goal("A", Point2(4, 2), is_target=True), Goal("B", Point2(-4, -2)),
+            Goal("C", Point2(1, -5)),
+        )
+        model = PosteriorModel(beta=beta, prior={"A": 0.5, "B": 0.0, "C": 0.5})
+        for _ in range(20):
+            pts = np.cumsum(rng.normal(scale=0.5, size=(5, 2)), axis=0)
+            prefix, start = Trajectory(pts, dt=1.0), Point2(*pts[0])
+            q, s = pts[-1], pts[0]
+            exponents = np.array([
+                -beta * (prefix.arc_length() + float(np.linalg.norm(q - g.position.as_array()))
+                         - float(np.linalg.norm(s - g.position.as_array())))
+                if model.prior[g.id] > 0 else -np.inf
+                for g in goals
+            ])
+            weights = np.array([model.prior[g.id] for g in goals])
+            weights = weights * np.exp(exponents - exponents.max())
+            weights /= weights.sum()
+            post = goal_posterior(prefix, goals, start, model)
+            assert list(post.values()) == [float(w) for w in weights]
+
     def test_normalization_randomized(self):
         rng = np.random.default_rng(3)
         for _ in range(10_000):
@@ -119,6 +159,12 @@ class TestPosteriorModel:
     def test_prior_must_sum_to_one(self):
         with pytest.raises(ValueError):
             PosteriorModel(prior={"A": 0.6, "B": 0.6})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_non_finite_prior_rejected(self, bad):
+        # NaN slips past both a "< 0" test and the sum-to-one tolerance.
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            PosteriorModel(prior={"G1": bad, "G2": 1.0})
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):

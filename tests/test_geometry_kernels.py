@@ -20,6 +20,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from legiplan import CircleObstacle, ObserverState, Point2, TaskCostWeights, Trajectory  # noqa: E402
 from legiplan.legibility import h_weight_points, masked_cosines, theta_dev_points  # noqa: E402
 from legiplan.model import EMPTY_CLEARANCE, arc_length_prefix, clearance_points  # noqa: E402
+from legiplan.model import _hypot2, velocities, velocity_points  # noqa: E402
 from legiplan.model import RectObstacle  # noqa: E402
 from legiplan.task_cost import task_cost_batch  # noqa: E402
 
@@ -118,6 +119,30 @@ def test_task_cost_goal_and_speed_terms_match_norm(waypoints, goal, per_row, sti
     assert np.array_equal(terms["goal"], dists[:, -1] + dists.mean(axis=1))
     ref_speed = np.sum((weights.v_pref - speeds) ** 2, axis=1) / weights.v_pref**2
     assert np.array_equal(terms["speed"], ref_speed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    waypoints=points_of(st.tuples(st.integers(1, 6), st.integers(2, 9), st.just(2))),
+    still=st.booleans(),
+    dt=st.floats(0.05, 1.0),
+)
+def test_velocity_points_is_velocities_per_row(waypoints, still, dt):
+    # One finite-difference kernel: the batch form is the per-trajectory form
+    # row by row, and the speed term it feeds is the inline one it replaced.
+    if still:
+        waypoints[:, 1] = waypoints[:, 0]  # a zero-velocity step
+    batch = velocity_points(waypoints, dt)
+    assert batch.shape == waypoints.shape
+    for row, vel in zip(waypoints, batch):
+        assert np.array_equal(vel, velocities(Trajectory(row, dt)))
+    weights = TaskCostWeights()
+    step_v = np.diff(waypoints, axis=1) / dt
+    speeds = _hypot2(step_v[..., 0], step_v[..., 1])
+    speeds = np.concatenate([speeds, speeds[:, -1:]], axis=1)
+    old_speed = np.sum((weights.v_pref - speeds) ** 2, axis=1) / weights.v_pref**2
+    terms = task_cost_batch(waypoints, dt, np.zeros(2), (), 0.3, weights)
+    assert np.array_equal(terms["speed"], old_speed)
 
 
 def ref_masked_cosines(vel_a, vel_b, eps_v):

@@ -8,14 +8,19 @@ import pytest
 
 from legiplan import (
     CircleObstacle,
+    LegibilityParams,
+    ObserverState,
+    PlannerParams,
     Point2,
     RectObstacle,
     Trajectory,
     arc_length_prefix,
     clearance,
+    TaskCostWeights,
     velocities,
 )
 from legiplan.model import EMPTY_CLEARANCE, clearance_points, wrap_angle
+from tests.conftest import make_robot
 
 
 class TestClearance:
@@ -148,3 +153,43 @@ def test_wrap_angle_range():
         assert -math.pi < wrapped <= math.pi
         assert math.cos(wrapped) == pytest.approx(math.cos(angle), abs=1e-12)
         assert math.sin(wrapped) == pytest.approx(math.sin(angle), abs=1e-12)
+
+
+NON_FINITE_GUARDS = {
+    "LegibilityParams.lambda_sim": (LegibilityParams, "lambda_sim", "must be nonnegative"),
+    "LegibilityParams.lambda_fov": (LegibilityParams, "lambda_fov", "must be nonnegative"),
+    "LegibilityParams.h_max": (LegibilityParams, "h_max", "must be positive"),
+    "LegibilityParams.eps_v": (LegibilityParams, "eps_v", "must be positive"),
+    "TaskCostWeights.d_safe": (TaskCostWeights, "d_safe", "must be positive"),
+    "TaskCostWeights.v_pref": (TaskCostWeights, "v_pref", "must be positive"),
+    "PlannerParams.dt": (PlannerParams, "dt", "must be positive"),
+    "PlannerParams.goal_tolerance": (PlannerParams, "goal_tolerance", "must be positive"),
+    "PlannerParams.cem_init_std_v": (PlannerParams, "cem_init_std_v", "must be positive"),
+    "PlannerParams.cem_init_std_omega": (PlannerParams, "cem_init_std_omega", "must be positive"),
+    "PlannerParams.horizon_w": (PlannerParams, "horizon_w", "horizon_w must be"),
+    "PlannerParams.cem_population": (PlannerParams, "cem_population", "cem_population must be"),
+    "PlannerParams.cem_iterations": (PlannerParams, "cem_iterations", "cem_iterations must be"),
+    "PlannerParams.max_cycles": (PlannerParams, "max_cycles", "max_cycles must be"),
+    "RobotState.radius": (make_robot, "radius", "must be positive"),
+    "RobotState.v_max": (make_robot, "v_max", "must be positive"),
+    "RobotState.a_max": (make_robot, "a_max", "must be positive"),
+    "RobotState.omega_max": (make_robot, "omega_max", "must be positive"),
+    "RobotState.heading": (make_robot, "heading", "must be finite"),
+    "ObserverState.heading": (
+        lambda **kw: ObserverState("O", Point2(0, 0), **kw), "heading", "must be finite"
+    ),
+    "CircleObstacle.radius": (
+        lambda **kw: CircleObstacle(Point2(0, 0), **kw), "radius", "must be positive"
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    ("build", "field", "rule"), NON_FINITE_GUARDS.values(), ids=NON_FINITE_GUARDS.keys()
+)
+def test_library_built_values_reject_non_finite(build, field, rule, value):
+    # Library callers get the checks the scenario file route applies: NaN
+    # and infinities fail every positivity or nonnegativity guard.
+    with pytest.raises(ValueError, match=rule):
+        build(**{field: value})

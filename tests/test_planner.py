@@ -416,16 +416,23 @@ class TestPlanOnce:
             )
             assert np.array_equal(result.predictions[goal.id].waypoints, waypoints)
 
-    def test_no_finite_cost_raises(self):
+    @pytest.mark.parametrize("goal_count", [1, 2])
+    @pytest.mark.parametrize("mode", ["baseline", "legible"])
+    def test_no_finite_cost_raises(self, mode, goal_count):
         # Every goal distance overflows to inf, so no candidate gets a score
-        # to report; the cycle fails rather than return an unscored path.
+        # to report; the cycle fails rather than return an unscored path. In
+        # legible mode the warm-start row would otherwise seed the legible
+        # search with an unscored prediction.
+        goals = (Goal("G", Point2(-1e200, 0.0), is_target=True), Goal("H", Point2(-1e200, 5.0)))
         scenario = make_scenario(
             robot=make_robot(position=Point2(1e200, 0.0)),
-            goals=(Goal("G", Point2(-1e200, 0.0), is_target=True),),
+            goals=goals[:goal_count],
             observers=(),
             obstacles=(),
+            planner=dataclasses.replace(make_scenario().planner, mode=mode),
         )
-        with np.errstate(over="ignore"), pytest.raises(PlannerFailure, match="finite cost"):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(PlannerFailure, match="finite cost"):
             plan_once(scenario, rng_seed=1)
 
     def test_zero_goals_rejected(self):
@@ -688,6 +695,29 @@ def test_legible_cycle_scores_each_candidate_once(monkeypatch):
     assert len(rows) == 2 * params.cem_iterations
     assert min(rows) >= params.cem_population
     assert sum(rows) == 3 * params.cem_iterations * params.cem_population + 1
+
+
+@pytest.mark.parametrize(
+    ("mode", "weight"), [("baseline", 1.0), ("legible", 1.0), ("legible", 0.0)],
+    ids=["baseline", "legible", "legible-lambda-zero"],
+)
+def test_report_is_a_search_kernel_row(monkeypatch, mode, weight):
+    # Every mode reads its breakdown off a cost-kernel row; neither public
+    # single-trajectory cost function runs during a cycle.
+    base = make_scenario()
+    spec = dataclasses.replace(
+        base,
+        planner=dataclasses.replace(base.planner, mode=mode),
+        legibility=LegibilityParams(lambda_sim=weight, lambda_fov=weight),
+    )
+
+    def rescore(*args, **kwargs):
+        raise AssertionError("the report took a second route")
+
+    monkeypatch.setattr(planner_module, "task_cost", rescore)
+    monkeypatch.setattr(planner_module, "legibility_aware_cost", rescore)
+    result = plan_once(spec, rng_seed=3)
+    assert result.breakdown == _rescored(spec, result)
 
 
 def test_lambda_zero_legible_reports_raw_legibility_terms():

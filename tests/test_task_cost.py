@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from legiplan import CircleObstacle, Point2, TaskCostWeights, Trajectory, task_cost
-from legiplan.task_cost import COLLISION_COST
+from legiplan.task_cost import COLLISION_COST, CostBreakdown
 from tests.conftest import make_robot
 
 UNIT_WEIGHTS = TaskCostWeights(
@@ -149,3 +149,18 @@ def test_collision_dominates_all_feasible_costs():
         (totals_hit if b.collided else totals_free).append(b.total)
     assert totals_hit and totals_free
     assert min(totals_hit) > max(totals_free)
+
+
+def test_collided_row_reports_no_legibility_terms():
+    # A legible kernel row carries sim and fov even when it collides; the
+    # breakdown drops them, while the task terms and the sentinel stay.
+    row = {
+        "goal": np.array([2.5]), "speed": np.array([0.25]), "sim": np.array([-1.5]),
+        "fov": np.array([3.0]), "total": np.array([COLLISION_COST]), "collided": np.array([True]),
+    }
+    b = CostBreakdown.from_terms(row)
+    assert b.collided and b.total == COLLISION_COST
+    assert b.sim_term == 0.0 and b.fov_term == 0.0
+    assert b.goal_term == 2.5 and b.speed_term == 0.25
+    free = CostBreakdown.from_terms({**row, "collided": np.array([False])})
+    assert free.sim_term == -1.5 and free.fov_term == 3.0
