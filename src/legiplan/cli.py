@@ -209,8 +209,11 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         _error_json({"error": "validation", "path": exc.path, "rule": exc.rule})
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        _error_json({"error": "validation", "path": str(exc.filename), "rule": "file not found"})
+    except OSError as exc:
+        if exc.filename is None:  # not a file the user named, e.g. a closed stdout
+            raise
+        rule = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        _error_json({"error": "validation", "path": str(exc.filename), "rule": rule})
         return EXIT_VALIDATION
     except ValueError as exc:
         _error_json({"error": "validation", "path": "", "rule": str(exc)})

@@ -7,7 +7,7 @@ mean of those values is the legibility score.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,14 +56,7 @@ class LegibilityReport:
     mode: str
 
     def to_dict(self) -> dict:
-        return {
-            "partial_fractions": list(self.partial_fractions),
-            "posteriors": [dict(p) for p in self.posteriors],
-            "correctness": list(self.correctness),
-            "argmax_correct": list(self.argmax_correct),
-            "score": self.score,
-            "mode": self.mode,
-        }
+        return asdict(self)
 
 
 def goal_posterior(

@@ -6,6 +6,7 @@ internally; the conversion happens only at this boundary.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Any, Callable
@@ -203,15 +204,19 @@ def _build(cls: type, path: str, fields: dict) -> Any:
         raise ScenarioError(path, str(exc)) from None
 
 
+# The planner keys that are PlannerParams fields as they stand. cem_init_std
+# is read and written by hand: it nests two fields and converts degrees.
+_PLANNER_READERS: dict[str, Callable] = {
+    "dt": _number, "horizon_w": _integer, "mode": _string,
+    "cem_population": _integer, "cem_elites": _integer,
+    "cem_iterations": _integer, "execute_steps": _integer,
+    "goal_tolerance": _number, "max_cycles": _integer,
+}
+
+
 def _parse_planner(obj: dict, path: str) -> PlannerParams:
-    readers = {
-        "dt": _number, "horizon_w": _integer, "mode": _string,
-        "cem_population": _integer, "cem_elites": _integer,
-        "cem_iterations": _integer, "execute_steps": _integer,
-        "goal_tolerance": _number, "max_cycles": _integer,
-    }
-    _check_keys(obj, path, {*readers, "cem_init_std"})
-    fields = _present(obj, path, readers)
+    _check_keys(obj, path, {*_PLANNER_READERS, "cem_init_std"})
+    fields = _present(obj, path, _PLANNER_READERS)
     if fields.get("mode", "baseline") not in ("baseline", "legible"):
         raise ScenarioError(f"{path}.mode", "must be 'baseline' or 'legible'")
     if "cem_init_std" in obj:
@@ -225,21 +230,38 @@ def _parse_planner(obj: dict, path: str) -> PlannerParams:
     return _build(PlannerParams, path, fields)
 
 
+def _number_fields(cls: type, obj: dict, path: str) -> dict:
+    """Read a section whose keys are the (all float) field names of `cls`."""
+    readers = dict.fromkeys((f.name for f in dataclasses.fields(cls)), _number)
+    _check_keys(obj, path, set(readers))
+    return _present(obj, path, readers)
+
+
 def _parse_task_weights(obj: dict, path: str, robot: RobotState) -> TaskCostWeights:
-    readers = dict.fromkeys(
-        ("w_goal", "w_clearance", "w_approach", "w_smooth", "w_speed", "d_safe"), _number
-    )
-    _check_keys(obj, path, {*readers, "v_pref"})
-    fields = _present(obj, path, readers)
+    fields = _number_fields(TaskCostWeights, obj, path)
     # The class default for v_pref assumes v_max = 1; derive it from the robot.
-    fields["v_pref"] = _number(obj, path, "v_pref", 0.8 * robot.v_max)
+    fields.setdefault("v_pref", 0.8 * robot.v_max)
     return _build(TaskCostWeights, path, fields)
 
 
 def _parse_legibility(obj: dict, path: str) -> LegibilityParams:
-    readers = dict.fromkeys(("lambda_sim", "lambda_fov", "h_max", "eps_v"), _number)
-    _check_keys(obj, path, set(readers))
-    return _build(LegibilityParams, path, _present(obj, path, readers))
+    return _build(LegibilityParams, path, _number_fields(LegibilityParams, obj, path))
+
+
+def _array(doc: dict, key: str, parse_item: Callable, required: bool = False) -> tuple:
+    """Each object of the array at `$.key`, read by `parse_item(obj, path)`.
+    A required array must be present and non-empty; an optional one may be
+    absent."""
+    path = f"$.{key}"
+    if required and key not in doc:
+        raise ScenarioError(path, "required key missing")
+    items = doc.get(key, [])
+    if not isinstance(items, list) or (required and not items):
+        raise ScenarioError(path, "must be a non-empty array" if required else "must be an array")
+    return tuple(
+        parse_item(_as_object(item, f"{path}[{i}]"), f"{path}[{i}]")
+        for i, item in enumerate(items)
+    )
 
 
 def parse_scenario(data: bytes | str | dict) -> ScenarioSpec:
@@ -273,31 +295,9 @@ def parse_scenario(data: bytes | str | dict) -> ScenarioSpec:
         raise ScenarioError("$.robot", "required key missing")
     robot = _parse_robot(_as_object(doc["robot"], "$.robot"), "$.robot")
 
-    if "goals" not in doc:
-        raise ScenarioError("$.goals", "required key missing")
-    goals_raw = doc["goals"]
-    if not isinstance(goals_raw, list) or not goals_raw:
-        raise ScenarioError("$.goals", "must be a non-empty array")
-    goals = tuple(
-        _parse_goal(_as_object(g, f"$.goals[{i}]"), f"$.goals[{i}]")
-        for i, g in enumerate(goals_raw)
-    )
-
-    observers_raw = doc.get("observers", [])
-    if not isinstance(observers_raw, list):
-        raise ScenarioError("$.observers", "must be an array")
-    observers = tuple(
-        _parse_observer(_as_object(o, f"$.observers[{i}]"), f"$.observers[{i}]")
-        for i, o in enumerate(observers_raw)
-    )
-
-    obstacles_raw = doc.get("obstacles", [])
-    if not isinstance(obstacles_raw, list):
-        raise ScenarioError("$.obstacles", "must be an array")
-    obstacles = tuple(
-        _parse_obstacle(_as_object(o, f"$.obstacles[{i}]"), f"$.obstacles[{i}]")
-        for i, o in enumerate(obstacles_raw)
-    )
+    goals = _array(doc, "goals", _parse_goal, required=True)
+    observers = _array(doc, "observers", _parse_observer)
+    obstacles = _array(doc, "obstacles", _parse_obstacle)
 
     planner = _parse_planner(_as_object(doc.get("planner", {}), "$.planner"), "$.planner")
     weights = _parse_task_weights(
@@ -366,35 +366,14 @@ def serialize_scenario(spec: ScenarioSpec) -> dict:
             for o in spec.obstacles
         ],
         "planner": {
-            "dt": spec.planner.dt,
-            "horizon_w": spec.planner.horizon_w,
-            "mode": spec.planner.mode,
-            "cem_population": spec.planner.cem_population,
-            "cem_elites": spec.planner.cem_elites,
-            "cem_iterations": spec.planner.cem_iterations,
+            **{key: getattr(spec.planner, key) for key in _PLANNER_READERS},
             "cem_init_std": {
                 "v": spec.planner.cem_init_std_v,
                 "omega_deg": math.degrees(spec.planner.cem_init_std_omega),
             },
-            "execute_steps": spec.planner.execute_steps,
-            "goal_tolerance": spec.planner.goal_tolerance,
-            "max_cycles": spec.planner.max_cycles,
         },
-        "task_weights": {
-            "w_goal": spec.task_weights.w_goal,
-            "w_clearance": spec.task_weights.w_clearance,
-            "w_approach": spec.task_weights.w_approach,
-            "w_smooth": spec.task_weights.w_smooth,
-            "w_speed": spec.task_weights.w_speed,
-            "d_safe": spec.task_weights.d_safe,
-            "v_pref": spec.task_weights.v_pref,
-        },
-        "legibility": {
-            "lambda_sim": spec.legibility.lambda_sim,
-            "lambda_fov": spec.legibility.lambda_fov,
-            "h_max": spec.legibility.h_max,
-            "eps_v": spec.legibility.eps_v,
-        },
+        "task_weights": dataclasses.asdict(spec.task_weights),
+        "legibility": dataclasses.asdict(spec.legibility),
         "seed": spec.seed,
     }
 
@@ -468,6 +447,14 @@ def write_trajectory_csv(path: str, rows: list[tuple]) -> None:
         fh.write(format_trajectory_csv(rows))
 
 
+def _is_log_row(line: str) -> bool:
+    """Whether a CSV line holds one number per column of CSV_COLUMNS."""
+    try:
+        return len([float(cell) for cell in line.split(",")]) == len(CSV_COLUMNS)
+    except ValueError:
+        return False
+
+
 def read_trajectory_csv(data: str | bytes) -> tuple[Trajectory, dict[str, np.ndarray]]:
     """Parse a trajectory log back into a Trajectory plus its raw columns."""
     if isinstance(data, bytes):
@@ -475,9 +462,16 @@ def read_trajectory_csv(data: str | bytes) -> tuple[Trajectory, dict[str, np.nda
     lines = [line for line in data.splitlines() if line.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"trajectory CSV must start with header {CSV_HEADER!r}")
-    values = np.array(
-        [[float(cell) for cell in line.split(",")] for line in lines[1:]], dtype=float
-    )
+    rows = lines[1:]
+    try:
+        values = np.array(
+            [[float(cell) for cell in line.split(",")] for line in rows], dtype=float
+        )
+    except ValueError:  # a ragged row or a non-numeric cell
+        number = next(n for n, line in enumerate(rows, 1) if not _is_log_row(line))
+        raise ValueError(
+            f"trajectory CSV data row {number} must hold {len(CSV_COLUMNS)} numbers"
+        ) from None
     if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] != len(CSV_COLUMNS):
         raise ValueError(
             f"trajectory CSV needs at least two data rows of {len(CSV_COLUMNS)} columns"

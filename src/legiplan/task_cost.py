@@ -7,7 +7,7 @@ agree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,17 +72,7 @@ class CostBreakdown:
         return cls(**values, total=float(terms["total"][0]), collided=collided)
 
     def to_dict(self) -> dict:
-        return {
-            "goal_term": self.goal_term,
-            "clearance_term": self.clearance_term,
-            "approach_term": self.approach_term,
-            "smooth_term": self.smooth_term,
-            "speed_term": self.speed_term,
-            "sim_term": self.sim_term,
-            "fov_term": self.fov_term,
-            "total": self.total,
-            "collided": self.collided,
-        }
+        return asdict(self)
 
 
 def task_cost_batch(

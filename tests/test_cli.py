@@ -1,7 +1,9 @@
 """Command-line interface behavior and exit codes."""
 from __future__ import annotations
 
+import errno
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -94,6 +96,27 @@ def test_missing_file_exits_one(capsys):
     code = cli_main(["plan", "--scenario", "/nonexistent/x.json"])
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
+@pytest.mark.parametrize("flag", ["--svg", "--out", "--scenario"])
+def test_unusable_path_exits_one(fast_scenario, tmp_path, capsys, flag):
+    # A repeated --scenario replaces the first one.
+    code = cli_main(
+        ["plan", "--scenario", fast_scenario, "--mode", "baseline", flag, str(tmp_path)]
+    )
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "validation", "path": str(tmp_path), "rule": os.strerror(errno.EISDIR),
+    }
+
+
+def test_os_error_without_a_path_propagates(fast_scenario, monkeypatch):
+    def closed_stdout(payload):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr("legiplan.cli._print_json", closed_stdout)
+    with pytest.raises(BrokenPipeError):
+        cli_main(["plan", "--scenario", fast_scenario, "--mode", "baseline"])
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -287,6 +287,26 @@ class TestEvaluateTrajectory:
         masked = evaluate_trajectory(traj, scenario, mask_fov=True)
         assert masked.correctness != plain.correctness
 
+    @pytest.mark.parametrize("mask_fov", [False, True])
+    def test_report_dict_keeps_its_bytes(self, mask_fov):
+        import json
+
+        scenario = make_scenario()
+        traj = Trajectory([[x, 0.3 * x] for x in np.linspace(0, 4, 12)], dt=0.4)
+        report = evaluate_trajectory(traj, scenario, mask_fov=mask_fov)
+        # The report's key list as it was written out by hand before to_dict
+        # serialized the dataclass fields.
+        old = {
+            "partial_fractions": list(report.partial_fractions),
+            "posteriors": [dict(p) for p in report.posteriors],
+            "correctness": list(report.correctness),
+            "argmax_correct": list(report.argmax_correct),
+            "score": report.score,
+            "mode": report.mode,
+        }
+        assert list(report.to_dict()) == list(old)
+        assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(old, sort_keys=True)
+
     def test_report_serializes(self):
         import json
 

@@ -331,11 +331,71 @@ def test_all_shipped_scenarios_validate(scenario_dir):
         assert spec.target_goal() is not None
 
 
-def test_serialized_shipped_scenario_reparses(scenario_dir):
-    spec = load_scenario(str(scenario_dir / "fig1_two_goals.json"))
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_serialized_shipped_scenario_reparses(scenario_dir, name):
+    spec = load_scenario(str(scenario_dir / f"{name}.json"))
     rebuilt = parse_scenario(scenario_to_bytes(spec))
-    assert serialize_scenario(rebuilt) == serialize_scenario(rebuilt)
-    assert rebuilt.goals == spec.goals
+    assert scenario_to_bytes(rebuilt) == scenario_to_bytes(spec)
+    assert rebuilt == spec
+
+
+# Every key the parser accepts in the parameter sections, each set to a value
+# that differs from its default.
+EVERY_PARAMETER_KEY = {
+    "planner": {
+        "dt": 0.3, "horizon_w": 9, "mode": "legible", "cem_population": 40,
+        "cem_elites": 6, "cem_iterations": 3, "cem_init_std": {"v": 0.3, "omega_deg": 30.0},
+        "execute_steps": 2, "goal_tolerance": 0.25, "max_cycles": 200,
+    },
+    "task_weights": {
+        "w_goal": 1.5, "w_clearance": 2.5, "w_approach": 0.75, "w_smooth": 0.2,
+        "w_speed": 0.3, "d_safe": 0.6, "v_pref": 0.7,
+    },
+    "legibility": {"lambda_sim": 0.5, "lambda_fov": 2.0, "h_max": 4.0, "eps_v": 1e-5},
+}
+
+
+def test_every_parameter_key_round_trips():
+    doc = {**json.loads(json.dumps(MINIMAL)), **EVERY_PARAMETER_KEY}
+    spec = parse_scenario(json.dumps(doc))
+    defaults = parse_scenario(json.dumps(MINIMAL))
+    for section in ("planner", "task_weights", "legibility"):
+        ours, default = getattr(spec, section), getattr(defaults, section)
+        for field in dataclasses.fields(ours):
+            assert getattr(ours, field.name) != getattr(default, field.name), field.name
+    serialized = serialize_scenario(spec)
+    for section, keys in EVERY_PARAMETER_KEY.items():
+        assert set(serialized[section]) == set(keys)
+    assert set(serialized["planner"]["cem_init_std"]) == {"v", "omega_deg"}
+    assert parse_scenario(json.dumps(serialized)) == spec
+
+
+@pytest.mark.parametrize(
+    "edit, path, rule",
+    [
+        (lambda d: d.pop("goals"), "$.goals", "required key missing"),
+        (lambda d: d.update(goals=[]), "$.goals", "must be a non-empty array"),
+        (lambda d: d.update(goals={"id": "G"}), "$.goals", "must be a non-empty array"),
+        (lambda d: d.update(goals=["G"]), "$.goals[0]", "must be an object"),
+        (lambda d: d.update(observers={}), "$.observers", "must be an array"),
+        (lambda d: d.update(obstacles=None), "$.obstacles", "must be an array"),
+        (
+            lambda d: d.update(obstacles=[{"type": "circle", "center": [1, 2], "radius": 0.5}, 3]),
+            "$.obstacles[1]",
+            "must be an object",
+        ),
+    ],
+    ids=[
+        "goals-missing", "goals-empty", "goals-object", "goal-not-object",
+        "observers-object", "obstacles-null", "obstacle-not-object",
+    ],
+)
+def test_array_section_errors(edit, path, rule):
+    doc = json.loads(json.dumps(MINIMAL))
+    edit(doc)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(json.dumps(doc))
+    assert (err.value.path, err.value.rule) == (path, rule)
 
 
 class TestTrajectoryCsv:
@@ -385,6 +445,21 @@ class TestTrajectoryCsv:
     def test_rejects_bad_header(self):
         with pytest.raises(ValueError):
             read_trajectory_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize(
+        "bad_row", ["0.8,2,0,0,0,0", "0.8,2,0,0,0,0,1,9", "0.8,2,0,zero,0,0,1"],
+        ids=["short", "long", "non-numeric"],
+    )
+    def test_bad_row_is_named(self, bad_row):
+        # Data rows count from 1 and skip blank lines.
+        text = (
+            "t,x,y,heading,v,omega,clearance\n"
+            "0.0,0,0,0,0,0,1\n\n"
+            "0.4,1,0,0,0,0,1\n"
+            f"{bad_row}\n"
+        )
+        with pytest.raises(ValueError, match=r"^trajectory CSV data row 3 must hold 7 numbers$"):
+            read_trajectory_csv(text)
 
     def test_rejects_non_monotone_time(self):
         text = (

@@ -1,14 +1,18 @@
 """Task cost terms and their invariances."""
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from legiplan import CircleObstacle, Point2, TaskCostWeights, Trajectory, task_cost
+from legiplan import (
+    CircleObstacle, Point2, TaskCostWeights, Trajectory, plan_once, task_cost,
+)
 from legiplan.task_cost import COLLISION_COST, CostBreakdown
-from tests.conftest import make_robot
+from tests.conftest import make_robot, make_scenario
 
 UNIT_WEIGHTS = TaskCostWeights(
     w_goal=1.0, w_clearance=1.0, w_approach=1.0, w_smooth=1.0, w_speed=1.0,
@@ -164,3 +168,44 @@ def test_collided_row_reports_no_legibility_terms():
     assert b.goal_term == 2.5 and b.speed_term == 0.25
     free = CostBreakdown.from_terms({**row, "collided": np.array([False])})
     assert free.sim_term == -1.5 and free.fov_term == 3.0
+
+
+def _hand_written_breakdown_dict(b: CostBreakdown) -> dict:
+    # The report's key list as it was written out by hand before to_dict
+    # serialized the dataclass fields.
+    return {
+        "goal_term": b.goal_term,
+        "clearance_term": b.clearance_term,
+        "approach_term": b.approach_term,
+        "smooth_term": b.smooth_term,
+        "speed_term": b.speed_term,
+        "sim_term": b.sim_term,
+        "fov_term": b.fov_term,
+        "total": b.total,
+        "collided": b.collided,
+    }
+
+
+def _legible_plan_breakdown() -> CostBreakdown:
+    scenario = make_scenario()
+    scenario = dataclasses.replace(
+        scenario, planner=dataclasses.replace(scenario.planner, mode="legible")
+    )
+    return plan_once(scenario, rng_seed=3).breakdown
+
+
+def _collided_breakdown() -> CostBreakdown:
+    traj = Trajectory([[0, 0], [1, 0], [2, 0]], dt=1.0)
+    obstacles = [CircleObstacle(Point2(1, 0), 0.4)]
+    return task_cost(traj, Point2(2, 0), obstacles, make_robot(), UNIT_WEIGHTS)
+
+
+@pytest.mark.parametrize(
+    "make", [_legible_plan_breakdown, _collided_breakdown], ids=["legible-plan", "collided"]
+)
+def test_breakdown_dict_keeps_its_bytes(make):
+    b = make()
+    assert b.collided == (make is _collided_breakdown)
+    old = _hand_written_breakdown_dict(b)
+    assert list(b.to_dict()) == list(old)
+    assert json.dumps(b.to_dict(), sort_keys=True) == json.dumps(old, sort_keys=True)

@@ -1,8 +1,9 @@
 """Print the sha256 of every CLI output on the shipped scenarios.
 
 For each scenario in ``scenarios/`` and seeds 3 and 7 it runs
-``simulate`` in both modes (CSV and stdout), ``compare`` (stdout) and
-``plan --mode legible`` (CSV and stdout): 98 outputs, one
+``simulate`` in both modes (CSV and stdout), ``evaluate`` on each
+simulated CSV, plain and with ``--mask-fov`` (stdout), ``compare``
+(stdout) and ``plan --mode legible`` (CSV and stdout): 154 outputs, one
 ``sha256  label`` line each. A refactor that keeps output bytes prints the
 same lines before and after, so diff the output of two checkouts:
 
@@ -44,6 +45,9 @@ def outputs(scenario: Path, seed: int, tmp: Path):
         stdout = _run(["simulate", *common, "--mode", mode, "--out", str(csv)])
         yield f"simulate-{mode}.csv", csv.read_bytes()
         yield f"simulate-{mode}.stdout", stdout
+        evaluate = ["evaluate", "--scenario", str(scenario), "--trajectory", str(csv)]
+        yield f"evaluate-{mode}.stdout", _run(evaluate)
+        yield f"evaluate-{mode}-mask-fov.stdout", _run([*evaluate, "--mask-fov"])
     yield "compare.stdout", _run(["compare", *common])
     stdout = _run(["plan", *common, "--mode", "legible", "--out", str(csv)])
     yield "plan-legible.csv", csv.read_bytes()
