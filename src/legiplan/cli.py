@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 
 from . import scenario_io, svg_render
@@ -49,6 +51,22 @@ def _override(spec: ScenarioSpec, mode: str | None, seed: int | None) -> Scenari
     return spec
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Raise the OSError that writing an output path would raise, before any
+    planning runs; creates no file."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOENT
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
+
+
 def _plan_csv(result: PlanResult, spec: ScenarioSpec, out: str) -> None:
     headings = [
         wrap_angle(float(h))
@@ -62,6 +80,7 @@ def _plan_csv(result: PlanResult, spec: ScenarioSpec, out: str) -> None:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     spec = _override(scenario_io.load_scenario(args.scenario), args.mode, args.seed)
+    _check_writable(args.out, args.svg)
     result = plan_once(spec, rng_seed=spec.seed)
     if args.out:
         _plan_csv(result, spec, args.out)
@@ -77,6 +96,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _override(scenario_io.load_scenario(args.scenario), args.mode, args.seed)
+    _check_writable(args.out, args.svg)
     sim = run_closed_loop(spec)
     scenario_io.write_trajectory_csv(args.out, scenario_io.simulation_rows(sim, spec))
     if args.svg:
@@ -122,6 +142,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     spec = _override(scenario_io.load_scenario(args.scenario), None, args.seed)
+    _check_writable(args.svg)
     runs = {}
     for mode in ("baseline", "legible"):
         mode_spec = _override(spec, mode, None)

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .legibility import designated_observer, visibility_points
-from .model import Goal, Point2, ScenarioSpec, Trajectory, arc_length_prefix
+from .model import Goal, Point2, ScenarioSpec, Trajectory, _hypot2, _segment_lengths, prefix_points
 
 DEFAULT_FRACTIONS = (0.25, 0.50, 0.75)
 
@@ -59,44 +59,55 @@ class LegibilityReport:
         return asdict(self)
 
 
-def goal_posterior(
-    prefix: Trajectory,
+def posterior_batch(
+    lengths: np.ndarray,
+    endpoints: np.ndarray,
+    start: np.ndarray,
     goals: tuple[Goal, ...] | list[Goal],
-    start: Point2,
     model: PosteriorModel,
-) -> dict[str, float]:
-    """Posterior over goals after observing a trajectory prefix.
+) -> np.ndarray:
+    """Posterior over goals after each of F prefixes from one start, (F, G).
 
-    P(G | prefix) is proportional to
+    Row i observes a prefix of arc length lengths[i] ending at endpoints[i]
+    (F, 2). P(G | prefix) is proportional to
     prior(G) * exp(-beta * (len(prefix) + d(Q, G) - d(S, G))) with Q the
     prefix endpoint and S the start. A zero-length prefix returns the prior.
     """
     if not goals:
         raise ValueError("goals must be non-empty")
     prior = model.prior_for(goals)
-    length = prefix.arc_length()
-    q = prefix.waypoints[-1]
-    s = start.as_array()
-    costs = [
-        length + float(np.linalg.norm(q - g.position.as_array()))
-        - float(np.linalg.norm(s - g.position.as_array()))
-        for g in goals
-    ]
     weights = np.array([prior[g.id] for g in goals])
-    # A goal the prior rules out gets exponent -inf, so it can neither set
-    # the shift below (underflowing every other weight) nor overflow.
-    exponents = np.array([-model.beta * c if w > 0 else -np.inf for c, w in zip(costs, weights)])
-    shift = exponents.max()
-    if shift == -np.inf:
-        # beta * cost overflowed for every goal the prior allows: take the
-        # beta -> inf limit, the prior's mass on the cheapest of those goals.
-        cheapest = min(c for c, w in zip(costs, weights) if w > 0)
-        weights = np.where([c == cheapest for c in costs], weights, 0.0)
-    else:
+    goal_xy = np.array([g.position.as_array() for g in goals])
+    # sqrt(vecdot(v, v)) has the bits of the scalar np.linalg.norm(v).
+    dq, ds = endpoints[:, None, :] - goal_xy, start - goal_xy
+    costs = (lengths[:, None] + np.sqrt(np.vecdot(dq, dq))) - np.sqrt(np.vecdot(ds, ds))
+    allowed = weights > 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A goal the prior rules out gets exponent -inf, so it can neither set
+        # the shift below (underflowing every other weight) nor overflow.
+        exponents = np.where(allowed, -model.beta * costs, -np.inf)
+        shift = exponents.max(axis=1, keepdims=True)
         # Shift before exponentiating for numerical stability.
-        weights = weights * np.exp(exponents - shift)
-    weights /= weights.sum()
-    return {g.id: float(w) for g, w in zip(goals, weights)}
+        scaled = weights * np.exp(exponents - shift)
+    # Where beta * cost overflowed for every goal the prior allows, take the
+    # beta -> inf limit: the prior's mass on the cheapest of those goals.
+    cheapest = np.where(allowed, costs, np.inf).min(axis=1, keepdims=True)
+    weights = np.where(shift == -np.inf, np.where(costs == cheapest, weights, 0.0), scaled)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def goal_posterior(
+    prefix: Trajectory,
+    goals: tuple[Goal, ...] | list[Goal],
+    start: Point2,
+    model: PosteriorModel,
+) -> dict[str, float]:
+    """Posterior over goals after observing one trajectory prefix: the
+    one-row case of posterior_batch."""
+    row = posterior_batch(
+        np.array([prefix.arc_length()]), prefix.waypoints[-1:], start.as_array(), goals, model
+    )[0]
+    return {g.id: float(w) for g, w in zip(goals, row)}
 
 
 def correctness(posterior: dict[str, float], g_star_id: str) -> float:
@@ -120,20 +131,6 @@ def legibility_score(correctness_values: list[float] | tuple[float, ...]) -> flo
     return float(np.dot(weights, correctness_values) / weights.sum())
 
 
-def _masked_prefix(prefix: Trajectory, scenario: ScenarioSpec) -> Trajectory | None:
-    """Restrict a prefix to the waypoints the designated observer can see.
-
-    Returns None when fewer than two waypoints are visible.
-    """
-    observer = designated_observer(scenario)
-    if observer is None:
-        return prefix
-    mask = visibility_points(prefix.waypoints, observer) > 0.0
-    if mask.sum() < 2:
-        return None
-    return Trajectory(prefix.waypoints[mask], prefix.dt)
-
-
 def evaluate_trajectory(
     executed: Trajectory,
     scenario: ScenarioSpec,
@@ -151,30 +148,41 @@ def evaluate_trajectory(
     """
     if model is None:
         model = PosteriorModel()
-    g_star = scenario.target_goal()
-    posteriors = []
-    correctness_values = []
-    argmax_flags = []
-    for fraction in fractions:
-        prefix = arc_length_prefix(executed, fraction)
-        start = prefix.start
-        if mask_fov:
-            masked = _masked_prefix(prefix, scenario)
-            if masked is None:
-                posterior = model.prior_for(scenario.goals)
-            else:
-                posterior = goal_posterior(masked, scenario.goals, masked.start, model)
-        else:
-            posterior = goal_posterior(prefix, scenario.goals, start, model)
-        c = correctness(posterior, g_star.id)
-        posteriors.append(posterior)
-        correctness_values.append(c)
-        argmax_flags.append(c == max(posterior.values()))
+    goals = scenario.goals
+    pts = executed.waypoints
+    seg, j, ends = prefix_points(pts, fractions)
+    observer = designated_observer(scenario) if mask_fov else None
+    if observer is None:
+        seen, seen_seg, counts, end_seen = pts, seg, j, np.ones(len(j), dtype=bool)
+    else:
+        # One call over both sets: a one-row matmul rounds differently.
+        visible = visibility_points(np.concatenate([pts, ends]), observer) > 0.0
+        seen, end_seen = pts[visible[: len(pts)]], visible[len(pts):]
+        seen_seg = _segment_lengths(seen)
+        counts = np.cumsum(visible[: len(pts)])[j - 1]  # visible points in pts[:j]
+    prior = model.prior_for(goals)
+    posteriors = [dict(prior) for _ in fractions]
+    rows = np.flatnonzero(counts + end_seen >= 2)
+    if rows.size:
+        counts, end_seen, ends = counts[rows], end_seen[rows], ends[rows]
+        last_seen = seen[counts - 1]
+        last_seg = _hypot2(*(ends - last_seen).T)
+        # Each length is np.sum over its own segments, as Trajectory.arc_length.
+        lengths = np.array([
+            np.sum(np.append(seen_seg[: k - 1], d) if e else seen_seg[: k - 1])
+            for k, e, d in zip(counts, end_seen, last_seg)
+        ])
+        endpoints = np.where(end_seen[:, None], ends, last_seen)
+        batch = posterior_batch(lengths, endpoints, seen[0], goals, model)
+        for r, row in zip(rows, batch):
+            posteriors[r] = {g.id: float(w) for g, w in zip(goals, row)}
+    g_star_id = scenario.target_goal().id
+    correctness_values = [correctness(p, g_star_id) for p in posteriors]
     return LegibilityReport(
         partial_fractions=tuple(fractions),
         posteriors=tuple(posteriors),
         correctness=tuple(correctness_values),
-        argmax_correct=tuple(argmax_flags),
+        argmax_correct=tuple(c == max(p.values()) for c, p in zip(correctness_values, posteriors)),
         score=legibility_score(correctness_values),
         mode=mode if mode is not None else scenario.planner.mode,
     )

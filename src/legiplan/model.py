@@ -47,8 +47,9 @@ def _hypot2(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     near-equivalents that round differently (share of random float64 inputs
     whose last bit differs, numpy 2.4.6):
     - ``np.hypot`` / ``math.hypot``: ~17%, they rescale to avoid overflow;
-    - the no-axis scalar ``np.linalg.norm(v)``: ~8%, it takes a ``dot`` path,
-      so the scalar call in evaluation.goal_posterior stays as it is;
+    - the no-axis scalar ``np.linalg.norm(v)``: ~8%, it takes a ``dot`` path;
+      its batched bit-identical form is ``np.sqrt(np.vecdot(v, v))`` over
+      the last axis, which evaluation.posterior_batch uses;
     - a per-channel ``x*gx + y*gy`` for a matmul such as ``rel @ gaze``:
       ~30%, the matmul rounds differently.
     """
@@ -336,25 +337,35 @@ def velocities(traj: Trajectory) -> np.ndarray:
     return velocity_points(traj.waypoints, traj.dt)
 
 
-def arc_length_prefix(traj: Trajectory, fraction: float) -> Trajectory:
-    """Prefix of `traj` whose arc length first reaches fraction * total.
+def prefix_points(
+    waypoints: np.ndarray, fractions: tuple[float, ...] | list[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arc-length prefixes of one path for every fraction at once.
 
-    The final waypoint is interpolated on the containing segment. For
-    fraction 0 (or a zero-length trajectory) the result degenerates to the
-    first waypoint repeated twice.
+    Returns the w segment lengths and, per fraction, the count j >= 1 of
+    whole waypoints in the prefix and its endpoint: the point where the arc
+    length first reaches fraction * total, interpolated on segment j - 1.
+    The prefix is waypoints[:j] followed by that endpoint.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    pts = traj.waypoints
-    seg = _segment_lengths(pts)
+    for fraction in fractions:
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    seg = _segment_lengths(waypoints)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
-    target = fraction * cum[-1]
-    j = int(np.searchsorted(cum, target, side="left"))
-    j = max(j, 1)
-    if seg[j - 1] > 0.0:
-        s = (target - cum[j - 1]) / seg[j - 1]
-    else:
-        s = 0.0
-    endpoint = pts[j - 1] + s * (pts[j] - pts[j - 1])
-    prefix = np.vstack([pts[:j], endpoint])
-    return Trajectory(prefix, traj.dt)
+    target = np.asarray(fractions, dtype=float) * cum[-1]
+    j = np.maximum(np.searchsorted(cum, target, side="left"), 1)
+    step = seg[j - 1]
+    s = np.divide(target - cum[j - 1], step, out=np.zeros_like(step), where=step > 0.0)
+    ends = waypoints[j - 1] + s[:, None] * (waypoints[j] - waypoints[j - 1])
+    return seg, j, ends
+
+
+def arc_length_prefix(traj: Trajectory, fraction: float) -> Trajectory:
+    """Prefix of `traj` whose arc length first reaches fraction * total:
+    the one-fraction case of prefix_points, as a Trajectory.
+
+    For fraction 0 (or a zero-length trajectory) the result degenerates to
+    the first waypoint repeated twice.
+    """
+    _, (j,), ends = prefix_points(traj.waypoints, (fraction,))
+    return Trajectory(np.vstack([traj.waypoints[:j], ends]), traj.dt)

@@ -110,6 +110,40 @@ def test_unusable_path_exits_one(fast_scenario, tmp_path, capsys, flag):
     }
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--mode", "legible", "--out", "{dir}"],
+    ["simulate", "--mode", "baseline", "--out", "{dir}/run.csv", "--svg", "{dir}"],
+    ["compare", "--svg", "{dir}"],
+])
+def test_unwritable_output_fails_before_planning(
+    fast_scenario, tmp_path, capsys, monkeypatch, argv
+):
+    def planned(*args, **kwargs):
+        raise AssertionError("the closed loop ran before the output paths were checked")
+
+    monkeypatch.setattr("legiplan.cli.run_closed_loop", planned)
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    code = cli_main([argv[0], "--scenario", fast_scenario, *argv[1:]])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "validation", "path": str(tmp_path), "rule": os.strerror(errno.EISDIR),
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.json"]
+
+
+def test_output_check_creates_no_file(fast_scenario, tmp_path, capsys):
+    out, svg = tmp_path / "run.csv", tmp_path / "missing" / "run.svg"
+    code = cli_main([
+        "simulate", "--scenario", fast_scenario, "--mode", "baseline",
+        "--out", str(out), "--svg", str(svg),
+    ])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "validation", "path": str(svg), "rule": "file not found",
+    }
+    assert not out.exists()
+
+
 def test_os_error_without_a_path_propagates(fast_scenario, monkeypatch):
     def closed_stdout(payload):
         raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))

@@ -8,6 +8,7 @@ import pytest
 
 from legiplan import (
     Goal,
+    ObserverState,
     Point2,
     PosteriorModel,
     Trajectory,
@@ -16,6 +17,8 @@ from legiplan import (
     goal_posterior,
     legibility_score,
 )
+from legiplan.evaluation import posterior_batch
+from legiplan.legibility import designated_observer, visibility_points
 from tests.conftest import make_scenario
 
 UNIFORM = PosteriorModel()
@@ -315,3 +318,262 @@ class TestEvaluateTrajectory:
         report = evaluate_trajectory(traj, scenario)
         payload = json.dumps(report.to_dict())
         assert "correctness" in payload and "argmax_correct" in payload
+
+
+# The per-fraction loop evaluate_trajectory ran before the batch kernels,
+# written out in full: arc_length_prefix -> _masked_prefix -> goal_posterior.
+
+
+def _ref_segments(pts):
+    d = np.diff(pts, axis=0)
+    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+
+
+def _ref_prefix(pts, fraction):
+    seg = _ref_segments(pts)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    target = fraction * cum[-1]
+    j = max(int(np.searchsorted(cum, target, side="left")), 1)
+    s = (target - cum[j - 1]) / seg[j - 1] if seg[j - 1] > 0.0 else 0.0
+    return np.vstack([pts[:j], pts[j - 1] + s * (pts[j] - pts[j - 1])])
+
+
+def _ref_posterior(prefix, goals, s, model):
+    prior = model.prior_for(goals)
+    length = float(np.sum(_ref_segments(prefix)))
+    q = prefix[-1]
+    costs = [
+        length + float(np.linalg.norm(q - g.position.as_array()))
+        - float(np.linalg.norm(s - g.position.as_array()))
+        for g in goals
+    ]
+    weights = np.array([prior[g.id] for g in goals])
+    exponents = np.array([-model.beta * c if w > 0 else -np.inf for c, w in zip(costs, weights)])
+    shift = exponents.max()
+    if shift == -np.inf:
+        cheapest = min(c for c, w in zip(costs, weights) if w > 0)
+        weights = np.where([c == cheapest for c in costs], weights, 0.0)
+    else:
+        weights = weights * np.exp(exponents - shift)
+    weights /= weights.sum()
+    return {g.id: float(w) for g, w in zip(goals, weights)}
+
+
+def _ref_evaluate(pts, scenario, model, fractions, mask_fov):
+    g_star = scenario.target_goal()
+    posteriors, values, flags = [], [], []
+    for fraction in fractions:
+        prefix = _ref_prefix(pts, fraction)
+        observer = designated_observer(scenario) if mask_fov else None
+        if observer is not None:
+            prefix = prefix[visibility_points(prefix, observer) > 0.0]
+        if len(prefix) < 2:
+            posterior = model.prior_for(scenario.goals)
+        else:
+            posterior = _ref_posterior(prefix, scenario.goals, prefix[0], model)
+        posteriors.append(posterior)
+        values.append(posterior[g_star.id])
+        flags.append(values[-1] == max(posterior.values()))
+    return {
+        "partial_fractions": tuple(fractions),
+        "posteriors": tuple(posteriors),
+        "correctness": tuple(values),
+        "argmax_correct": tuple(flags),
+        "score": legibility_score(values),
+        "mode": scenario.planner.mode,
+    }
+
+
+def _random_world(rng, n_goals, zero_prior):
+    goals = tuple(
+        Goal(f"g{i}", Point2(*rng.uniform(-6, 6, 2)), is_target=(i == 0))
+        for i in range(n_goals)
+    )
+    prior = None
+    if zero_prior and n_goals > 1:
+        raw = rng.uniform(0.1, 1.0, n_goals)
+        raw[rng.permutation(n_goals)[: rng.integers(1, n_goals)]] = 0.0
+        raw = raw / raw.sum()
+        raw[int(np.flatnonzero(raw)[0])] += 1.0 - raw.sum()
+        prior = {g.id: float(p) for g, p in zip(goals, raw)}
+    observers = ()
+    if rng.uniform() < 0.8:
+        observers = (ObserverState(
+            "O", Point2(*rng.uniform(-4, 4, 2)), rng.uniform(-math.pi, math.pi),
+            fov=rng.uniform(0.2, math.tau), attached_goal="g0",
+        ),)
+    return make_scenario(goals=goals, observers=observers, obstacles=()), prior
+
+
+def _random_path(rng):
+    steps = rng.normal(scale=rng.uniform(0.05, 2.0), size=(rng.integers(2, 40), 2))
+    pts = np.cumsum(steps, axis=0)
+    repeats = rng.integers(1, 4, size=len(pts)) if rng.uniform() < 0.7 else 1
+    pts = np.repeat(pts, repeats, axis=0)  # repeated waypoints: zero-length segments
+    return pts if rng.uniform() < 0.95 else np.repeat(pts[:1], 3, axis=0)
+
+
+def _random_fractions(rng):
+    pick = rng.integers(5)
+    if pick == 0:
+        return (0.0, 1.0)
+    if pick == 1:
+        return tuple((i + 1) / 20 for i in range(20))
+    if pick == 2:
+        return (float(rng.choice([0.0, 1.0, rng.uniform()])),)
+    return tuple(float(f) for f in np.append(rng.uniform(size=rng.integers(1, 8)), [0.0, 1.0]))
+
+
+def _same_bits(report, expected):
+    # repr keeps every bit of a float and tells -0.0 from 0.0.
+    assert repr(report.to_dict()) == repr(expected)
+
+
+class TestBatchMatchesScalarLoop:
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1e308])
+    @pytest.mark.parametrize("mask_fov", [False, True])
+    def test_random_worlds(self, beta, mask_fov):
+        rng = np.random.default_rng(int(beta % 1000) + 7 * mask_fov)
+        for _ in range(150):
+            scenario, prior = _random_world(rng, int(rng.integers(1, 13)), rng.uniform() < 0.5)
+            model = PosteriorModel(beta=beta, prior=prior)
+            pts, fractions = _random_path(rng), _random_fractions(rng)
+            traj = Trajectory(pts, 0.4)
+            report = evaluate_trajectory(traj, scenario, model, fractions, mask_fov)
+            _same_bits(report, _ref_evaluate(pts, scenario, model, fractions, mask_fov))
+
+    @pytest.mark.parametrize("in_view", [0, 1, 2, 3])
+    @pytest.mark.parametrize("fractions", [(0.0, 1.0), (0.5,), (0.3, 0.6, 0.9, 1.0)])
+    def test_masks_that_leave_few_points_visible(self, in_view, fractions):
+        # The observer at the origin looks along +x with a 60 degree wedge;
+        # only the first `in_view` waypoints lie inside it.
+        scenario = make_scenario(
+            goals=(Goal("A", Point2(4, 2), is_target=True), Goal("B", Point2(4, -2)),
+                   Goal("C", Point2(-3, 0))),
+            observers=(ObserverState("O", Point2(0, 0), 0.0, fov=math.pi / 3, attached_goal="A"),),
+            obstacles=(),
+        )
+        seen = [[2.0 + k, 0.1 * k] for k in range(in_view)]
+        hidden = [[-1.0 - k, 2.0 + k] for k in range(5)]
+        pts = np.array(seen + hidden)
+        report = evaluate_trajectory(Trajectory(pts, 0.4), scenario, UNIFORM, fractions, True)
+        _same_bits(report, _ref_evaluate(pts, scenario, UNIFORM, fractions, True))
+        if in_view < 2:
+            assert all(p == UNIFORM.prior_for(scenario.goals) for p in report.posteriors)
+
+    def test_prefix_length_sums_its_own_segments(self):
+        # Over many segments np.sum's pairwise order and the running cumsum
+        # round differently; the report keeps np.sum's bits.
+        rng = np.random.default_rng(21)
+        pts = np.cumsum(rng.uniform(0.1, 10.0, size=(60, 2)), axis=0)
+        seg = _ref_segments(pts)
+        assert any(np.sum(seg[:k]) != np.cumsum(seg)[k - 1] for k in range(9, 60))
+        scenario = make_scenario()
+        fractions = tuple((i + 1) / 20 for i in range(20))
+        for mask_fov in (False, True):
+            traj = Trajectory(pts, 0.4)
+            report = evaluate_trajectory(traj, scenario, UNIFORM, fractions, mask_fov)
+            _same_bits(report, _ref_evaluate(pts, scenario, UNIFORM, fractions, mask_fov))
+
+    def test_zero_length_segments_and_path(self):
+        scenario, fractions = make_scenario(), (0.0, 0.5, 1.0)
+        for pts in (
+            np.array([[1.0, 1.0]] * 4),  # zero-length path: every prefix is the start
+            np.array([[0, 0], [0, 0], [1, 0], [1, 0], [1, 0], [2, 1]], dtype=float),
+        ):
+            for mask_fov in (False, True):
+                traj = Trajectory(pts, 0.4)
+                report = evaluate_trajectory(traj, scenario, UNIFORM, fractions, mask_fov)
+                _same_bits(report, _ref_evaluate(pts, scenario, UNIFORM, fractions, mask_fov))
+
+    def test_vecdot_norm_keeps_the_scalar_bits(self):
+        rng = np.random.default_rng(8)
+        v = rng.normal(scale=rng.uniform(0.01, 100.0, size=(400, 5, 1)), size=(400, 5, 2))
+        batched = np.sqrt(np.vecdot(v, v))
+        assert all(
+            batched[i, k] == float(np.linalg.norm(v[i, k])) for i in range(400) for k in range(5)
+        )
+
+
+def _dragan(length, q, s, goals, model):
+    """Dragan et al. (HRI 2013) goal inference, written with math scalars."""
+    prior = model.prior_for(goals)
+    raw = [
+        prior[g.id] * math.exp(-model.beta * (
+            length + math.dist(q, (g.position.x, g.position.y))
+            - math.dist(s, (g.position.x, g.position.y))
+        ))
+        for g in goals
+    ]
+    return [w / sum(raw) for w in raw]
+
+
+class TestPosteriorBatch:
+    def _case(self, rng, n_goals=5, rows=6, prior_zeros=True):
+        goals = tuple(
+            Goal(f"g{i}", Point2(*rng.uniform(-5, 5, 2)), is_target=(i == 0))
+            for i in range(n_goals)
+        )
+        raw = rng.uniform(0.1, 1.0, n_goals)
+        if prior_zeros:
+            raw[1::3] = 0.0
+        raw = raw / raw.sum()
+        raw[0] += 1.0 - raw.sum()
+        model = PosteriorModel(beta=float(rng.uniform(0.2, 3.0)),
+                               prior={g.id: float(p) for g, p in zip(goals, raw)})
+        start = rng.uniform(-2, 2, 2)
+        paths = [np.vstack([start, start + np.cumsum(rng.normal(size=(rng.integers(1, 9), 2)), 0)])
+                 for _ in range(rows)]
+        lengths = np.array([Trajectory(p, 0.4).arc_length() for p in paths])
+        endpoints = np.array([p[-1] for p in paths])
+        return goals, model, start, paths, lengths, endpoints
+
+    def test_matches_the_dragan_model(self):
+        rng = np.random.default_rng(30)
+        for _ in range(50):
+            goals, model, start, _, lengths, endpoints = self._case(rng)
+            batch = posterior_batch(lengths, endpoints, start, goals, model)
+            for row, length, q in zip(batch, lengths, endpoints):
+                np.testing.assert_allclose(row, _dragan(length, q, start, goals, model),
+                                           rtol=1e-9, atol=1e-300)
+
+    def test_rows_sum_to_one_and_ruled_out_goals_get_zero(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            goals, model, start, _, lengths, endpoints = self._case(rng, n_goals=12)
+            batch = posterior_batch(lengths, endpoints, start, goals, model)
+            np.testing.assert_allclose(batch.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            ruled_out = [model.prior[g.id] == 0.0 for g in goals]
+            assert np.all(batch[:, ruled_out] == 0.0)
+            assert np.all(batch[:, np.logical_not(ruled_out)] > 0.0)
+
+    def test_permuting_goals_permutes_columns(self):
+        rng = np.random.default_rng(32)
+        for _ in range(50):
+            goals, model, start, _, lengths, endpoints = self._case(rng, n_goals=7)
+            perm = rng.permutation(len(goals))
+            batch = posterior_batch(lengths, endpoints, start, goals, model)
+            shuffled = posterior_batch(lengths, endpoints, start, [goals[i] for i in perm], model)
+            # The row sum adds goals in list order, so only the last bits may move.
+            np.testing.assert_allclose(shuffled, batch[:, perm], rtol=1e-14, atol=0)
+
+    def test_beta_zero_returns_the_prior(self):
+        rng = np.random.default_rng(33)
+        goals, model, start, _, lengths, endpoints = self._case(rng, n_goals=6)
+        flat = PosteriorModel(beta=0.0, prior=model.prior)
+        batch = posterior_batch(lengths, endpoints, start, goals, flat)
+        prior = [model.prior[g.id] for g in goals]
+        for row in batch:
+            np.testing.assert_allclose(row, prior, rtol=1e-15, atol=0)
+
+    def test_each_row_is_the_one_row_posterior(self):
+        rng = np.random.default_rng(34)
+        for beta in (0.0, 1.0, 1e308):
+            for _ in range(30):
+                goals, model, start, paths, lengths, endpoints = self._case(rng, n_goals=9)
+                model = PosteriorModel(beta=beta, prior=model.prior)
+                batch = posterior_batch(lengths, endpoints, start, goals, model)
+                for row, path in zip(batch, paths):
+                    one = goal_posterior(Trajectory(path, 0.4), goals, Point2(*start), model)
+                    assert [float(w) for w in row] == list(one.values())
+                    assert one == _ref_posterior(path, goals, start, model)

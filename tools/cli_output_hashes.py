@@ -2,9 +2,10 @@
 
 For each scenario in ``scenarios/`` and seeds 3 and 7 it runs
 ``simulate`` in both modes (CSV and stdout), ``evaluate`` on each
-simulated CSV, plain and with ``--mask-fov`` (stdout), ``compare``
-(stdout) and ``plan --mode legible`` (CSV and stdout): 154 outputs, one
-``sha256  label`` line each. A refactor that keeps output bytes prints the
+simulated CSV at the default fractions and on a 20-point ``--fractions``
+grid, each plain and with ``--mask-fov`` (stdout), ``compare`` (stdout) and
+``plan --mode legible`` (CSV and stdout): 210 outputs, one ``sha256  label``
+line each. A refactor that keeps output bytes prints the
 same lines before and after, so diff the output of two checkouts:
 
     python3 tools/cli_output_hashes.py > after.txt
@@ -26,6 +27,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from legiplan.cli import cli_main  # noqa: E402
 
 SEEDS = (3, 7)
+GRID = ",".join(str((i + 1) / 20) for i in range(20))
 
 
 def _run(argv: list[str]) -> bytes:
@@ -48,6 +50,9 @@ def outputs(scenario: Path, seed: int, tmp: Path):
         evaluate = ["evaluate", "--scenario", str(scenario), "--trajectory", str(csv)]
         yield f"evaluate-{mode}.stdout", _run(evaluate)
         yield f"evaluate-{mode}-mask-fov.stdout", _run([*evaluate, "--mask-fov"])
+        yield f"evaluate-{mode}-grid.stdout", _run([*evaluate, "--fractions", GRID])
+        grid_fov = [*evaluate, "--fractions", GRID, "--mask-fov"]
+        yield f"evaluate-{mode}-grid-mask-fov.stdout", _run(grid_fov)
     yield "compare.stdout", _run(["compare", *common])
     stdout = _run(["plan", *common, "--mode", "legible", "--out", str(csv)])
     yield "plan-legible.csv", csv.read_bytes()
