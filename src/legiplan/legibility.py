@@ -26,7 +26,7 @@ from .model import (
     velocities,
     velocity_points,
 )
-from .task_cost import COLLISION_COST, CostBreakdown, TaskCostWeights, task_cost_batch
+from .task_cost import COLLISION_COST, CostBreakdown, TaskCostWeights, _task_terms
 
 # Per-goal predicted local paths, keyed by goal id. Must cover every goal in
 # the scenario (including the target) and share dt/horizon with the
@@ -219,7 +219,7 @@ def _prediction_velocities(
 
 
 def _signed_similarity(
-    cand_waypoints: np.ndarray, dt: float, pred_velocities: np.ndarray,
+    cand_waypoints: np.ndarray, cand_velocities: np.ndarray, pred_velocities: np.ndarray,
     goals: tuple[Goal, ...] | list[Goal], visible: np.ndarray, params: LegibilityParams,
 ) -> np.ndarray:
     """Similarity cost of a batch (n, T, 2), shape (n,): the similarity to each
@@ -227,8 +227,7 @@ def _signed_similarity(
     g_star_xy = next(g for g in goals if g.is_target).position.as_array()
     goals_xy = np.array([goal.position.as_array() for goal in goals])
     sims = weighted_similarity_batch(
-        cand_waypoints, velocity_points(cand_waypoints, dt), pred_velocities, goals_xy,
-        g_star_xy, visible, params,
+        cand_waypoints, cand_velocities, pred_velocities, goals_xy, g_star_xy, visible, params,
     )
     total = np.zeros(cand_waypoints.shape[0], dtype=float)
     for goal, sim in zip(goals, sims):
@@ -248,7 +247,8 @@ def sim_cost(
     pred_velocities = _prediction_velocities(candidate, predictions, goals)
     waypoints = candidate.waypoints[np.newaxis]
     visible = visibility_points(waypoints, observer)
-    return float(_signed_similarity(waypoints, candidate.dt, pred_velocities, goals, visible, params)[0])
+    vel = velocity_points(waypoints, candidate.dt)
+    return float(_signed_similarity(waypoints, vel, pred_velocities, goals, visible, params)[0])
 
 
 def _observer_terms(
@@ -286,9 +286,10 @@ def legible_cost_batch(
     (n,); a collided row keeps COLLISION_COST, legibility cannot rescue it.
     """
     g_star_xy = next(g for g in goals if g.is_target).position.as_array()
-    task = task_cost_batch(waypoints, dt, g_star_xy, obstacles, robot_radius, task_weights)
+    # The velocities feed both the task and similarity terms.
+    task, vel = _task_terms(waypoints, dt, g_star_xy, obstacles, robot_radius, task_weights)
     visible, fov = _observer_terms(waypoints, observer)
-    sim = _signed_similarity(waypoints, dt, pred_velocities, goals, visible, params)
+    sim = _signed_similarity(waypoints, vel, pred_velocities, goals, visible, params)
     total = task["total"] + params.lambda_sim * sim + params.lambda_fov * fov
     return {**task, "sim": sim, "fov": fov, "total": np.where(task["collided"], COLLISION_COST, total)}
 

@@ -16,11 +16,11 @@ again so the report carries its raw similarity and FOV terms. The per-goal
 predictions run as one batched search over all goals, and the legible
 search's warm-start row is scored with its first iteration.
 
-Randomness is counter-based: each candidate's draws come from a Philox
-stream keyed by (seed mod 2^64, iteration << 32 | candidate index), so
-results do not depend on evaluation order. The noise is drawn once per cycle
-and CEM iteration and shared: every goal of the batched prediction search
-and the legible re-optimization sample the same draws.
+Randomness is counter-based: each CEM iteration's population is one block
+of draws from the Philox stream keyed by (seed mod 2^64, iteration << 32),
+so results do not depend on evaluation order. The noise is drawn once per
+cycle and CEM iteration and shared: every goal of the batched prediction
+search and the legible re-optimization sample the same draws.
 """
 from __future__ import annotations
 
@@ -44,8 +44,9 @@ from .task_cost import (
 
 _SEED_MODULUS = 2**64
 _STD_FLOOR = 1e-3  # keeps the sampling distribution from collapsing
-# _candidate_rng packs (iteration << 32) | candidate into one uint64 key word,
-# so both counts must fit in 32 bits or keys collide or overflow.
+# _candidate_rng keys on iteration << 32 in one uint64 word, so the iteration
+# count must fit in 32 bits. The population is not in the key; its bound is
+# only a size limit.
 _KEY_FIELD_LIMIT = 2**32
 # Longest plan accepted, in steps; the shipped scenes use 10-12.
 HORIZON_W_MAX = 10_000
@@ -170,39 +171,19 @@ def _score_chunked(objective: Objective, waypoints: np.ndarray) -> dict[str, np.
     return objective(waypoints)
 
 
-def _candidate_rng(seed: int, iteration: int, candidate: int) -> np.random.Generator:
-    key = np.array([seed % _SEED_MODULUS, (iteration << 32) | candidate], dtype=np.uint64)
+def _candidate_rng(seed: int, iteration: int) -> np.random.Generator:
+    key = np.array([seed % _SEED_MODULUS, iteration << 32], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _draw_noise(seed: int, iteration: int, population: int, horizon: int) -> np.ndarray:
     """Standard-normal noise for one CEM iteration, shape (population, horizon, 2).
 
-    Candidate i's rows are the first draws of the Philox stream keyed by
-    (seed mod 2^64, iteration << 32 | i). One generator is built per call;
-    each candidate re-keys it and resets its counter and buffer, which draws
-    exactly what a fresh generator per candidate would.
-
-    The re-key writes a state dict of plain Python ints and lists: the state
-    setter reads every word by index, and indexing the numpy arrays that the
-    getter returns builds a numpy scalar per word, which more than doubles
-    the cost of each re-key.
+    The first draws of the Philox stream keyed by (seed mod 2^64,
+    iteration << 32), filled in C order: the population is sampled as one
+    block, and a wider population at the same horizon extends the rows.
     """
-    rng = _candidate_rng(seed, iteration, 0)
-    bit_generator = rng.bit_generator
-    fresh = bit_generator.state  # counter 0, empty buffer
-    key = fresh["state"]["key"].tolist()
-    state = {
-        **fresh,
-        "state": {"counter": fresh["state"]["counter"].tolist(), "key": key},
-        "buffer": fresh["buffer"].tolist(),
-    }
-    z = np.empty((population, horizon, 2), dtype=float)
-    for i in range(population):
-        key[1] = (iteration << 32) | i
-        bit_generator.state = state
-        rng.standard_normal(out=z[i])
-    return z
+    return _candidate_rng(seed, iteration).standard_normal((population, horizon, 2))
 
 
 def _clip_controls(raw: np.ndarray, state: RobotState, dt: float) -> np.ndarray:

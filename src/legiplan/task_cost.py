@@ -89,6 +89,16 @@ def task_cost_batch(
     shape (n, 1, 2). Returns arrays keyed by term name plus "total" and
     "collided", each of shape (n,).
     """
+    return _task_terms(waypoints, dt, goal_xy, obstacles, robot_radius, weights)[0]
+
+
+def _task_terms(
+    waypoints: np.ndarray, dt: float, goal_xy: np.ndarray, obstacles: tuple[Obstacle, ...],
+    robot_radius: float, weights: TaskCostWeights,
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """task_cost_batch's terms, with the velocities (n, T, 2) it computed, for
+    a caller whose other terms need them.
+    """
     to_goal = waypoints - goal_xy
     dists = _hypot2(to_goal[..., 0], to_goal[..., 1])  # (n, T)
     j_goal = dists[:, -1] + dists.mean(axis=1)
@@ -121,7 +131,7 @@ def task_cost_batch(
         "speed": j_sp,
         "total": total,
         "collided": collided,
-    }
+    }, vel
 
 
 def task_cost(

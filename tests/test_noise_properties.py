@@ -20,7 +20,7 @@ from tests.test_planner import reference_noise  # noqa: E402
     population=st.integers(min_value=1, max_value=12),
     horizon=st.integers(min_value=1, max_value=12),
 )
-def test_draws_match_one_generator_per_candidate(seed, iteration, population, horizon):
+def test_draws_match_one_generator_per_iteration(seed, iteration, population, horizon):
     assert np.array_equal(
         _draw_noise(seed, iteration, population, horizon),
         reference_noise(seed, iteration, population, horizon),

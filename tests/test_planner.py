@@ -41,19 +41,15 @@ from tests.conftest import SCENARIO_DIR, SCENARIO_NAMES, make_robot, make_scenar
 
 
 def reference_noise(seed: int, iteration: int, population: int, horizon: int) -> np.ndarray:
-    """One fresh Philox generator per candidate, as the noise contract states.
+    """One fresh Philox generator per CEM iteration, as the noise contract
+    states: the whole population is one block of its draws, in C order.
 
     The key is a uint64 array: a plain list mixing a word >= 2**63 with a
     smaller one converts to float64, which would key a different stream.
     """
-    return np.stack([
-        np.random.Generator(
-            np.random.Philox(
-                key=np.array([seed % 2**64, (iteration << 32) | i], dtype=np.uint64)
-            )
-        ).standard_normal((horizon, 2))
-        for i in range(population)
-    ])
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed % 2**64, iteration << 32], dtype=np.uint64))
+    ).standard_normal((population, horizon, 2))
 
 
 def reference_clip(raw: np.ndarray, state, dt: float) -> np.ndarray:
@@ -149,11 +145,23 @@ class TestControlSampling:
     @pytest.mark.parametrize("iteration", [0, 4])
     @pytest.mark.parametrize("population", [8, 96])
     @pytest.mark.parametrize("horizon", [2, 12])
-    def test_draws_match_one_generator_per_candidate(self, seed, iteration, population, horizon):
+    def test_draws_match_one_generator_per_iteration(self, seed, iteration, population, horizon):
         assert np.array_equal(
             _draw_noise(seed, iteration, population, horizon),
             reference_noise(seed, iteration, population, horizon),
         )
+
+    def test_one_generator_per_draw(self, monkeypatch):
+        calls = []
+        make = planner_module._candidate_rng
+
+        def counted(*args):
+            calls.append(args)
+            return make(*args)
+
+        monkeypatch.setattr(planner_module, "_candidate_rng", counted)
+        _draw_noise(5, 2, 96, 12)
+        assert calls == [(5, 2)]
 
 
 class TestCEM:
