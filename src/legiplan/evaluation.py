@@ -150,16 +150,13 @@ def evaluate_trajectory(
         model = PosteriorModel()
     goals = scenario.goals
     pts = executed.waypoints
-    seg, j, ends = prefix_points(pts, fractions)
+    _, j, ends = prefix_points(pts, fractions)
+    # With no observer every point is visible and the scan sees the whole path.
     observer = designated_observer(scenario) if mask_fov else None
-    if observer is None:
-        seen, seen_seg, counts, end_seen = pts, seg, j, np.ones(len(j), dtype=bool)
-    else:
-        # One call over both sets: a one-row matmul rounds differently.
-        visible = visibility_points(np.concatenate([pts, ends]), observer) > 0.0
-        seen, end_seen = pts[visible[: len(pts)]], visible[len(pts):]
-        seen_seg = _segment_lengths(seen)
-        counts = np.cumsum(visible[: len(pts)])[j - 1]  # visible points in pts[:j]
+    visible = visibility_points(np.concatenate([pts, ends]), observer) > 0.0
+    seen, end_seen = pts[visible[: len(pts)]], visible[len(pts):]
+    seen_seg = _segment_lengths(seen)
+    counts = np.cumsum(visible[: len(pts)])[j - 1]  # visible points in pts[:j]
     prior = model.prior_for(goals)
     posteriors = [dict(prior) for _ in fractions]
     rows = np.flatnonzero(counts + end_seen >= 2)

@@ -67,14 +67,18 @@ def theta_dev_points(points: np.ndarray, observer: ObserverState) -> np.ndarray:
     """Deviation angle in [0, pi] between the observer's gaze and each point.
 
     Points coinciding with the observer position get angle 0 by convention.
-    `points` has shape (..., 2).
+    `points` has shape (..., 2). Every point's gaze product is one row of a
+    single matrix-vector product, padded with a spare row: numpy rounds a
+    one-row product differently, so this keeps a point's angle the same
+    whatever batch it comes in, and the scalar wrappers exact.
     """
     pts = np.asarray(points, dtype=float)
     rel = pts - observer.position.as_array()
     norm = _hypot2(rel[..., 0], rel[..., 1])
     gaze = np.array([math.cos(observer.heading), math.sin(observer.heading)])
     safe = np.where(norm == 0.0, 1.0, norm)
-    cosang = (rel @ gaze) / safe
+    rows = np.concatenate((rel.reshape(-1, 2), gaze[np.newaxis]))  # the last row is the spare
+    cosang = (rows @ gaze)[:-1].reshape(norm.shape) / safe
     angles = np.arccos(np.clip(cosang, -1.0, 1.0))
     return np.where(norm == 0.0, 0.0, angles)
 

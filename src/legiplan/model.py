@@ -180,11 +180,6 @@ class Trajectory:
         object.__setattr__(self, "waypoints", pts)
 
     @property
-    def horizon(self) -> int:
-        """Number of steps w (one less than the waypoint count)."""
-        return self.waypoints.shape[0] - 1
-
-    @property
     def start(self) -> Point2:
         return Point2(float(self.waypoints[0, 0]), float(self.waypoints[0, 1]))
 
@@ -319,7 +314,7 @@ def clearance(p: Point2, obstacles: tuple[Obstacle, ...] | list[Obstacle]) -> fl
 
 def _segment_lengths(pts: np.ndarray) -> np.ndarray:
     """Lengths of the w segments between the (w+1, 2) waypoints."""
-    return _hypot2(*np.diff(pts, axis=0).T)
+    return _hypot2(*(pts[1:] - pts[:-1]).T)  # np.diff's bits, without its overhead
 
 
 def velocity_points(waypoints: np.ndarray, dt: float) -> np.ndarray:

@@ -9,12 +9,10 @@ predictions held fixed.
 An objective returns its cost kernel's term dict (task_cost_batch or
 legibility.legible_cost_batch), and each search keeps the terms of the best
 row it scored. Every reported cost breakdown is one such row, read by
-CostBreakdown.from_terms, so every candidate is scored once per cycle. The
-one exception is legible mode with both lambdas zero: the plan is then the
-target prediction, and the cycle's legible objective scores that one row
-again so the report carries its raw similarity and FOV terms. The per-goal
-predictions run as one batched search over all goals, and the legible
-search's warm-start row is scored with its first iteration.
+CostBreakdown.from_terms, so every candidate is scored once per cycle
+(plan_once states the one exception). The per-goal predictions run as one
+batched search over all goals, and the legible search's warm-start row is
+scored with its first iteration.
 
 Randomness is counter-based: each CEM iteration's population is one block
 of draws from the Philox stream keyed by (seed mod 2^64, iteration << 32),
@@ -153,7 +151,10 @@ class SimulationResult:
     headings: np.ndarray  # heading at each executed waypoint
     controls: np.ndarray  # (n_steps, 2) applied (v, omega)
     reached: bool
-    cycles_used: int
+
+    @property
+    def cycles_used(self) -> int:
+        return len(self.plan_results)
 
 
 # An objective scores a batch of rollouts (n, w+1, 2) and returns its cost
@@ -384,16 +385,15 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
 
     Baseline mode returns the target-goal prediction directly. Legible mode
     runs a second optimization of the combined cost, warm-started from the
-    target prediction's control distribution; when both lambda weights are
-    zero that objective coincides with the task cost, so the target
-    prediction is returned unchanged.
+    target prediction's control distribution. The one exception: with both
+    lambda weights zero that objective coincides with the task cost, so the
+    target prediction is returned unchanged, and the legible objective scores
+    that one row again so the report carries its raw similarity and FOV terms.
 
     The reported breakdown is CostBreakdown.from_terms of the chosen row's
-    terms: as its search scored them, or, in legible mode with both lambdas
-    zero, as the cycle's legible objective scores that row, to report its raw
-    similarity and FOV terms. A prediction search that scored no candidate
-    finitely raises PlannerFailure, and so does a collided chosen row, whose
-    breakdown carries zero similarity and FOV terms.
+    terms. A prediction search that scored no candidate finitely raises
+    PlannerFailure, and so does a collided chosen row, whose breakdown
+    carries zero similarity and FOV terms.
     """
     params = scenario.planner
     robot = scenario.robot
@@ -435,28 +435,24 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
         for goal, res in zip(scenario.goals, results)
     }
 
-    g_star = scenario.target_goal()
-    base = results[scenario.goals.index(g_star)]
-    leg = scenario.legibility
-    legible_active = params.mode == "legible" and (leg.lambda_sim > 0 or leg.lambda_fov > 0)
-    if legible_active:
-        (chosen,) = _cem_optimize(
-            _legible_objective(scenario, predictions),
-            robot,
-            params,
-            noise,
-            base.final_mean[np.newaxis],
-            init_std,
-            warm_controls=base.controls[np.newaxis],
-        )
-    else:
-        chosen = base
-
+    chosen = results[scenario.goals.index(scenario.target_goal())]
     terms = chosen.terms
-    if params.mode == "legible" and not legible_active:
-        # The target prediction was scored by the task cost alone; the report
-        # still shows its raw similarity and FOV terms.
-        terms = _legible_objective(scenario, predictions)(chosen.waypoints[np.newaxis])
+    if params.mode == "legible":
+        objective = _legible_objective(scenario, predictions)
+        leg = scenario.legibility
+        if leg.lambda_sim > 0 or leg.lambda_fov > 0:
+            (chosen,) = _cem_optimize(
+                objective,
+                robot,
+                params,
+                noise,
+                chosen.final_mean[np.newaxis],
+                init_std,
+                warm_controls=chosen.controls[np.newaxis],
+            )
+            terms = chosen.terms
+        else:
+            terms = objective(chosen.waypoints[np.newaxis])
     breakdown = CostBreakdown.from_terms(terms)
     if breakdown.collided:
         raise PlannerFailure(
@@ -486,17 +482,16 @@ def run_closed_loop(scenario: ScenarioSpec) -> SimulationResult:
     controls_log: list[np.ndarray] = []
     plan_results: list[PlanResult] = []
     reached = robot.position.distance_to(g_star.position) <= params.goal_tolerance
-    cycles = 0
 
     state = robot
-    while not reached and cycles < params.max_cycles:
+    while not reached and len(plan_results) < params.max_cycles:
         cycle_scenario = dataclasses.replace(scenario, robot=state)
-        cycle_seed = (scenario.seed + cycles) % _SEED_MODULUS
+        cycle_seed = (scenario.seed + len(plan_results)) % _SEED_MODULUS
         try:
             result = plan_once(cycle_scenario, rng_seed=cycle_seed)
         except PlannerFailure as failure:
             failure.partial = _finish_simulation(
-                plan_results, positions, headings, controls_log, params, False, cycles
+                plan_results, positions, headings, controls_log, params, False
             )
             raise
         plan_results.append(result)
@@ -518,11 +513,8 @@ def run_closed_loop(scenario: ScenarioSpec) -> SimulationResult:
             if state.position.distance_to(g_star.position) <= params.goal_tolerance:
                 reached = True
                 break
-        cycles += 1
 
-    return _finish_simulation(
-        plan_results, positions, headings, controls_log, params, reached, cycles
-    )
+    return _finish_simulation(plan_results, positions, headings, controls_log, params, reached)
 
 
 def _finish_simulation(
@@ -532,7 +524,6 @@ def _finish_simulation(
     controls_log: list[np.ndarray],
     params: PlannerParams,
     reached: bool,
-    cycles: int,
 ) -> SimulationResult:
     if len(positions) == 1:
         # Degenerate run (started at the goal): duplicate the start so the
@@ -549,5 +540,4 @@ def _finish_simulation(
         headings=np.array(headings, dtype=float),
         controls=controls,
         reached=reached,
-        cycles_used=cycles,
     )

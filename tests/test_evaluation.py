@@ -17,7 +17,7 @@ from legiplan import (
     goal_posterior,
     legibility_score,
 )
-from legiplan.evaluation import posterior_batch
+from legiplan.evaluation import DEFAULT_FRACTIONS, posterior_batch
 from legiplan.legibility import designated_observer, visibility_points
 from tests.conftest import make_scenario
 
@@ -493,6 +493,30 @@ class TestBatchMatchesScalarLoop:
         assert all(
             batched[i, k] == float(np.linalg.norm(v[i, k])) for i in range(400) for k in range(5)
         )
+
+
+@pytest.mark.parametrize(
+    "fractions", [DEFAULT_FRACTIONS, (0.6,), tuple((i + 1) / 20 for i in range(20))]
+)
+@pytest.mark.parametrize("full_circle", [False, True])
+def test_mask_that_hides_nothing_gives_the_unmasked_report(fractions, full_circle):
+    # With no observer, or one whose FOV is 360 degrees, every waypoint is
+    # visible, so the masked prefix scan must return the unmasked bits.
+    rng = np.random.default_rng(31 + full_circle)
+    for _ in range(60):
+        world, prior = _random_world(rng, int(rng.integers(1, 8)), rng.uniform() < 0.5)
+        observers = ()
+        if full_circle:
+            observers = (ObserverState(
+                "O", Point2(*rng.uniform(-4, 4, 2)), rng.uniform(-math.pi, math.pi),
+                fov=math.tau, attached_goal="g0",
+            ),)
+        scenario = make_scenario(goals=world.goals, observers=observers, obstacles=())
+        model = PosteriorModel(beta=1.0, prior=prior)
+        traj = Trajectory(_random_path(rng), 0.4)
+        plain = evaluate_trajectory(traj, scenario, model, fractions)
+        masked = evaluate_trajectory(traj, scenario, model, fractions, mask_fov=True)
+        _same_bits(masked, plain.to_dict())
 
 
 def _dragan(length, q, s, goals, model):

@@ -202,7 +202,12 @@ def ref_theta_dev(pts, observer):
     rel = pts - observer.position.as_array()
     norm = np.linalg.norm(rel, axis=-1)
     gaze = np.array([math.cos(observer.heading), math.sin(observer.heading)])
-    cosang = (rel @ gaze) / np.where(norm == 0.0, 1.0, norm)
+    # One matrix-vector product over every point, each listed twice so that
+    # even one point is a two-row product: numpy rounds a one-row product
+    # through its dot routine, which the kernel never uses.
+    flat = rel.reshape(-1, 2)
+    dots = (np.concatenate([flat, flat]) @ gaze)[: len(flat)].reshape(norm.shape)
+    cosang = dots / np.where(norm == 0.0, 1.0, norm)
     return np.where(norm == 0.0, 0.0, np.arccos(np.clip(cosang, -1.0, 1.0)))
 
 
@@ -218,6 +223,23 @@ def test_theta_dev_matches_norm(pts, ox, oy, heading):
     got = theta_dev_points(pts, observer)
     assert got[0, 0] == 0.0
     assert np.array_equal(got, ref_theta_dev(pts, observer))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pts=points_of(st.tuples(st.integers(1, 4), st.integers(1, 8), st.just(2))),
+    other=points_of((2,)),
+    ox=coords, oy=coords,
+    heading=st.floats(-math.pi, math.pi),
+)
+def test_theta_dev_of_a_point_is_independent_of_its_batch(pts, other, ox, oy, heading):
+    # A point's angle has the same bits alone, in a 2-row batch and in any
+    # (k, T, 2) batch, T = 1 included.
+    observer = ObserverState("O", Point2(ox, oy), heading)
+    batch = theta_dev_points(pts, observer)
+    for point, angle in zip(pts.reshape(-1, 2), batch.ravel()):
+        assert theta_dev_points(point, observer) == angle
+        assert theta_dev_points(np.stack([other, point]), observer)[1] == angle
 
 
 def ref_arc_length_prefix(pts: np.ndarray, fraction: float) -> np.ndarray:

@@ -476,7 +476,33 @@ def test_theta_dev_points_batch_matches_scalar():
     pts = rng.uniform(-4, 4, size=(50, 2))
     batch = theta_dev_points(pts, obs)
     for p, angle in zip(pts, batch):
-        assert theta_dev(Point2(*p), obs) == pytest.approx(float(angle), abs=1e-12)
+        assert theta_dev(Point2(*p), obs) == angle
+
+
+def test_scalar_observer_apis_equal_the_batch_bit_for_bit():
+    # 4,000 points, 40 per observer aimed within 4 ulps of heading +/- fov/2.
+    rng = np.random.default_rng(12)
+    near_edge = []
+    for _ in range(40):
+        obs = ObserverState(
+            "O", Point2(*rng.uniform(-3, 3, 2)), rng.uniform(-math.pi, math.pi),
+            fov=rng.uniform(0.2, 5.5),  # arccos is ill-conditioned near pi
+        )
+        aim = obs.heading + rng.choice([-1.0, 1.0], 40) * (obs.fov / 2.0)
+        aim = aim + rng.integers(-4, 5, 40) * np.spacing(aim)
+        edge = obs.position.as_array() + rng.uniform(0.1, 5.0, (40, 1)) * np.stack(
+            [np.cos(aim), np.sin(aim)], axis=1
+        )
+        pts = np.concatenate([rng.uniform(-6, 6, (60, 2)), edge])
+        angles = theta_dev_points(pts, obs)
+        visible = visibility_points(pts, obs)
+        assert np.all(np.abs(angles[60:] - obs.fov / 2.0) < 1e-12)
+        for p, angle, seen in zip(pts, angles, visible):
+            assert theta_dev(Point2(*p), obs) == angle
+            assert visibility(Point2(*p), obs) == bool(seen)
+        near_edge.extend(visible[60:])
+    # The boundary points fall on both sides of it.
+    assert 0 < sum(near_edge) < len(near_edge)
 
 
 def test_fov_and_visibility_batch_match_scalar():

@@ -524,6 +524,37 @@ class TestClosedLoop:
         assert sim.reached and sim.cycles_used == 0
         assert sim.executed.waypoints.shape[0] == 2
 
+    @pytest.mark.parametrize("case", ["reached", "budget", "at_goal", "failure"])
+    def test_cycles_used_counts_the_plans(self, monkeypatch, case):
+        scenario = make_scenario()
+        if case == "budget":
+            scenario = make_scenario(planner=dataclasses.replace(scenario.planner, max_cycles=3))
+        if case == "at_goal":
+            scenario = make_scenario(
+                goals=(Goal("G", Point2(0.05, 0.0), is_target=True),), observers=(), obstacles=()
+            )
+        if case == "failure":
+            real_plan_once, calls = planner_module.plan_once, []
+
+            def plan_once_failing_third(cycle_scenario, rng_seed=None):
+                calls.append(rng_seed)
+                if len(calls) == 3:
+                    raise PlannerFailure("third cycle fails")
+                return real_plan_once(cycle_scenario, rng_seed=rng_seed)
+
+            monkeypatch.setattr(planner_module, "plan_once", plan_once_failing_third)
+            with pytest.raises(PlannerFailure) as failure:
+                run_closed_loop(scenario)
+            sim = failure.value.partial
+        else:
+            sim = run_closed_loop(scenario)
+        assert sim.reached == (case in ("reached", "at_goal"))
+        assert sim.cycles_used == len(sim.plan_results)
+        if case == "reached":
+            assert sim.cycles_used > 3
+        else:
+            assert sim.cycles_used == {"budget": 3, "at_goal": 0, "failure": 2}[case]
+
     def test_per_cycle_reseeding_matches_manual_plans(self):
         # The first cycle's plan must equal plan_once with seed + 0.
         scenario = make_scenario()
