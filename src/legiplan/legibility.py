@@ -118,14 +118,15 @@ def h_weight(q: Point2, g_star: Point2, g: Point2, h_max: float = 3.0) -> float:
 def h_weight_points(
     points: np.ndarray, g_star_xy: np.ndarray, g_xy: np.ndarray, h_max: float
 ) -> np.ndarray:
+    """h_weight of points (..., 2) against goals ``g_xy`` (..., 2), shapes broadcast."""
     pts = np.asarray(points, dtype=float)
-    if bool(np.all(g_star_xy == g_xy)):
-        return np.ones(pts.shape[:-1], dtype=float)
     x, y = pts[..., 0], pts[..., 1]
+    gx, gy = g_xy[..., 0], g_xy[..., 1]
     d_star = _hypot2(x - g_star_xy[0], y - g_star_xy[1])
-    d_g = _hypot2(x - g_xy[0], y - g_xy[1])
+    d_g = _hypot2(x - gx, y - gy)
     ratio = np.where(d_g == 0.0, h_max, d_star / np.where(d_g == 0.0, 1.0, d_g))
-    return np.minimum(ratio, h_max)
+    on_target = (gx == g_star_xy[0]) & (gy == g_star_xy[1])
+    return np.where(on_target, 1.0, np.minimum(ratio, h_max))
 
 
 def masked_cosines(
@@ -165,10 +166,8 @@ def weighted_similarity_batch(
     cos = masked_cosines(
         cand_velocities[np.newaxis], pred_velocities[:, np.newaxis], params.eps_v
     )  # (G, n, T)
-    return np.stack([
-        np.sum(visible * h_weight_points(cand_waypoints, g_star_xy, g_xy, params.h_max) * c, axis=-1)
-        for g_xy, c in zip(goals_xy, cos)
-    ])
+    h = h_weight_points(cand_waypoints, g_star_xy, goals_xy[:, np.newaxis, np.newaxis], params.h_max)
+    return np.sum(visible * h * cos, axis=-1)
 
 
 def _check_comparable(candidate: Trajectory, predicted: Trajectory) -> None:
@@ -230,13 +229,12 @@ def _signed_similarity(
     goal's prediction summed in goals order, the target's negated."""
     g_star_xy = next(g for g in goals if g.is_target).position.as_array()
     goals_xy = np.array([goal.position.as_array() for goal in goals])
+    signs = np.array([-1.0 if goal.is_target else 1.0 for goal in goals])
     sims = weighted_similarity_batch(
         cand_waypoints, cand_velocities, pred_velocities, goals_xy, g_star_xy, visible, params,
     )
-    total = np.zeros(cand_waypoints.shape[0], dtype=float)
-    for goal, sim in zip(goals, sims):
-        total += -sim if goal.is_target else sim
-    return total
+    # Summed in goals order from +0.0, so a -0.0 first term still gives +0.0.
+    return np.add.reduce(signs[:, np.newaxis] * sims, axis=0, initial=0.0)
 
 
 def sim_cost(

@@ -12,7 +12,8 @@ row it scored. Every reported cost breakdown is one such row, read by
 CostBreakdown.from_terms, so every candidate is scored once per cycle
 (plan_once states the one exception). The per-goal predictions run as one
 batched search over all goals, and the legible search's warm-start row is
-scored with its first iteration.
+scored with its first iteration. Each CEM iteration selects and refits
+all searches of a batch in one array pass over the search axis.
 
 Randomness is counter-based: each CEM iteration's population is one block
 of draws from the Philox stream keyed by (seed mod 2^64, iteration << 32),
@@ -34,7 +35,7 @@ from .legibility import (
     # unused here; kept only for the benchmark tracer
     fov_cost_batch, legibility_aware_cost, weighted_similarity_batch,
 )
-from .model import Point2, RobotState, ScenarioSpec, Trajectory, velocities, wrap_angle
+from .model import Point2, RobotState, ScenarioSpec, Trajectory, velocity_points, wrap_angle
 from .task_cost import (
     CostBreakdown, task_cost_batch,
     task_cost,  # unused here; kept only for the benchmark tracer
@@ -287,8 +288,9 @@ def _cem_optimize(
     (population, horizon, 2) array per iteration, as drawn by
     ``_draw_noise``, and every search samples it. Each iteration clips, rolls
     out and scores all G * population candidates in one call each, so
-    ``objective`` must score row r for search r // population; selection and
-    refit run per search. Each search tracks the best candidate it ever
+    ``objective`` must score row r for search r // population. Selection and
+    refit are array operations over the search axis, with the bits of one
+    search run on its own. Each search tracks the best candidate it ever
     scored and keeps that row of the objective's term dict, so the caller
     can report it without scoring the sequence again. Warm-start sequences
     (G, w, 2), when given, ride along in iteration 0's rollout and objective
@@ -297,13 +299,13 @@ def _cem_optimize(
     """
     g, w, _ = init_mean.shape
     n = params.cem_population
-    mean = init_mean.copy()
-    std = np.broadcast_to(init_std, init_mean.shape).copy()
-    best_cost = np.full(g, math.inf)
-    best_controls = np.zeros((g, w, 2), dtype=float)
-    best_waypoints = np.zeros((g, w + 1, 2), dtype=float)
-    best_terms: list[dict[str, np.ndarray] | None] = [None] * g
-    history: list[list[float]] = [[] for _ in range(g)]
+    first_rows = np.arange(g) * n  # each search's first row in a population
+    mean, std = init_mean, np.broadcast_to(init_std, init_mean.shape)
+    # Each iteration's (controls, waypoints, terms), then a zero placeholder
+    # (best_at -1): search i's best so far is row best_row[i] of scored[best_at[i]].
+    scored = []
+    best_cost, best_at, best_row = np.full(g, math.inf), np.full(g, -1), np.zeros(g, dtype=np.intp)
+    history = np.empty((g, len(noise)))
     for k, z in enumerate(noise):
         raw = (mean[:, np.newaxis] + std[:, np.newaxis] * z[np.newaxis]).reshape(g * n, w, 2)
         controls = _clip_controls(raw, state, params.dt)
@@ -312,41 +314,35 @@ def _cem_optimize(
             controls = np.concatenate([controls, warm_controls])
         waypoints = _rollout_batch(state, controls, params.dt)
         terms = _score_chunked(objective, waypoints)
+        scored.append((controls, waypoints, terms))
         if warm:
             best_cost = terms["total"][g * n:].copy()
-            best_controls = warm_controls.copy()
-            best_waypoints = waypoints[g * n:].copy()
-            best_terms = [_terms_row(terms, g * n + i) for i in range(g)]
+            best_at[:], best_row = 0, g * n + np.arange(g)
         costs = terms["total"][: g * n].reshape(g, n)
-        controls = controls[: g * n].reshape(g, n, w, 2)
-        waypoints = waypoints[: g * n].reshape(g, n, w + 1, 2)
-        for i in range(g):
-            idx = int(np.argmin(costs[i]))
-            if costs[i, idx] < best_cost[i]:
-                best_cost[i] = costs[i, idx]
-                best_controls[i] = controls[i, idx]
-                best_waypoints[i] = waypoints[i, idx]
-                best_terms[i] = _terms_row(terms, i * n + idx)
-            elites = controls[i, np.argsort(costs[i], kind="stable")[: params.cem_elites]]
-            elite_mean = elites.mean(axis=0)
-            # elites.std(axis=0) without computing the mean a second time;
-            # numpy's std takes exactly these steps, so the bits are the same.
-            elite_std = np.sqrt(np.square(elites - elite_mean).mean(axis=0))
-            mean[i] = elite_mean
-            std[i] = np.maximum(elite_std, _STD_FLOOR)
-            history[i].append(float(best_cost[i]))
-    return [
-        _CEMResult(
-            best_controls[i], best_waypoints[i], float(best_cost[i]), mean[i], history[i],
-            best_terms[i],
-        )
-        for i in range(g)
-    ]
-
-
-def _terms_row(terms: dict[str, np.ndarray], row: int) -> dict[str, np.ndarray]:
-    """One row of a term dict, each array kept as shape (1,)."""
-    return {name: values[row:row + 1] for name, values in terms.items()}
+        # argmin picks a NaN row if any, and NaN < best is False.
+        rows = first_rows + np.argmin(costs, axis=1)  # flat: numpy's fast index path
+        row_cost = terms["total"][rows]
+        improved = row_cost < best_cost
+        np.copyto(best_cost, row_cost, where=improved)
+        np.copyto(best_at, k, where=improved)
+        np.copyto(best_row, rows, where=improved)
+        order = np.argsort(costs, axis=1, kind="stable")[:, : params.cem_elites]
+        elites = controls[first_rows[:, np.newaxis] + order]  # (G, cem_elites, w, 2)
+        # elites.mean(axis=1) and .std(axis=1) by numpy's own steps (a sum, then
+        # a division by the count): the same bits, with less per-call overhead.
+        mean = np.add.reduce(elites, axis=1) / params.cem_elites
+        var = np.add.reduce(np.square(elites - mean[:, np.newaxis]), axis=1) / params.cem_elites
+        std = np.maximum(np.sqrt(var), _STD_FLOOR)
+        history[:, k] = best_cost
+    scored.append((np.zeros((1, w, 2)), np.zeros((1, w + 1, 2)), None))
+    results = []
+    for i, (k, r) in enumerate(zip(best_at, best_row)):
+        controls, waypoints, terms = scored[k]
+        results.append(_CEMResult(
+            controls[r].copy(), waypoints[r].copy(), float(best_cost[i]), mean[i], history[i].tolist(),
+            None if terms is None else {name: values[r:r + 1] for name, values in terms.items()},
+        ))
+    return results
 
 
 def _task_objective(scenario: ScenarioSpec, goal_xy: np.ndarray) -> Objective:
@@ -367,7 +363,9 @@ def _task_objective(scenario: ScenarioSpec, goal_xy: np.ndarray) -> Objective:
 
 def _legible_objective(scenario: ScenarioSpec, predictions: PredictedPathSet) -> Objective:
     """Combined objective with the predicted paths held fixed."""
-    pred_velocities = np.stack([velocities(predictions[goal.id]) for goal in scenario.goals])
+    pred_velocities = velocity_points(
+        np.stack([predictions[goal.id].waypoints for goal in scenario.goals]), scenario.planner.dt
+    )
     observer = designated_observer(scenario)
 
     def objective(waypoints: np.ndarray) -> dict[str, np.ndarray]:

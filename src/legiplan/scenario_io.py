@@ -448,11 +448,12 @@ def write_trajectory_csv(path: str, rows: list[tuple]) -> None:
 
 
 def _is_log_row(line: str) -> bool:
-    """Whether a CSV line holds one number per column of CSV_COLUMNS."""
+    """Whether a CSV line holds one finite number per column of CSV_COLUMNS."""
     try:
-        return len([float(cell) for cell in line.split(",")]) == len(CSV_COLUMNS)
+        cells = [float(cell) for cell in line.split(",")]
     except ValueError:
         return False
+    return len(cells) == len(CSV_COLUMNS) and all(map(math.isfinite, cells))
 
 
 def read_trajectory_csv(data: str | bytes) -> tuple[Trajectory, dict[str, np.ndarray]]:
@@ -467,7 +468,9 @@ def read_trajectory_csv(data: str | bytes) -> tuple[Trajectory, dict[str, np.nda
         values = np.array(
             [[float(cell) for cell in line.split(",")] for line in rows], dtype=float
         )
-    except ValueError:  # a ragged row or a non-numeric cell
+        if not np.isfinite(values).all():
+            raise ValueError
+    except ValueError:  # a ragged row, or a non-numeric or non-finite cell
         number = next(n for n, line in enumerate(rows, 1) if not _is_log_row(line))
         raise ValueError(
             f"trajectory CSV data row {number} must hold {len(CSV_COLUMNS)} numbers"

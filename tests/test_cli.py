@@ -231,6 +231,21 @@ def test_evaluate_at_overflowing_beta(tmp_path, capsys):
     assert reports[0]["correctness"] == [1.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_evaluate_rejects_a_non_finite_time(tmp_path, capsys, t):
+    log = tmp_path / "bad_time.csv"
+    log.write_text(
+        "t,x,y,heading,v,omega,clearance\n0,0,0,0,0,0,1\n0.4,1,0,0,0,0,1\n"
+        f"{t},2,0,0,0,0,1\n"
+    )
+    code = cli_main(["evaluate", "--scenario", FIG1, "--trajectory", str(log)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "validation", "path": "", "rule": "trajectory CSV data row 3 must hold 7 numbers",
+    }
+
+
 def test_compare_reports_both_modes(fast_scenario, tmp_path, capsys):
     svg = tmp_path / "compare.svg"
     code = cli_main([

@@ -23,6 +23,7 @@ from legiplan import (
     weighted_similarity,
 )
 from legiplan.legibility import (
+    _signed_similarity,
     fov_cost_batch,
     h_weight_points,
     masked_cosines,
@@ -30,6 +31,7 @@ from legiplan.legibility import (
     visibility_points,
     weighted_similarity_batch,
 )
+from legiplan.model import _hypot2, velocity_points
 from legiplan.task_cost import COLLISION_COST
 from tests.conftest import make_robot, random_trajectory
 from tests.test_task_cost import UNIT_WEIGHTS
@@ -195,6 +197,59 @@ def test_similarity_batch_matches_one_goal_at_a_time(observer):
         assert np.array_equal(batch[g], reference_similarity(
             cand_wp, cand_vel, pred_vel[g], goals_xy[g], g_star_xy, observer, PARAMS
         ))
+
+
+def reference_h(points, g_star_xy, g_xy, h_max):
+    """h for one goal as it was computed goal by goal: exactly 1 when the goal
+    is the target's position, the clamped distance ratio otherwise."""
+    if np.array_equal(g_star_xy, g_xy):
+        return np.ones(points.shape[:-1])
+    x, y = points[..., 0], points[..., 1]
+    d_star = _hypot2(x - g_star_xy[0], y - g_star_xy[1])
+    d_g = _hypot2(x - g_xy[0], y - g_xy[1])
+    ratio = np.where(d_g == 0.0, h_max, d_star / np.where(d_g == 0.0, 1.0, d_g))
+    return np.minimum(ratio, h_max)
+
+
+@pytest.mark.parametrize("goal_count", [1, 2, 3])
+def test_similarity_kernels_equal_a_per_goal_loop_bit_for_bit(goal_count):
+    # The batched kernels against one goal at a time, summed in goals order
+    # from +0.0. The lone target of G = 1 negates the all-zero sums of
+    # stationary rows, which must still come out +0.0.
+    target_xy, other_xy = np.array([3.0, 1.0]), np.array([3.0, -1.5])
+    target = Goal("T", Point2(*target_xy), is_target=True)
+    other = Goal("A", Point2(*other_xy))
+    on_target = Goal("D", Point2(*target_xy))  # not the target, but h = 1 everywhere
+    goals = {1: [target], 2: [other, target], 3: [on_target, target, other]}[goal_count]
+    goals_xy = np.array([goal.position.as_array() for goal in goals])
+    rng = np.random.default_rng(goal_count)
+    cand_wp = np.cumsum(rng.normal(scale=0.4, size=(30, 9, 2)), axis=1)
+    cand_wp[:4] = cand_wp[:4, :1]  # stationary rows: every cosine masked
+    cand_wp[5, 3] = other_xy  # on an unintended goal: h = h_max
+    cand_wp[6, 4] = target_xy
+    assert reference_h(cand_wp, target_xy, other_xy, PARAMS.h_max)[5, 3] == PARAMS.h_max
+    cand_vel = velocity_points(cand_wp, 0.4)
+    pred_vel = rng.normal(size=(goal_count, 9, 2))
+    visible = visibility_points(cand_wp, ObserverState("O", Point2(-1, 0), heading=0.3))
+    assert 0 < visible.sum() < visible.size
+    expected = [
+        np.sum(
+            visible * reference_h(cand_wp, target_xy, g_xy, PARAMS.h_max)
+            * masked_cosines(cand_vel, pred, PARAMS.eps_v),
+            axis=-1,
+        )
+        for g_xy, pred in zip(goals_xy, pred_vel)
+    ]
+    expected_signed = np.zeros(30)
+    for goal, sim in zip(goals, expected):
+        expected_signed += -sim if goal.is_target else sim
+    batch = weighted_similarity_batch(
+        cand_wp, cand_vel, pred_vel, goals_xy, target_xy, visible, PARAMS
+    )
+    signed = _signed_similarity(cand_wp, cand_vel, pred_vel, goals, visible, PARAMS)
+    for got, want in [*zip(batch, expected), (signed, expected_signed)]:
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_masked_cosines_bounds():

@@ -25,7 +25,7 @@ from legiplan import (
     rollout,
     run_closed_loop,
 )
-from legiplan.model import clearance_points
+from legiplan.model import clearance_points, wrap_angle
 from legiplan.planner import (
     _cem_optimize,
     _clip_controls,
@@ -311,6 +311,50 @@ class TestCEM:
             unusable, scenario.robot, scenario.planner, noise, init_mean[:1], init_std
         )
         assert res.terms is None and res.cost == math.inf
+
+
+def _staged_objective(kind: str, goal_xy: np.ndarray):
+    """One search's objective, scored on that search's own rows, so it gives
+    the same costs in a batched run and in a run of its own. "nan": its
+    second call scores row 5 NaN. "ties": every row but the three ending
+    farthest ahead costs COLLISION_COST, and on the first call every row."""
+    calls = []
+
+    def objective(waypoints):
+        total = np.linalg.norm(waypoints[:, -1] - goal_xy, axis=1)
+        if kind == "nan" and len(calls) == 1:
+            total[5] = math.nan
+        if kind == "ties":
+            behind = np.argsort(-waypoints[:, -1, 0], kind="stable")[3 if calls else 0:]
+            total[behind] = COLLISION_COST
+        calls.append(kind)
+        return {"total": total, "collided": total == COLLISION_COST}
+
+    return objective
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63 + 1])
+def test_batched_refit_with_nan_and_tied_rows_matches_one_search_per_goal(seed):
+    scenario, goals_xy, noise, init_mean, init_std = TestCEM._setup(seed)
+    robot, params = scenario.robot, scenario.planner
+    n = params.cem_population
+    kinds = ("nan", "ties", "plain")
+    searches = [_staged_objective(kind, xy) for kind, xy in zip(kinds, goals_xy)]
+
+    def batched(waypoints):
+        parts = [search(waypoints[i * n:(i + 1) * n]) for i, search in enumerate(searches)]
+        return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+
+    results = _cem_optimize(batched, robot, params, noise, init_mean, init_std)
+    for i, (kind, res) in enumerate(zip(kinds, results)):
+        TestCEM._assert_matches(res, reference_cem(
+            _staged_objective(kind, goals_xy[i]), robot, params, noise, init_mean[i], init_std,
+        ))
+        assert res.terms["total"][0] == res.cost
+    # The NaN row is argmin's pick, so that iteration improves nothing.
+    nan_history = results[0].best_cost_history
+    assert nan_history[1] == nan_history[0]
+    assert results[1].best_cost_history[0] == COLLISION_COST
 
 
 class TestPlanOnce:
@@ -667,6 +711,51 @@ def test_closed_loop_is_translation_equivariant(name, mode):
     assert there.reached == here.reached
     error = np.abs(there.executed.waypoints - (here.executed.waypoints + [10.0, -5.0]))
     assert float(error.max()) <= 1e-9
+
+
+def _rotated(spec):
+    """The same scene turned a quarter turn counterclockwise about the origin:
+    robot, goals, observers and obstacles, with every heading."""
+
+    def turn(p: Point2) -> Point2:
+        return Point2(-p.y, p.x)
+
+    def turn_obstacle(obs):
+        if isinstance(obs, CircleObstacle):
+            return dataclasses.replace(obs, center=turn(obs.center))
+        return dataclasses.replace(
+            obs, min=Point2(-obs.max.y, obs.min.x), max=Point2(-obs.min.y, obs.max.x)
+        )
+
+    return dataclasses.replace(
+        spec,
+        robot=dataclasses.replace(
+            spec.robot, position=turn(spec.robot.position),
+            heading=wrap_angle(spec.robot.heading + math.pi / 2),
+        ),
+        goals=tuple(dataclasses.replace(g, position=turn(g.position)) for g in spec.goals),
+        observers=tuple(
+            dataclasses.replace(
+                o, position=turn(o.position), heading=wrap_angle(o.heading + math.pi / 2)
+            )
+            for o in spec.observers
+        ),
+        obstacles=tuple(turn_obstacle(obs) for obs in spec.obstacles),
+    )
+
+
+@pytest.mark.parametrize("mode", ["baseline", "legible"])
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_plan_is_rotation_equivariant(name, mode):
+    # Turning the whole scene turns the planned path and nothing else; only
+    # the rounding of the turned headings may differ.
+    spec = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    spec = dataclasses.replace(spec, planner=dataclasses.replace(spec.planner, mode=mode))
+    turned = _rotated(spec)
+    for seed in range(10):
+        here = plan_once(spec, rng_seed=seed).trajectory.waypoints
+        there = plan_once(turned, rng_seed=seed).trajectory.waypoints
+        assert np.allclose(there, np.stack([-here[:, 1], here[:, 0]], axis=1), rtol=0, atol=1e-9)
 
 
 FIG4_SCENES = ("fig4_fov_sweep_left", "fig4_fov_sweep_center", "fig4_fov_sweep_right")

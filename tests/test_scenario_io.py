@@ -461,6 +461,22 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match=r"^trajectory CSV data row 3 must hold 7 numbers$"):
             read_trajectory_csv(text)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", range(7))
+    def test_non_finite_cell_is_named(self, column, value):
+        # A non-finite t used to pass the time check (nan <= 0 is False), and
+        # heading, v, omega and clearance were never checked at all.
+        cells = ["0.8", "2", "0", "0", "0", "0", "1"]
+        cells[column] = value
+        text = (
+            "t,x,y,heading,v,omega,clearance\n"
+            "0.0,0,0,0,0,0,1\n"
+            "0.4,1,0,0,0,0,1\n"
+            f"{','.join(cells)}\n"
+        )
+        with pytest.raises(ValueError, match=r"^trajectory CSV data row 3 must hold 7 numbers$"):
+            read_trajectory_csv(text)
+
     def test_rejects_non_monotone_time(self):
         text = (
             "t,x,y,heading,v,omega,clearance\n"
