@@ -5,12 +5,16 @@ h(q), the weighted velocity-cosine similarity between a candidate and the
 per-goal predicted paths, the field-of-view cost, and the combined
 legibility-aware objective that adds both terms to the task cost. One batch
 kernel, legible_cost_batch, scores both the planner's search and the
-reported CostBreakdown, so the two agree by construction.
+reported CostBreakdown, so the two agree by construction; legible_objective
+is that kernel with its per-cycle constants built once. The kernels work on
+contiguous x and y coordinate planes, and each public (..., 2) function
+splits its input into planes and calls the kernel.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .model import (
     ScenarioSpec,
     Trajectory,
     _hypot2,
+    _planes,
     velocities,
     velocity_points,
 )
@@ -67,20 +72,39 @@ def theta_dev_points(points: np.ndarray, observer: ObserverState) -> np.ndarray:
     """Deviation angle in [0, pi] between the observer's gaze and each point.
 
     Points coinciding with the observer position get angle 0 by convention.
-    `points` has shape (..., 2). Every point's gaze product is one row of a
-    single matrix-vector product, padded with a spare row: numpy rounds a
-    one-row product differently, so this keeps a point's angle the same
-    whatever batch it comes in, and the scalar wrappers exact.
+    `points` has shape (..., 2).
     """
-    pts = np.asarray(points, dtype=float)
-    rel = pts - observer.position.as_array()
-    norm = _hypot2(rel[..., 0], rel[..., 1])
-    gaze = np.array([math.cos(observer.heading), math.sin(observer.heading)])
-    safe = np.where(norm == 0.0, 1.0, norm)
-    rows = np.concatenate((rel.reshape(-1, 2), gaze[np.newaxis]))  # the last row is the spare
+    position, gaze, _ = _observer_view(observer)
+    rel = np.asarray(points, dtype=float) - position
+    return _deviation_angles(rel.transpose(-1, *range(rel.ndim - 1)), gaze)
+
+
+def _deviation_angles(rel: np.ndarray, gaze: np.ndarray) -> np.ndarray:
+    """theta_dev_points of points given as planes (2, ...) relative to the
+    observer, whose unit gaze vector is ``gaze``; the planes may be views.
+
+    Every gaze product is one row of a single matrix-vector product over
+    C-ordered interleaved rows plus a spare row: numpy rounds a one-row
+    product, or rows in another layout, differently. So a point's angle is
+    the same whatever batch it comes in, and the scalar wrappers are exact.
+    """
+    norm = _hypot2(*rel)
+    at_observer = norm == 0.0
+    safe = np.where(at_observer, 1.0, norm)
+    rows = np.empty((norm.size + 1, 2))
+    rows[:-1], rows[-1] = rel.reshape(2, -1).T, gaze  # the last row is the spare
     cosang = (rows @ gaze)[:-1].reshape(norm.shape) / safe
     angles = np.arccos(np.clip(cosang, -1.0, 1.0))
-    return np.where(norm == 0.0, 0.0, angles)
+    return np.where(at_observer, 0.0, angles)
+
+
+def _observer_view(observer: ObserverState | None) -> tuple:
+    """An observer's position and unit gaze vector, both (2,), and half FOV;
+    three Nones with no observer."""
+    if observer is None:
+        return None, None, None
+    gaze = np.array([math.cos(observer.heading), math.sin(observer.heading)])
+    return observer.position.as_array(), gaze, observer.fov / 2.0
 
 
 def theta_dev(q: Point2, observer: ObserverState) -> float:
@@ -119,33 +143,90 @@ def h_weight_points(
     points: np.ndarray, g_star_xy: np.ndarray, g_xy: np.ndarray, h_max: float
 ) -> np.ndarray:
     """h_weight of points (..., 2) against goals ``g_xy`` (..., 2), shapes broadcast."""
-    pts = np.asarray(points, dtype=float)
-    x, y = pts[..., 0], pts[..., 1]
-    gx, gy = g_xy[..., 0], g_xy[..., 1]
-    d_star = _hypot2(x - g_star_xy[0], y - g_star_xy[1])
-    d_g = _hypot2(x - gx, y - gy)
-    ratio = np.where(d_g == 0.0, h_max, d_star / np.where(d_g == 0.0, 1.0, d_g))
-    on_target = (gx == g_star_xy[0]) & (gy == g_star_xy[1])
+    p, g = _planes(points), _planes(g_xy)
+    d_star = _hypot2(p[0] - g_star_xy[0], p[1] - g_star_xy[1])
+    return _h_weights(p, d_star, g, (g[0] == g_star_xy[0]) & (g[1] == g_star_xy[1]), h_max)
+
+
+def _h_weights(p, d_star, goals, on_target, h_max: float) -> np.ndarray:
+    """h_weight_points on planes (2, ...) of points and goals, given the points'
+    target distances and the mask of goals on the target, where h is 1."""
+    d_g = _hypot2(p[0] - goals[0], p[1] - goals[1])
+    on_goal = d_g == 0.0
+    ratio = np.where(on_goal, h_max, d_star / np.where(on_goal, 1.0, d_g))
     return np.where(on_target, 1.0, np.minimum(ratio, h_max))
 
 
-def masked_cosines(
-    vel_a: np.ndarray, vel_b: np.ndarray, eps_v: float
-) -> np.ndarray:
+def masked_cosines(vel_a: np.ndarray, vel_b: np.ndarray, eps_v: float) -> np.ndarray:
     """Per-step cosine between two velocity arrays; near-zero speeds give 0.
 
     Broadcasts over leading batch dimensions; last two axes are (T, 2).
     """
-    ax, ay = vel_a[..., 0], vel_a[..., 1]
-    bx, by = vel_b[..., 0], vel_b[..., 1]
-    na = _hypot2(ax, ay)
-    nb = _hypot2(bx, by)
-    usable = (na >= eps_v) & (nb >= eps_v)
-    denom = np.where(usable, na * nb, 1.0)
+    a, b = _planes(vel_a), _planes(vel_b)
+    return _masked_cosines(a, _hypot2(*a), b, _hypot2(*b), eps_v)
+
+
+def _masked_cosines(a, speed_a, b, speed_b, eps_v: float) -> np.ndarray:
+    """masked_cosines on velocity planes (2, ...), given their speeds."""
+    usable = (speed_a >= eps_v) & (speed_b >= eps_v)
+    denom = np.where(usable, speed_a * speed_b, 1.0)
     # The value of np.sum(vel_a * vel_b, axis=-1), except that two -0.0
     # products give -0.0 where that sum gave +0.0; callers' sums erase it.
-    cos = (ax * bx + ay * by) / denom
+    cos = (a[0] * b[0] + a[1] * b[1]) / denom
     return np.where(usable, cos, 0.0)
+
+
+class _LegibleCycle(NamedTuple):
+    """The legible objective's per-cycle constants, as planes in goals order.
+
+    The target's position (2,); the goals' (2, G, 1, 1), the mask (G, 1, 1)
+    of goals on the target's position, and the similarity cost's signs
+    (G, 1), -1 for the target (None from bare positions); the predicted
+    velocities (2, G, 1, T) and their speeds (G, 1, T); _observer_view's
+    observer. A NamedTuple, since a frozen dataclass adds ~0.8 ms to the
+    module's import.
+    """
+
+    target_xy: np.ndarray
+    goals: np.ndarray
+    on_target: np.ndarray
+    signs: np.ndarray | None
+    pred_vel: np.ndarray
+    pred_speeds: np.ndarray
+    observer: tuple
+
+    @classmethod
+    def of(cls, pred_velocities, goals_xy, target_xy, signs=None, observer=None):
+        goals = _planes(goals_xy)[:, :, np.newaxis, np.newaxis]
+        vel = _planes(pred_velocities)[:, :, np.newaxis]
+        on_target = (goals[0] == target_xy[0]) & (goals[1] == target_xy[1])
+        return cls(target_xy, goals, on_target, signs, vel, _hypot2(*vel), _observer_view(observer))
+
+    @classmethod
+    def of_goals(cls, pred_velocities, goals, observer=None):
+        target_xy = next(g for g in goals if g.is_target).position.as_array()
+        signs = np.array([[-1.0 if goal.is_target else 1.0] for goal in goals])
+        goals_xy = np.array([goal.position.as_array() for goal in goals])
+        return cls.of(pred_velocities, goals_xy, target_xy, signs, observer)
+
+    def similarities(self, p, vel, speeds, d_star, visible, params) -> np.ndarray:
+        """Similarity (G, n) to each goal's prediction of a batch given as
+        _candidate_planes, with its visibility mask (n, T)."""
+        cos = _masked_cosines(vel, speeds, self.pred_vel, self.pred_speeds, params.eps_v)
+        h = _h_weights(p, d_star, self.goals, self.on_target, params.h_max)  # (G, n, T)
+        return np.add.reduce(visible * h * cos, axis=-1)
+
+    def signed_similarity(self, *args) -> np.ndarray:
+        """Similarity cost (n,): similarities(*args) summed in goals order from
+        +0.0 (so a lone -0.0 still gives +0.0), the target's negated."""
+        return np.add.reduce(self.signs * self.similarities(*args), axis=0, initial=0.0)
+
+
+def _candidate_planes(waypoints: np.ndarray, velocities: np.ndarray, target_xy: np.ndarray):
+    """The planes (2, n, T) of a batch and of its velocities, then its speeds
+    and target distances (n, T)."""
+    p, vel = _planes(waypoints), _planes(velocities)
+    return p, vel, _hypot2(*vel), _hypot2(p[0] - target_xy[0], p[1] - target_xy[1])
 
 
 def weighted_similarity_batch(
@@ -163,11 +244,9 @@ def weighted_similarity_batch(
     cand_* have shape (n, T, 2), pred_velocities (G, T, 2), goals_xy (G, 2)
     and the visibility mask ``visible`` (n, T); returns shape (G, n).
     """
-    cos = masked_cosines(
-        cand_velocities[np.newaxis], pred_velocities[:, np.newaxis], params.eps_v
-    )  # (G, n, T)
-    h = h_weight_points(cand_waypoints, g_star_xy, goals_xy[:, np.newaxis, np.newaxis], params.h_max)
-    return np.sum(visible * h * cos, axis=-1)
+    return _LegibleCycle.of(pred_velocities, goals_xy, g_star_xy).similarities(
+        *_candidate_planes(cand_waypoints, cand_velocities, g_star_xy), visible, params
+    )
 
 
 def _check_comparable(candidate: Trajectory, predicted: Trajectory) -> None:
@@ -227,14 +306,10 @@ def _signed_similarity(
 ) -> np.ndarray:
     """Similarity cost of a batch (n, T, 2), shape (n,): the similarity to each
     goal's prediction summed in goals order, the target's negated."""
-    g_star_xy = next(g for g in goals if g.is_target).position.as_array()
-    goals_xy = np.array([goal.position.as_array() for goal in goals])
-    signs = np.array([-1.0 if goal.is_target else 1.0 for goal in goals])
-    sims = weighted_similarity_batch(
-        cand_waypoints, cand_velocities, pred_velocities, goals_xy, g_star_xy, visible, params,
+    cycle = _LegibleCycle.of_goals(pred_velocities, goals)
+    return cycle.signed_similarity(
+        *_candidate_planes(cand_waypoints, cand_velocities, cycle.target_xy), visible, params
     )
-    # Summed in goals order from +0.0, so a -0.0 first term still gives +0.0.
-    return np.add.reduce(signs[:, np.newaxis] * sims, axis=0, initial=0.0)
 
 
 def sim_cost(
@@ -253,16 +328,14 @@ def sim_cost(
     return float(_signed_similarity(waypoints, vel, pred_velocities, goals, visible, params)[0])
 
 
-def _observer_terms(
-    cand_waypoints: np.ndarray, observer: ObserverState | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Visibility mask (n, T) and FOV cost (n,) of a batch (n, T, 2), from one
-    deviation-angle pass. With no observer all is visible and the cost is 0."""
-    if observer is None:
-        return np.ones(cand_waypoints.shape[:2]), np.zeros(cand_waypoints.shape[0])
-    half_fov = observer.fov / 2.0
-    angles = theta_dev_points(cand_waypoints, observer)
-    return (angles <= half_fov).astype(float), np.sum(np.tanh(angles / half_fov), axis=-1)
+def _observer_terms(p: np.ndarray, position, gaze, half_fov) -> tuple[np.ndarray, np.ndarray]:
+    """Visibility mask (n, T) and FOV cost (n,) of a batch's planes (2, n, T),
+    from one deviation-angle pass over _observer_view's observer. With no
+    observer all is visible and the cost is 0."""
+    if position is None:
+        return np.ones(p.shape[1:]), np.zeros(p.shape[1])
+    angles = _deviation_angles(p - position[:, np.newaxis, np.newaxis], gaze)
+    return (angles <= half_fov).astype(float), np.add.reduce(np.tanh(angles / half_fov), axis=-1)
 
 
 def fov_cost(candidate: Trajectory, observer: ObserverState | None) -> float:
@@ -272,7 +345,31 @@ def fov_cost(candidate: Trajectory, observer: ObserverState | None) -> float:
 
 def fov_cost_batch(cand_waypoints: np.ndarray, observer: ObserverState | None) -> np.ndarray:
     """fov_cost for a batch of shape (n, T, 2); zero with no observer."""
-    return _observer_terms(cand_waypoints, observer)[1]
+    return _observer_terms(_planes(cand_waypoints), *_observer_view(observer))[1]
+
+
+def legible_objective(
+    dt: float, pred_velocities: np.ndarray, goals: tuple[Goal, ...] | list[Goal],
+    observer: ObserverState | None, obstacles: tuple[Obstacle, ...] | list[Obstacle],
+    robot_radius: float, task_weights: TaskCostWeights, params: LegibilityParams,
+) -> Callable[[np.ndarray], dict[str, np.ndarray]]:
+    """legible_cost_batch of one planning cycle as a function of the batch
+    alone, its per-cycle constants built once."""
+    cycle = _LegibleCycle.of_goals(pred_velocities, goals, observer)
+
+    def objective(waypoints: np.ndarray) -> dict[str, np.ndarray]:
+        # The task terms hand on the batch's planes, velocities, speeds and
+        # target distances.
+        task, *batch = _task_terms(
+            waypoints, dt, cycle.target_xy, obstacles, robot_radius, task_weights
+        )
+        visible, fov = _observer_terms(batch[0], *cycle.observer)
+        sim = cycle.signed_similarity(*batch, visible, params)
+        total = task["total"] + params.lambda_sim * sim + params.lambda_fov * fov
+        total = np.where(task["collided"], COLLISION_COST, total)
+        return {**task, "sim": sim, "fov": fov, "total": total}
+
+    return objective
 
 
 def legible_cost_batch(
@@ -286,14 +383,11 @@ def legible_cost_batch(
     predicted path velocities in goals order. Returns task_cost_batch's terms
     plus "sim", "fov" and total = task + lambda_sim*sim + lambda_fov*fov, each
     (n,); a collided row keeps COLLISION_COST, legibility cannot rescue it.
+    The bits do not depend on the batch's memory layout.
     """
-    g_star_xy = next(g for g in goals if g.is_target).position.as_array()
-    # The velocities feed both the task and similarity terms.
-    task, vel = _task_terms(waypoints, dt, g_star_xy, obstacles, robot_radius, task_weights)
-    visible, fov = _observer_terms(waypoints, observer)
-    sim = _signed_similarity(waypoints, vel, pred_velocities, goals, visible, params)
-    total = task["total"] + params.lambda_sim * sim + params.lambda_fov * fov
-    return {**task, "sim": sim, "fov": fov, "total": np.where(task["collided"], COLLISION_COST, total)}
+    return legible_objective(
+        dt, pred_velocities, goals, observer, obstacles, robot_radius, task_weights, params
+    )(waypoints)
 
 
 def legibility_aware_cost(

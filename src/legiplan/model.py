@@ -56,6 +56,16 @@ def _hypot2(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
+def _planes(points: np.ndarray) -> np.ndarray:
+    """The x and y coordinate planes (2, ...) of points (..., 2), C-contiguous.
+
+    A numpy op on contiguous planes runs about twice as fast as on the strided
+    ``[..., 0]`` and ``[..., 1]`` views of interleaved points.
+    """
+    pts = np.asarray(points, dtype=float)
+    return np.ascontiguousarray(pts.transpose(-1, *range(pts.ndim - 1)))
+
+
 def wrap_angle(angle: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     wrapped = (angle + math.pi) % math.tau - math.pi
@@ -323,7 +333,7 @@ def velocity_points(waypoints: np.ndarray, dt: float) -> np.ndarray:
     Finite differences (q_{t+1} - q_t) / dt; the last value is repeated so
     every waypoint index has a velocity.
     """
-    diffs = np.diff(waypoints, axis=-2) / dt
+    diffs = (waypoints[..., 1:, :] - waypoints[..., :-1, :]) / dt  # np.diff's bits, faster
     return np.concatenate([diffs, diffs[..., -1:, :]], axis=-2)
 
 

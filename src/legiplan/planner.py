@@ -7,7 +7,7 @@ legible mode runs a second optimization of the combined objective with those
 predictions held fixed.
 
 An objective returns its cost kernel's term dict (task_cost_batch or
-legibility.legible_cost_batch), and each search keeps the terms of the best
+legibility.legible_objective's), and each search keeps the terms of the best
 row it scored. Every reported cost breakdown is one such row, read by
 CostBreakdown.from_terms, so every candidate is scored once per cycle
 (plan_once states the one exception). The per-goal predictions run as one
@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .legibility import (
-    PredictedPathSet, designated_observer, legible_cost_batch,
+    PredictedPathSet, designated_observer, legible_objective,
     # unused here; kept only for the benchmark tracer
     fov_cost_batch, legibility_aware_cost, weighted_similarity_batch,
 )
@@ -363,19 +363,12 @@ def _task_objective(scenario: ScenarioSpec, goal_xy: np.ndarray) -> Objective:
 
 def _legible_objective(scenario: ScenarioSpec, predictions: PredictedPathSet) -> Objective:
     """Combined objective with the predicted paths held fixed."""
-    pred_velocities = velocity_points(
-        np.stack([predictions[goal.id].waypoints for goal in scenario.goals]), scenario.planner.dt
+    dt = scenario.planner.dt
+    pred_waypoints = np.stack([predictions[goal.id].waypoints for goal in scenario.goals])
+    return legible_objective(
+        dt, velocity_points(pred_waypoints, dt), scenario.goals, designated_observer(scenario),
+        scenario.obstacles, scenario.robot.radius, scenario.task_weights, scenario.legibility,
     )
-    observer = designated_observer(scenario)
-
-    def objective(waypoints: np.ndarray) -> dict[str, np.ndarray]:
-        return legible_cost_batch(
-            waypoints, scenario.planner.dt, pred_velocities, scenario.goals, observer,
-            scenario.obstacles, scenario.robot.radius, scenario.task_weights,
-            scenario.legibility,
-        )
-
-    return objective
 
 
 def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult:

@@ -432,6 +432,12 @@ def plan_rows(
     return _log_rows(trajectory, indices, headings, controls, initial_speed, spec.obstacles)
 
 
+# t is written with 6 decimals, so each t cell is off by at most 0.5e-6 and two
+# steps that are equal in truth differ by at most 2e-6 as read; 1e-9 more
+# covers the binary rounding of the parsed numbers.
+_T_STEP_TOLERANCE = 4 * 0.5e-6 + 1e-9
+
+
 def format_trajectory_csv(rows: list[tuple]) -> str:
     """Render log rows: t with 6 decimals, other floats with 9 significant digits."""
     lines = [CSV_HEADER]
@@ -457,7 +463,11 @@ def _is_log_row(line: str) -> bool:
 
 
 def read_trajectory_csv(data: str | bytes) -> tuple[Trajectory, dict[str, np.ndarray]]:
-    """Parse a trajectory log back into a Trajectory plus its raw columns."""
+    """Parse a trajectory log back into a Trajectory plus its raw columns.
+
+    The rows must be evenly spaced in t, up to the 6-decimal format; only the
+    last step may be shorter.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     lines = [line for line in data.splitlines() if line.strip()]
@@ -483,6 +493,16 @@ def read_trajectory_csv(data: str | bytes) -> tuple[Trajectory, dict[str, np.nda
     steps = np.diff(t)
     if np.any(steps <= 0):
         raise ValueError("trajectory CSV rows must be strictly increasing in t")
+    # Every step must equal the first, but the last may be shorter: a log ends
+    # with the partial cycle that reached the goal.
+    uneven = np.abs(steps - steps[0]) > _T_STEP_TOLERANCE
+    uneven[-1] = steps[-1] - steps[0] > _T_STEP_TOLERANCE
+    if uneven.any():
+        k = int(np.argmax(uneven))  # the step into data row k + 2
+        raise ValueError(
+            f"trajectory CSV time steps must be even: data row {k + 2} is "
+            f"{steps[k]:.6f} after data row {k + 1}, not {steps[0]:.6f}"
+        )
     columns = {name: values[:, i] for i, name in enumerate(CSV_COLUMNS)}
     return Trajectory(values[:, 1:3], float(steps[0])), columns
 

@@ -12,7 +12,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import (
-    Obstacle, Point2, RobotState, Trajectory, _hypot2, clearance_points, velocity_points,
+    Obstacle, Point2, RobotState, Trajectory, _hypot2, _planes, clearance_points,
+    velocity_points,
 )
 
 # Any trajectory touching an obstacle gets this finite sentinel so candidate
@@ -87,7 +88,8 @@ def task_cost_batch(
 
     ``goal_xy`` is one goal for every row, shape (2,), or one goal per row,
     shape (n, 1, 2). Returns arrays keyed by term name plus "total" and
-    "collided", each of shape (n,).
+    "collided", each of shape (n,). The bits do not depend on the batch's
+    memory layout.
     """
     return _task_terms(waypoints, dt, goal_xy, obstacles, robot_radius, weights)[0]
 
@@ -95,25 +97,31 @@ def task_cost_batch(
 def _task_terms(
     waypoints: np.ndarray, dt: float, goal_xy: np.ndarray, obstacles: tuple[Obstacle, ...],
     robot_radius: float, weights: TaskCostWeights,
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """task_cost_batch's terms, with the velocities (n, T, 2) it computed, for
-    a caller whose other terms need them.
-    """
-    to_goal = waypoints - goal_xy
-    dists = _hypot2(to_goal[..., 0], to_goal[..., 1])  # (n, T)
-    j_goal = dists[:, -1] + dists.mean(axis=1)
+) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """task_cost_batch's terms, then what a caller's other terms reuse: the
+    batch's planes and velocity planes (2, n, T), speeds and goal distances
+    (n, T)."""
+    # In C order: the smoothness sum's bits follow the memory order.
+    waypoints = np.ascontiguousarray(waypoints, dtype=float)
+    p = _planes(waypoints)
+    planar = p.transpose(1, 2, 0)  # (n, T, 2), its [..., 0] and [..., 1] the planes p
+    dists = _hypot2(p[0] - goal_xy[..., 0], p[1] - goal_xy[..., 1])  # (n, T)
+    # np.add.reduce(...) / count is mean's own arithmetic, and np.add.reduce
+    # np.sum's, without their Python overhead.
+    j_goal = dists[:, -1] + np.add.reduce(dists, axis=1) / dists.shape[1]
 
-    c = clearance_points(waypoints, obstacles) - robot_radius  # (n, T)
-    collided = np.any(c < 0.0, axis=1)
-    j_clr = np.sum((np.maximum(0.0, weights.d_safe - c) / weights.d_safe) ** 2, axis=1)
-    j_app = np.sum(np.maximum(0.0, c[:, :-1] - c[:, 1:]), axis=1) / weights.d_safe
+    c = clearance_points(planar, obstacles) - robot_radius  # (n, T)
+    collided = (c < 0.0).any(axis=1)
+    j_clr = np.add.reduce((np.maximum(0.0, weights.d_safe - c) / weights.d_safe) ** 2, axis=1)
+    j_app = np.add.reduce(np.maximum(0.0, c[:, :-1] - c[:, 1:]), axis=1) / weights.d_safe
 
     accel = waypoints[:, 2:] - 2.0 * waypoints[:, 1:-1] + waypoints[:, :-2]
-    j_sm = np.sum(accel**2, axis=(1, 2)) / dt**4
+    j_sm = np.add.reduce(accel**2, axis=(1, 2)) / dt**4
 
-    vel = velocity_points(waypoints, dt)
-    speeds = _hypot2(vel[..., 0], vel[..., 1])  # (n, T)
-    j_sp = np.sum((weights.v_pref - speeds) ** 2, axis=1) / weights.v_pref**2
+    # numpy keeps the planar memory order, so these planes are contiguous too.
+    vel = velocity_points(planar, dt).transpose(2, 0, 1)
+    speeds = _hypot2(*vel)  # (n, T)
+    j_sp = np.add.reduce((weights.v_pref - speeds) ** 2, axis=1) / weights.v_pref**2
 
     total = (
         weights.w_goal * j_goal
@@ -131,7 +139,7 @@ def _task_terms(
         "speed": j_sp,
         "total": total,
         "collided": collided,
-    }, vel
+    }, p, vel, speeds, dists
 
 
 def task_cost(

@@ -246,6 +246,21 @@ def test_evaluate_rejects_a_non_finite_time(tmp_path, capsys, t):
     }
 
 
+def test_evaluate_rejects_an_uneven_time_step(tmp_path, capsys):
+    log = tmp_path / "uneven_time.csv"
+    log.write_text(
+        "t,x,y,heading,v,omega,clearance\n0,0,0,0,0,0,1\n0.4,1,0,0,0,0,1\n7.5,2,0,0,0,0,1\n"
+    )
+    code = cli_main(["evaluate", "--scenario", FIG1, "--trajectory", str(log)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "validation", "path": "",
+        "rule": "trajectory CSV time steps must be even: "
+        "data row 3 is 7.100000 after data row 2, not 0.400000",
+    }
+
+
 def test_compare_reports_both_modes(fast_scenario, tmp_path, capsys):
     svg = tmp_path / "compare.svg"
     code = cli_main([

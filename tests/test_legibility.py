@@ -26,13 +26,15 @@ from legiplan.legibility import (
     _signed_similarity,
     fov_cost_batch,
     h_weight_points,
+    legible_cost_batch,
+    legible_objective,
     masked_cosines,
     theta_dev_points,
     visibility_points,
     weighted_similarity_batch,
 )
-from legiplan.model import _hypot2, velocity_points
-from legiplan.task_cost import COLLISION_COST
+from legiplan.model import CircleObstacle, RectObstacle, _hypot2, clearance_points, velocity_points
+from legiplan.task_cost import COLLISION_COST, TaskCostWeights
 from tests.conftest import make_robot, random_trajectory
 from tests.test_task_cost import UNIT_WEIGHTS
 
@@ -569,3 +571,102 @@ def test_fov_and_visibility_batch_match_scalar():
     pts = waypoints.reshape(-1, 2)
     for p, visible in zip(pts, visibility_points(pts, obs)):
         assert visibility(Point2(*p), obs) is bool(visible)
+
+
+def frozen_legible_cost_batch(
+    waypoints, dt, pred_velocities, goals, observer, obstacles, robot_radius, w, params
+):
+    """legible_cost_batch's formulas as they stood before the coordinate-plane
+    kernels, on interleaved (..., 2) arrays in C order. Only clearance_points
+    is the live kernel."""
+    target = next(g for g in goals if g.is_target).position.as_array()
+    to_goal = waypoints - target
+    dists = _hypot2(to_goal[..., 0], to_goal[..., 1])
+    j_goal = dists[:, -1] + dists.mean(axis=1)
+    c = clearance_points(waypoints, obstacles) - robot_radius
+    collided = np.any(c < 0.0, axis=1)
+    j_clr = np.sum((np.maximum(0.0, w.d_safe - c) / w.d_safe) ** 2, axis=1)
+    j_app = np.sum(np.maximum(0.0, c[:, :-1] - c[:, 1:]), axis=1) / w.d_safe
+    accel = waypoints[:, 2:] - 2.0 * waypoints[:, 1:-1] + waypoints[:, :-2]
+    j_sm = np.sum(accel**2, axis=(1, 2)) / dt**4
+    diffs = np.diff(waypoints, axis=-2) / dt
+    vel = np.concatenate([diffs, diffs[..., -1:, :]], axis=-2)
+    speeds = _hypot2(vel[..., 0], vel[..., 1])
+    j_sp = np.sum((w.v_pref - speeds) ** 2, axis=1) / w.v_pref**2
+    task_total = np.where(collided, COLLISION_COST, (
+        w.w_goal * j_goal + w.w_clearance * j_clr + w.w_approach * j_app
+        + w.w_smooth * j_sm + w.w_speed * j_sp
+    ))
+    if observer is None:
+        visible, fov = np.ones(waypoints.shape[:2]), np.zeros(waypoints.shape[0])
+    else:
+        rel = waypoints - observer.position.as_array()
+        norm = _hypot2(rel[..., 0], rel[..., 1])
+        gaze = np.array([math.cos(observer.heading), math.sin(observer.heading)])
+        rows = np.concatenate((rel.reshape(-1, 2), gaze[np.newaxis]))
+        cosang = (rows @ gaze)[:-1].reshape(norm.shape) / np.where(norm == 0.0, 1.0, norm)
+        angles = np.where(norm == 0.0, 0.0, np.arccos(np.clip(cosang, -1.0, 1.0)))
+        half_fov = observer.fov / 2.0
+        visible = (angles <= half_fov).astype(float)
+        fov = np.sum(np.tanh(angles / half_fov), axis=-1)
+    a, b = vel[np.newaxis], pred_velocities[:, np.newaxis]
+    na, nb = _hypot2(a[..., 0], a[..., 1]), _hypot2(b[..., 0], b[..., 1])
+    usable = (na >= params.eps_v) & (nb >= params.eps_v)
+    dot = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    cos = np.where(usable, dot / np.where(usable, na * nb, 1.0), 0.0)  # (G, n, T)
+    goals_xy = np.array([goal.position.as_array() for goal in goals])[:, np.newaxis, np.newaxis]
+    gx, gy = goals_xy[..., 0], goals_xy[..., 1]
+    x, y = waypoints[..., 0], waypoints[..., 1]
+    d_star, d_g = _hypot2(x - target[0], y - target[1]), _hypot2(x - gx, y - gy)
+    ratio = np.where(d_g == 0.0, params.h_max, d_star / np.where(d_g == 0.0, 1.0, d_g))
+    on_target = (gx == target[0]) & (gy == target[1])
+    h = np.where(on_target, 1.0, np.minimum(ratio, params.h_max))
+    signs = np.array([-1.0 if goal.is_target else 1.0 for goal in goals])
+    sims = np.sum(visible * h * cos, axis=-1)
+    sim = np.add.reduce(signs[:, np.newaxis] * sims, axis=0, initial=0.0)
+    total = task_total + params.lambda_sim * sim + params.lambda_fov * fov
+    return {
+        "goal": j_goal, "clearance": j_clr, "approach": j_app, "smooth": j_sm, "speed": j_sp,
+        "total": np.where(collided, COLLISION_COST, total), "collided": collided,
+        "sim": sim, "fov": fov,
+    }
+
+
+@pytest.mark.parametrize("observed", [True, False], ids=["observer", "no_observer"])
+@pytest.mark.parametrize("goal_count", [1, 2, 3])
+def test_legible_objective_equals_the_frozen_formulas_bit_for_bit(goal_count, observed):
+    target = Goal("T", Point2(4.0, 1.0), is_target=True)
+    other = Goal("A", Point2(4.0, -1.5))
+    on_target = Goal("D", Point2(4.0, 1.0))  # not the target, but h = 1 everywhere
+    goals = {1: [target], 2: [other, target], 3: [on_target, target, other]}[goal_count]
+    observer = ObserverState("O", Point2(1.5, 2.0), heading=-0.8) if observed else None
+    obstacles = (
+        CircleObstacle(Point2(2.0, -0.3), 0.35), RectObstacle(Point2(0.5, 1.2), Point2(1.2, 1.6)),
+    )
+    weights = TaskCostWeights(w_approach=0.7, w_smooth=0.13, v_pref=0.9)
+    params = LegibilityParams(lambda_sim=1.3, lambda_fov=0.6)
+    rng = np.random.default_rng(goal_count)
+    pred_velocities = rng.normal(scale=0.6, size=(goal_count, 12, 2))
+    pred_velocities[0, 4] = 0.0  # a still prediction step
+    objective = legible_objective(
+        0.4, pred_velocities, goals, observer, obstacles, 0.25, weights, params
+    )
+    for _ in range(20):
+        batch = np.cumsum(rng.normal(scale=0.3, size=(48, 12, 2)), axis=1)
+        batch[:3, 6] = (2.0, -0.3)  # collided rows
+        batch[3:6] = batch[3:6, :1]  # stationary rows: every cosine masked
+        batch[6, 5:8] = batch[6, 5]  # zero-speed steps
+        batch[7, 4] = (1.5, 2.0)  # on the observer
+        batch[8, 9] = other.position.as_array()  # on a non-target goal: h = h_max
+        batch[9, 10] = target.position.as_array()
+        expected = frozen_legible_cost_batch(
+            batch, 0.4, pred_velocities, goals, observer, obstacles, 0.25, weights, params
+        )
+        assert np.all(expected["collided"][:3])
+        for got in (objective(batch), legible_cost_batch(
+            batch, 0.4, pred_velocities, goals, observer, obstacles, 0.25, weights, params
+        )):
+            assert sorted(got) == sorted(expected)
+            for name, values in expected.items():
+                assert np.array_equal(got[name], values), name
+                assert np.array_equal(np.signbit(got[name]), np.signbit(values)), name

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -665,13 +666,13 @@ def test_legible_objective_computes_deviation_angles_once(monkeypatch):
     predictions = plan_once(scenario, rng_seed=3).predictions
     objective = _legible_objective(scenario, predictions)
     calls = []
-    theta_dev_points = legibility_module.theta_dev_points
+    deviation_angles = legibility_module._deviation_angles
 
     def counted(*args):
         calls.append(args)
-        return theta_dev_points(*args)
+        return deviation_angles(*args)
 
-    monkeypatch.setattr(legibility_module, "theta_dev_points", counted)
+    monkeypatch.setattr(legibility_module, "_deviation_angles", counted)
     objective(np.stack([path.waypoints for path in predictions.values()]))
     assert len(calls) == 1
 
@@ -756,6 +757,36 @@ def test_plan_is_rotation_equivariant(name, mode):
         here = plan_once(spec, rng_seed=seed).trajectory.waypoints
         there = plan_once(turned, rng_seed=seed).trajectory.waypoints
         assert np.allclose(there, np.stack([-here[:, 1], here[:, 0]], axis=1), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "legible"])
+def test_plan_is_goal_order_equivariant(mode):
+    # Three goals in every order plan the same path, seeds 0-9: the worst
+    # deviation measured is 0.0 in both modes. The predictions are equal to
+    # the bit; the legible breakdown may differ in the last bits (measured
+    # 3.6e-16 relative, in 14 of 60 cases), since its similarity sum adds the
+    # goals in list order.
+    spec = load_scenario(str(SCENARIO_DIR / "restaurant_side.json"))
+    spec = dataclasses.replace(
+        spec, goals=spec.goals + (Goal("P3", Point2(1.5, 2.5)),),
+        planner=dataclasses.replace(spec.planner, mode=mode),
+    )
+    for seed in range(10):
+        here = plan_once(spec, rng_seed=seed)
+        for order in itertools.permutations(spec.goals):
+            there = plan_once(dataclasses.replace(spec, goals=order), rng_seed=seed)
+            assert np.allclose(
+                there.trajectory.waypoints, here.trajectory.waypoints, rtol=0, atol=1e-9
+            )
+            for goal in spec.goals:
+                assert np.array_equal(
+                    there.predictions[goal.id].waypoints, here.predictions[goal.id].waypoints
+                )
+            expected = here.breakdown.to_dict()
+            if mode == "baseline":
+                assert there.breakdown.to_dict() == expected
+            else:
+                assert there.breakdown.to_dict() == pytest.approx(expected, rel=1e-12)
 
 
 FIG4_SCENES = ("fig4_fov_sweep_left", "fig4_fov_sweep_center", "fig4_fov_sweep_right")

@@ -477,6 +477,39 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match=r"^trajectory CSV data row 3 must hold 7 numbers$"):
             read_trajectory_csv(text)
 
+    @staticmethod
+    def _log(times) -> str:
+        return "t,x,y,heading,v,omega,clearance\n" + "".join(
+            f"{t},{k},0,0,0,0,1\n" for k, t in enumerate(times)
+        )
+
+    def test_uneven_time_step_is_named(self):
+        # Read as dt 0.4 without complaint before: only the first step was looked at.
+        with pytest.raises(ValueError, match=(
+            r"^trajectory CSV time steps must be even: "
+            r"data row 3 is 7\.100000 after data row 2, not 0\.400000$"
+        )):
+            read_trajectory_csv(self._log(["0", "0.4", "7.5"]))
+
+    @pytest.mark.parametrize("times, row", [
+        (["0.0", "0.4", "0.9", "1.3"], 3),  # a longer step inside
+        (["0.0", "0.4", "0.7", "1.1"], 3),  # a shorter step inside
+        (["0.0", "0.4", "0.800003", "1.2"], 3),  # 3e-6 off: beyond the rounding
+    ])
+    def test_uneven_inner_step_is_named(self, times, row):
+        message = rf"^trajectory CSV time steps must be even: data row {row} "
+        with pytest.raises(ValueError, match=message):
+            read_trajectory_csv(self._log(times))
+
+    @pytest.mark.parametrize("times", [
+        ["0.000000", "0.333333", "0.666667", "1.000000"],  # dt 1/3 rounded to 6 decimals
+        ["0.000000", "1.200000", "2.400000", "2.800000"],  # a last, partial cycle
+        ["0.000000", "1.200000", "2.400001", "3.600000"],  # within the rounding
+    ])
+    def test_even_steps_up_to_rounding_are_read(self, times):
+        traj, _ = read_trajectory_csv(self._log(times))
+        assert traj.dt == float(times[1])
+
     def test_rejects_non_monotone_time(self):
         text = (
             "t,x,y,heading,v,omega,clearance\n"

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from legiplan import (
-    CircleObstacle, Point2, TaskCostWeights, Trajectory, plan_once, task_cost,
+    CircleObstacle, Goal, LegibilityParams, ObserverState, Point2, RectObstacle,
+    TaskCostWeights, Trajectory, plan_once, task_cost,
 )
-from legiplan.task_cost import COLLISION_COST, CostBreakdown
+from legiplan.legibility import legible_cost_batch
+from legiplan.task_cost import COLLISION_COST, CostBreakdown, task_cost_batch
 from tests.conftest import make_robot, make_scenario
 
 UNIT_WEIGHTS = TaskCostWeights(
@@ -209,3 +211,54 @@ def test_breakdown_dict_keeps_its_bytes(make):
     old = _hand_written_breakdown_dict(b)
     assert list(b.to_dict()) == list(old)
     assert json.dumps(b.to_dict(), sort_keys=True) == json.dumps(old, sort_keys=True)
+
+
+def _layouts(batch: np.ndarray) -> dict[str, np.ndarray]:
+    """The same (n, T, 2) values in four memory layouts."""
+    planar = np.ascontiguousarray(batch.transpose(2, 0, 1)).transpose(1, 2, 0)
+    layouts = {
+        "C": batch,
+        "fortran": np.asfortranarray(batch),
+        "planar_view": planar,  # each coordinate a contiguous (n, T) plane
+        "reversed_rows": batch[::-1].copy()[::-1],  # negative row stride
+    }
+    assert layouts["fortran"].flags.f_contiguous and not layouts["fortran"].flags.c_contiguous
+    assert not planar.flags.c_contiguous and planar[..., 0].flags.c_contiguous
+    assert layouts["reversed_rows"].strides[0] < 0
+    return layouts
+
+
+def test_batch_bits_do_not_depend_on_memory_layout():
+    # Equal values give equal bits, whatever the batch's memory order. Before
+    # the smoothness sum ran over a C-ordered copy, a Fortran-ordered batch or
+    # a planar view changed the smooth and total bits of every batch drawn
+    # here, and Fortran order the goal and speed bits too.
+    rng = np.random.default_rng(15)
+    goals = (Goal("A", Point2(3.0, -1.2)), Goal("T", Point2(3.0, 1.2), is_target=True))
+    observer = ObserverState("O", Point2(3.5, 1.2), heading=math.pi)
+    obstacles = (
+        CircleObstacle(Point2(1.5, 0.0), 0.4), RectObstacle(Point2(1.0, 1.5), Point2(2.0, 2.0)),
+    )
+    pred_velocities = rng.normal(scale=0.5, size=(2, 11, 2))
+
+    def score(batch):
+        weights, target = TaskCostWeights(), goals[1].position.as_array()
+        return {
+            "task": task_cost_batch(batch, 0.4, target, obstacles, 0.2, weights),
+            "legible": legible_cost_batch(
+                batch, 0.4, pred_velocities, goals, observer, obstacles, 0.2, weights,
+                LegibilityParams(),
+            ),
+        }
+
+    for _ in range(100):
+        batch = np.cumsum(rng.normal(scale=0.3, size=(33, 11, 2)), axis=1)
+        batch[:3, 5] = (1.5, 0.0)  # collided rows
+        expected = score(batch)
+        for layout, other in _layouts(batch).items():
+            got = score(other)
+            for kernel, terms in expected.items():
+                assert list(got[kernel]) == list(terms)
+                for name, values in terms.items():
+                    assert np.array_equal(got[kernel][name], values), (layout, kernel, name)
+                    assert np.array_equal(np.signbit(got[kernel][name]), np.signbit(values))
