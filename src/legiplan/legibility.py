@@ -4,11 +4,11 @@ Covers the deviation angle and visibility test, the distance-ratio weighting
 h(q), the weighted velocity-cosine similarity between a candidate and the
 per-goal predicted paths, the field-of-view cost, and the combined
 legibility-aware objective that adds both terms to the task cost. One batch
-kernel, legible_cost_batch, scores both the planner's search and the
-reported CostBreakdown, so the two agree by construction; legible_objective
-is that kernel with its per-cycle constants built once. The kernels work on
-contiguous x and y coordinate planes, and each public (..., 2) function
-splits its input into planes and calls the kernel.
+kernel, legible_objective, scores both the planner's search and the
+reported CostBreakdown, so the two agree by construction; it builds its
+per-cycle constants once. The kernels work on contiguous x and y coordinate
+planes, and each public (..., 2) function splits its input into planes and
+calls the kernel.
 """
 from __future__ import annotations
 
@@ -136,20 +136,13 @@ def h_weight(q: Point2, g_star: Point2, g: Point2, h_max: float = 3.0) -> float:
     Exactly 1 when g is the target itself; h_max when q sits on the
     unintended goal.
     """
-    return float(h_weight_points(q.as_array(), g_star.as_array(), g.as_array(), h_max))
-
-
-def h_weight_points(
-    points: np.ndarray, g_star_xy: np.ndarray, g_xy: np.ndarray, h_max: float
-) -> np.ndarray:
-    """h_weight of points (..., 2) against goals ``g_xy`` (..., 2), shapes broadcast."""
-    p, g = _planes(points), _planes(g_xy)
-    d_star = _hypot2(p[0] - g_star_xy[0], p[1] - g_star_xy[1])
-    return _h_weights(p, d_star, g, (g[0] == g_star_xy[0]) & (g[1] == g_star_xy[1]), h_max)
+    p = q.as_array()
+    d_star = _hypot2(p[0] - g_star.x, p[1] - g_star.y)
+    return float(_h_weights(p, d_star, g.as_array(), g == g_star, h_max))
 
 
 def _h_weights(p, d_star, goals, on_target, h_max: float) -> np.ndarray:
-    """h_weight_points on planes (2, ...) of points and goals, given the points'
+    """h_weight on planes (2, ...) of points and goals, given the points'
     target distances and the mask of goals on the target, where h is 1."""
     d_g = _hypot2(p[0] - goals[0], p[1] - goals[1])
     on_goal = d_g == 0.0
@@ -204,6 +197,9 @@ class _LegibleCycle(NamedTuple):
 
     @classmethod
     def of_goals(cls, pred_velocities, goals, observer=None):
+        # Goal-id order, so the similarity sum's bits do not follow the list order.
+        order = sorted(range(len(goals)), key=lambda i: goals[i].id)
+        goals, pred_velocities = [goals[i] for i in order], pred_velocities[order]
         target_xy = next(g for g in goals if g.is_target).position.as_array()
         signs = np.array([[-1.0 if goal.is_target else 1.0] for goal in goals])
         goals_xy = np.array([goal.position.as_array() for goal in goals])
@@ -300,18 +296,6 @@ def _prediction_velocities(
     return np.stack([velocities(predictions[goal.id]) for goal in goals])
 
 
-def _signed_similarity(
-    cand_waypoints: np.ndarray, cand_velocities: np.ndarray, pred_velocities: np.ndarray,
-    goals: tuple[Goal, ...] | list[Goal], visible: np.ndarray, params: LegibilityParams,
-) -> np.ndarray:
-    """Similarity cost of a batch (n, T, 2), shape (n,): the similarity to each
-    goal's prediction summed in goals order, the target's negated."""
-    cycle = _LegibleCycle.of_goals(pred_velocities, goals)
-    return cycle.signed_similarity(
-        *_candidate_planes(cand_waypoints, cand_velocities, cycle.target_xy), visible, params
-    )
-
-
 def sim_cost(
     candidate: Trajectory,
     predictions: PredictedPathSet,
@@ -321,11 +305,10 @@ def sim_cost(
 ) -> float:
     """Similarity cost: likeness to unintended predictions minus likeness to
     the target's prediction."""
-    pred_velocities = _prediction_velocities(candidate, predictions, goals)
-    waypoints = candidate.waypoints[np.newaxis]
-    visible = visibility_points(waypoints, observer)
-    vel = velocity_points(waypoints, candidate.dt)
-    return float(_signed_similarity(waypoints, vel, pred_velocities, goals, visible, params)[0])
+    cycle = _LegibleCycle.of_goals(_prediction_velocities(candidate, predictions, goals), goals)
+    wp = candidate.waypoints[np.newaxis]
+    planes = _candidate_planes(wp, velocity_points(wp, candidate.dt), cycle.target_xy)
+    return float(cycle.signed_similarity(*planes, visibility_points(wp, observer), params)[0])
 
 
 def _observer_terms(p: np.ndarray, position, gaze, half_fov) -> tuple[np.ndarray, np.ndarray]:
@@ -353,8 +336,15 @@ def legible_objective(
     observer: ObserverState | None, obstacles: tuple[Obstacle, ...] | list[Obstacle],
     robot_radius: float, task_weights: TaskCostWeights, params: LegibilityParams,
 ) -> Callable[[np.ndarray], dict[str, np.ndarray]]:
-    """legible_cost_batch of one planning cycle as a function of the batch
-    alone, its per-cycle constants built once."""
+    """The combined objective of one planning cycle as a function of a batch
+    (n, T, 2) alone, its per-cycle constants built once; it scores the legible
+    search and the reported CostBreakdown alike. ``pred_velocities`` (G, T, 2)
+    holds the goals' predicted path velocities in goals order. The function
+    returns task_cost_batch's terms plus "sim", "fov" and total = task +
+    lambda_sim*sim + lambda_fov*fov, each (n,); a collided row keeps
+    COLLISION_COST, legibility cannot rescue it. The bits do not depend on the
+    batch's memory layout or on the order of ``goals``.
+    """
     cycle = _LegibleCycle.of_goals(pred_velocities, goals, observer)
 
     def objective(waypoints: np.ndarray) -> dict[str, np.ndarray]:
@@ -372,24 +362,6 @@ def legible_objective(
     return objective
 
 
-def legible_cost_batch(
-    waypoints: np.ndarray, dt: float, pred_velocities: np.ndarray,
-    goals: tuple[Goal, ...] | list[Goal], observer: ObserverState | None,
-    obstacles: tuple[Obstacle, ...] | list[Obstacle], robot_radius: float,
-    task_weights: TaskCostWeights, params: LegibilityParams,
-) -> dict[str, np.ndarray]:
-    """Combined objective of a batch (n, T, 2), for the legible search and the
-    reported CostBreakdown alike. ``pred_velocities`` (G, T, 2) holds the goals'
-    predicted path velocities in goals order. Returns task_cost_batch's terms
-    plus "sim", "fov" and total = task + lambda_sim*sim + lambda_fov*fov, each
-    (n,); a collided row keeps COLLISION_COST, legibility cannot rescue it.
-    The bits do not depend on the batch's memory layout.
-    """
-    return legible_objective(
-        dt, pred_velocities, goals, observer, obstacles, robot_radius, task_weights, params
-    )(waypoints)
-
-
 def legibility_aware_cost(
     candidate: Trajectory,
     goal_star: Point2,
@@ -401,12 +373,12 @@ def legibility_aware_cost(
     task_weights: TaskCostWeights,
     params: LegibilityParams,
 ) -> CostBreakdown:
-    """legible_cost_batch of one candidate; ``goal_star`` must be the target's
+    """legible_objective of one candidate; ``goal_star`` must be the target's
     position. A collided candidate reports zero legibility terms."""
     pred_velocities = _prediction_velocities(candidate, predictions, goals)
     if goal_star != next(g for g in goals if g.is_target).position:
         raise ValueError("goal_star must be the target goal's position")
-    return CostBreakdown.from_terms(legible_cost_batch(
-        candidate.waypoints[np.newaxis], candidate.dt, pred_velocities, goals, observer,
-        obstacles, robot.radius, task_weights, params,
-    ))
+    return CostBreakdown.from_terms(legible_objective(
+        candidate.dt, pred_velocities, goals, observer, obstacles, robot.radius,
+        task_weights, params,
+    )(candidate.waypoints[np.newaxis]))

@@ -18,7 +18,8 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from legiplan import CircleObstacle, ObserverState, Point2, TaskCostWeights, Trajectory  # noqa: E402
-from legiplan.legibility import h_weight_points, masked_cosines, theta_dev_points  # noqa: E402
+from legiplan import h_weight  # noqa: E402
+from legiplan.legibility import masked_cosines, theta_dev_points  # noqa: E402
 from legiplan.model import EMPTY_CLEARANCE, arc_length_prefix, clearance_points  # noqa: E402
 from legiplan.model import _hypot2, velocities, velocity_points  # noqa: E402
 from legiplan.model import RectObstacle  # noqa: E402
@@ -192,7 +193,8 @@ def ref_h_weight(pts, g_star_xy, g_xy, h_max):
 def test_h_weight_matches_norm(pts, g_star, g, h_max):
     pts[0, 0] = g  # exactly on the unintended goal
     pts[-1, -1] = g_star  # exactly on the target
-    got = h_weight_points(pts, g_star, g, h_max)
+    target, goal = Point2(*g_star), Point2(*g)
+    got = np.array([[h_weight(Point2(*p), target, goal, h_max) for p in row] for row in pts])
     if not np.all(g_star == g):
         assert got[0, 0] == h_max
     assert np.array_equal(got, ref_h_weight(pts, g_star, g, h_max))

@@ -23,10 +23,9 @@ from legiplan import (
     weighted_similarity,
 )
 from legiplan.legibility import (
-    _signed_similarity,
+    _candidate_planes,
+    _LegibleCycle,
     fov_cost_batch,
-    h_weight_points,
-    legible_cost_batch,
     legible_objective,
     masked_cosines,
     theta_dev_points,
@@ -175,7 +174,7 @@ def reference_similarity(cand_wp, cand_vel, pred_vel, goal_xy, g_star_xy, observ
     """Similarity of a candidate batch to one goal's prediction, (T, 2)."""
     cos = masked_cosines(cand_vel, pred_vel, params.eps_v)
     vis = visibility_points(cand_wp, observer)
-    h = h_weight_points(cand_wp, g_star_xy, goal_xy, params.h_max)
+    h = reference_h(cand_wp, g_star_xy, goal_xy, params.h_max)
     return np.sum(vis * h * cos, axis=-1)
 
 
@@ -215,9 +214,9 @@ def reference_h(points, g_star_xy, g_xy, h_max):
 
 @pytest.mark.parametrize("goal_count", [1, 2, 3])
 def test_similarity_kernels_equal_a_per_goal_loop_bit_for_bit(goal_count):
-    # The batched kernels against one goal at a time, summed in goals order
-    # from +0.0. The lone target of G = 1 negates the all-zero sums of
-    # stationary rows, which must still come out +0.0.
+    # The batched kernels against one goal at a time, the signed cost summed
+    # in goal-id order from +0.0. The lone target of G = 1 negates the
+    # all-zero sums of stationary rows, which must still come out +0.0.
     target_xy, other_xy = np.array([3.0, 1.0]), np.array([3.0, -1.5])
     target = Goal("T", Point2(*target_xy), is_target=True)
     other = Goal("A", Point2(*other_xy))
@@ -243,12 +242,14 @@ def test_similarity_kernels_equal_a_per_goal_loop_bit_for_bit(goal_count):
         for g_xy, pred in zip(goals_xy, pred_vel)
     ]
     expected_signed = np.zeros(30)
-    for goal, sim in zip(goals, expected):
+    for goal, sim in sorted(zip(goals, expected), key=lambda pair: pair[0].id):
         expected_signed += -sim if goal.is_target else sim
     batch = weighted_similarity_batch(
         cand_wp, cand_vel, pred_vel, goals_xy, target_xy, visible, PARAMS
     )
-    signed = _signed_similarity(cand_wp, cand_vel, pred_vel, goals, visible, PARAMS)
+    signed = _LegibleCycle.of_goals(pred_vel, goals).signed_similarity(
+        *_candidate_planes(cand_wp, cand_vel, target_xy), visible, PARAMS
+    )
     for got, want in [*zip(batch, expected), (signed, expected_signed)]:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -576,7 +577,7 @@ def test_fov_and_visibility_batch_match_scalar():
 def frozen_legible_cost_batch(
     waypoints, dt, pred_velocities, goals, observer, obstacles, robot_radius, w, params
 ):
-    """legible_cost_batch's formulas as they stood before the coordinate-plane
+    """The legible objective's formulas as they stood before the coordinate-plane
     kernels, on interleaved (..., 2) arrays in C order. Only clearance_points
     is the live kernel."""
     target = next(g for g in goals if g.is_target).position.as_array()
@@ -651,6 +652,10 @@ def test_legible_objective_equals_the_frozen_formulas_bit_for_bit(goal_count, ob
     objective = legible_objective(
         0.4, pred_velocities, goals, observer, obstacles, 0.25, weights, params
     )
+    # The objective sums the similarity in goal-id order; the frozen formulas
+    # sum in list order, so they are given the goals in id order.
+    by_id = sorted(range(goal_count), key=lambda i: goals[i].id)
+    id_goals, id_pred_velocities = [goals[i] for i in by_id], pred_velocities[by_id]
     for _ in range(20):
         batch = np.cumsum(rng.normal(scale=0.3, size=(48, 12, 2)), axis=1)
         batch[:3, 6] = (2.0, -0.3)  # collided rows
@@ -660,13 +665,11 @@ def test_legible_objective_equals_the_frozen_formulas_bit_for_bit(goal_count, ob
         batch[8, 9] = other.position.as_array()  # on a non-target goal: h = h_max
         batch[9, 10] = target.position.as_array()
         expected = frozen_legible_cost_batch(
-            batch, 0.4, pred_velocities, goals, observer, obstacles, 0.25, weights, params
+            batch, 0.4, id_pred_velocities, id_goals, observer, obstacles, 0.25, weights, params
         )
         assert np.all(expected["collided"][:3])
-        for got in (objective(batch), legible_cost_batch(
-            batch, 0.4, pred_velocities, goals, observer, obstacles, 0.25, weights, params
-        )):
-            assert sorted(got) == sorted(expected)
-            for name, values in expected.items():
-                assert np.array_equal(got[name], values), name
-                assert np.array_equal(np.signbit(got[name]), np.signbit(values)), name
+        got = objective(batch)
+        assert sorted(got) == sorted(expected)
+        for name, values in expected.items():
+            assert np.array_equal(got[name], values), name
+            assert np.array_equal(np.signbit(got[name]), np.signbit(values)), name

@@ -12,7 +12,7 @@ from legiplan import (
     CircleObstacle, Goal, LegibilityParams, ObserverState, Point2, RectObstacle,
     TaskCostWeights, Trajectory, plan_once, task_cost,
 )
-from legiplan.legibility import legible_cost_batch
+from legiplan.legibility import legible_objective
 from legiplan.task_cost import COLLISION_COST, CostBreakdown, task_cost_batch
 from tests.conftest import make_robot, make_scenario
 
@@ -245,10 +245,10 @@ def test_batch_bits_do_not_depend_on_memory_layout():
         weights, target = TaskCostWeights(), goals[1].position.as_array()
         return {
             "task": task_cost_batch(batch, 0.4, target, obstacles, 0.2, weights),
-            "legible": legible_cost_batch(
-                batch, 0.4, pred_velocities, goals, observer, obstacles, 0.2, weights,
+            "legible": legible_objective(
+                0.4, pred_velocities, goals, observer, obstacles, 0.2, weights,
                 LegibilityParams(),
-            ),
+            )(batch),
         }
 
     for _ in range(100):

@@ -10,6 +10,8 @@ same lines before and after, so diff the output of two checkouts:
 
     python3 tools/cli_output_hashes.py > after.txt
 
+``tests/test_cli_output_digest.py`` pins the sha256 of the whole listing.
+
 The package is imported from this checkout's ``src/``.
 """
 from __future__ import annotations
@@ -59,13 +61,20 @@ def outputs(scenario: Path, seed: int, tmp: Path):
     yield "plan-legible.stdout", stdout
 
 
-def main() -> None:
+def listing() -> str:
+    """The listing ``main`` prints: one ``sha256  label`` line per output."""
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for scenario in sorted((ROOT / "scenarios").glob("*.json")):
             for seed in SEEDS:
                 for label, data in outputs(scenario, seed, Path(tmp)):
                     digest = hashlib.sha256(data).hexdigest()
-                    print(f"{digest}  {scenario.stem}/seed{seed}/{label}", flush=True)
+                    lines.append(f"{digest}  {scenario.stem}/seed{seed}/{label}\n")
+    return "".join(lines)
+
+
+def main() -> None:
+    sys.stdout.write(listing())
 
 
 if __name__ == "__main__":
