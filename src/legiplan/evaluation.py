@@ -164,15 +164,19 @@ def evaluate_trajectory(
         counts, end_seen, ends = counts[rows], end_seen[rows], ends[rows]
         last_seen = seen[counts - 1]
         last_seg = _hypot2(*(ends - last_seen).T)
-        # Each length is np.sum over its own segments, as Trajectory.arc_length.
-        lengths = np.array([
-            np.sum(np.append(seen_seg[: k - 1], d) if e else seen_seg[: k - 1])
-            for k, e, d in zip(counts, end_seen, last_seg)
-        ])
+        # Each length is np.sum over its own segments, as Trajectory.arc_length:
+        # one contiguous run of a buffer whose slot k - 1 holds the last one.
+        buf = np.append(seen_seg, 0.0)
+        lengths = np.empty(rows.size)
+        for i, (k, e, d) in enumerate(zip(counts.tolist(), end_seen.tolist(), last_seg.tolist())):
+            kept, buf[k - 1] = buf[k - 1], d
+            lengths[i] = np.add.reduce(buf[: k - 1 + e])
+            buf[k - 1] = kept
         endpoints = np.where(end_seen[:, None], ends, last_seen)
         batch = posterior_batch(lengths, endpoints, seen[0], goals, model)
-        for r, row in zip(rows, batch):
-            posteriors[r] = {g.id: float(w) for g, w in zip(goals, row)}
+        ids = [g.id for g in goals]
+        for r, row in zip(rows.tolist(), batch.tolist()):
+            posteriors[r] = dict(zip(ids, row))
     g_star_id = scenario.target_goal().id
     correctness_values = [correctness(p, g_star_id) for p in posteriors]
     return LegibilityReport(

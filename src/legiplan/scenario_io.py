@@ -474,21 +474,20 @@ def read_trajectory_csv(data: str | bytes) -> tuple[Trajectory, dict[str, np.nda
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"trajectory CSV must start with header {CSV_HEADER!r}")
     rows = lines[1:]
+    width = len(CSV_COLUMNS)
     try:
-        values = np.array(
-            [[float(cell) for cell in line.split(",")] for line in rows], dtype=float
-        )
+        # All cells in one pass; numpy parses each str cell as float() does.
+        # Reshaped to the widest row, rows of uneven width fail here.
+        widest = max((line.count(",") for line in rows), default=0) + 1
+        cells = ",".join(rows).split(",") if rows else []
+        values = np.array(cells, dtype=float).reshape(len(rows), widest)
         if not np.isfinite(values).all():
             raise ValueError
     except ValueError:  # a ragged row, or a non-numeric or non-finite cell
         number = next(n for n, line in enumerate(rows, 1) if not _is_log_row(line))
-        raise ValueError(
-            f"trajectory CSV data row {number} must hold {len(CSV_COLUMNS)} numbers"
-        ) from None
-    if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] != len(CSV_COLUMNS):
-        raise ValueError(
-            f"trajectory CSV needs at least two data rows of {len(CSV_COLUMNS)} columns"
-        )
+        raise ValueError(f"trajectory CSV data row {number} must hold {width} numbers") from None
+    if len(values) < 2 or values.shape[1] != width:
+        raise ValueError(f"trajectory CSV needs at least two data rows of {width} columns")
     t = values[:, 0]
     steps = np.diff(t)
     if np.any(steps <= 0):

@@ -475,6 +475,28 @@ class TestBatchMatchesScalarLoop:
             report = evaluate_trajectory(traj, scenario, UNIFORM, fractions, mask_fov)
             _same_bits(report, _ref_evaluate(pts, scenario, UNIFORM, fractions, mask_fov))
 
+    def test_prefix_length_over_pairwise_blocks(self):
+        # Beyond 128 values np.sum splits its pairwise sum recursively. The
+        # path runs along the observer's gaze, and about a fifth of its points
+        # are mirrored behind the observer, so most prefixes, masked or not,
+        # sum more than 128 segments.
+        rng = np.random.default_rng(22)
+        steps = np.column_stack([-rng.uniform(0.1, 10.0, 320), rng.normal(scale=4.0, size=320)])
+        pts = np.array([4.0, 0.8]) + np.cumsum(steps, axis=0)
+        hidden = rng.uniform(size=320) < 0.2
+        pts[hidden, 0] = 9.6 - pts[hidden, 0]
+        scenario = make_scenario()
+        seen = pts[visibility_points(pts, designated_observer(scenario)) > 0.0]
+        assert 200 < len(seen) < len(pts)
+        for path in (pts, seen):
+            seg = _ref_segments(path)
+            assert any(np.sum(seg[:k]) != np.cumsum(seg)[k - 1] for k in range(129, len(seg)))
+        fractions = tuple((i + 1) / 20 for i in range(20))
+        for mask_fov in (False, True):
+            traj = Trajectory(pts, 0.4)
+            report = evaluate_trajectory(traj, scenario, UNIFORM, fractions, mask_fov)
+            _same_bits(report, _ref_evaluate(pts, scenario, UNIFORM, fractions, mask_fov))
+
     def test_zero_length_segments_and_path(self):
         scenario, fractions = make_scenario(), (0.0, 0.5, 1.0)
         for pts in (

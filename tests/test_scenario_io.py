@@ -25,6 +25,7 @@ from legiplan import (
 from legiplan import model, scenario_io
 from legiplan.model import DEFAULT_FOV, clearance, Point2
 from legiplan.scenario_io import (
+    CSV_COLUMNS,
     format_trajectory_csv,
     read_trajectory_csv,
     scenario_to_bytes,
@@ -447,8 +448,13 @@ class TestTrajectoryCsv:
             read_trajectory_csv("a,b,c\n1,2,3\n")
 
     @pytest.mark.parametrize(
-        "bad_row", ["0.8,2,0,0,0,0", "0.8,2,0,0,0,0,1,9", "0.8,2,0,zero,0,0,1"],
-        ids=["short", "long", "non-numeric"],
+        "bad_row",
+        # long-then-short: 7 + 7 + 8 + 6 cells would fill four rows of 7.
+        [
+            "0.8,2,0,0,0,0", "0.8,2,0,0,0,0,1,9", "0.8,2,0,zero,0,0,1",
+            "0.8,2,0,0,0,0,1,9\n1.2,3,0,0,0,0",
+        ],
+        ids=["short", "long", "non-numeric", "long-then-short"],
     )
     def test_bad_row_is_named(self, bad_row):
         # Data rows count from 1 and skip blank lines.
@@ -460,6 +466,32 @@ class TestTrajectoryCsv:
         )
         with pytest.raises(ValueError, match=r"^trajectory CSV data row 3 must hold 7 numbers$"):
             read_trajectory_csv(text)
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["", "\n\n", "0.0,0,0,0,0,0,1\n", "0.0,0,0,0,1\n0.4,1,0,0,1\n", "0,0,0,0,0,0,0,1\n" * 2],
+        ids=["none", "blank", "one", "even-narrow", "even-wide"],
+    )
+    def test_too_few_rows_or_columns_are_named(self, rows):
+        # With no data row the cells joined into one string split to [""],
+        # which is not a number; the reader must still report the row count.
+        # Rows that all hold one other number of cells get this message too.
+        with pytest.raises(
+            ValueError, match=r"^trajectory CSV needs at least two data rows of 7 columns$"
+        ):
+            read_trajectory_csv("t,x,y,heading,v,omega,clearance\n" + rows)
+
+    def test_cells_read_as_float_does(self):
+        odd = ["1_0", " 1.5", "+1", "-0", "\t2e-3 ", "٣.٥"]  # the last is Arabic-Indic 3.5
+        text = (
+            "t,x,y,heading,v,omega,clearance\n"
+            "0.0,0,0,0,0,0,1\n"
+            f"+0.4,{','.join(odd)}\n"
+        )
+        _, columns = read_trajectory_csv(text)
+        read = np.array([columns[name][1] for name in CSV_COLUMNS[1:]])
+        assert read.tobytes() == np.array([float(cell) for cell in odd]).tobytes()
+        assert columns["t"][1] == 0.4
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("column", range(7))
