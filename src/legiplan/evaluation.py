@@ -7,28 +7,28 @@ mean of those values is the legibility score.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .legibility import designated_observer, visibility_points
 from .model import Goal, Point2, ScenarioSpec, Trajectory, _hypot2, _segment_lengths, prefix_points
 
-DEFAULT_FRACTIONS = (0.25, 0.50, 0.75)
-
-
 @dataclass(frozen=True)
 class PosteriorModel:
     """Rationality beta and goal prior of the synthetic observer."""
 
     beta: float = 1.0
-    prior: dict[str, float] | None = None  # None means uniform
+    prior: Mapping[str, float] | None = None  # None means uniform; kept as a read-only copy
 
     def __post_init__(self) -> None:
         # beta = 0 is allowed: it reduces the posterior to the prior.
         if not np.isfinite(self.beta) or self.beta < 0:
             raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
         if self.prior is not None:
+            object.__setattr__(self, "prior", MappingProxyType(dict(self.prior)))
             values = list(self.prior.values())
             if not all(0 <= p < np.inf for p in values):
                 raise ValueError("prior probabilities must be finite and nonnegative")
@@ -42,6 +42,13 @@ class PosteriorModel:
         if missing:
             raise ValueError(f"prior missing goals: {missing}")
         return {g.id: self.prior[g.id] for g in goals}
+
+    def __reduce__(self):  # pickle and deepcopy: a mappingproxy cannot be pickled
+        return type(self), (self.beta, None if self.prior is None else dict(self.prior))
+
+
+DEFAULT_FRACTIONS = (0.25, 0.50, 0.75)
+_UNIFORM = PosteriorModel()
 
 
 @dataclass(frozen=True)
@@ -76,24 +83,25 @@ def posterior_batch(
     if not goals:
         raise ValueError("goals must be non-empty")
     prior = model.prior_for(goals)
-    weights = np.array([prior[g.id] for g in goals])
-    goal_xy = np.array([g.position.as_array() for g in goals])
+    weights = np.array(list(prior.values()))
+    goal_xy = np.array([(g.position.x, g.position.y) for g in goals], dtype=float)
     # sqrt(vecdot(v, v)) has the bits of the scalar np.linalg.norm(v).
     dq, ds = endpoints[:, None, :] - goal_xy, start - goal_xy
     costs = (lengths[:, None] + np.sqrt(np.vecdot(dq, dq))) - np.sqrt(np.vecdot(ds, ds))
-    allowed = weights > 0
     with np.errstate(over="ignore", invalid="ignore"):
-        # A goal the prior rules out gets exponent -inf, so it can neither set
-        # the shift below (underflowing every other weight) nor overflow.
-        exponents = np.where(allowed, -model.beta * costs, -np.inf)
+        exponents = -model.beta * costs
+        if not all(prior.values()):
+            # A ruled-out goal gets exponent -inf: it cannot overflow or set the shift.
+            exponents = np.where(weights > 0, exponents, -np.inf)
         shift = exponents.max(axis=1, keepdims=True)
         # Shift before exponentiating for numerical stability.
         scaled = weights * np.exp(exponents - shift)
-    # Where beta * cost overflowed for every goal the prior allows, take the
-    # beta -> inf limit: the prior's mass on the cheapest of those goals.
-    cheapest = np.where(allowed, costs, np.inf).min(axis=1, keepdims=True)
-    weights = np.where(shift == -np.inf, np.where(costs == cheapest, weights, 0.0), scaled)
-    return weights / weights.sum(axis=1, keepdims=True)
+    if (shift == -np.inf).any():
+        # Where beta * cost overflowed for every goal the prior allows, take
+        # the beta -> inf limit: the prior's mass on the cheapest of those goals.
+        cheapest = np.where(weights > 0, costs, np.inf).min(axis=1, keepdims=True)
+        scaled = np.where(shift == -np.inf, np.where(costs == cheapest, weights, 0.0), scaled)
+    return scaled / scaled.sum(axis=1, keepdims=True)
 
 
 def goal_posterior(
@@ -146,37 +154,38 @@ def evaluate_trajectory(
     the observer only sees the waypoints inside their FOV wedge (falling
     back to the prior when fewer than two waypoints are visible).
     """
-    if model is None:
-        model = PosteriorModel()
-    goals = scenario.goals
+    model = _UNIFORM if model is None else model
     pts = executed.waypoints
-    _, j, ends = prefix_points(pts, fractions)
-    # With no observer every point is visible and the scan sees the whole path.
+    seg, j, ends = prefix_points(pts, fractions)
     observer = designated_observer(scenario) if mask_fov else None
-    visible = visibility_points(np.concatenate([pts, ends]), observer) > 0.0
-    seen, end_seen = pts[visible[: len(pts)]], visible[len(pts):]
-    seen_seg = _segment_lengths(seen)
-    counts = np.cumsum(visible[: len(pts)])[j - 1]  # visible points in pts[:j]
-    prior = model.prior_for(goals)
+    if observer is None:  # nothing is masked: the scan is the path itself
+        seen, seen_seg, counts, rows, end_seen = pts, seg, j, range(len(j)), [1] * len(j)
+        last_seen, endpoints = pts.take(j - 1, axis=0), ends
+    else:
+        visible = visibility_points(np.concatenate([pts, ends]), observer) > 0.0
+        seen, end_seen = pts.compress(visible[: len(pts)], axis=0), visible[len(pts):]
+        seen_seg = _segment_lengths(seen)
+        counts = visible.cumsum().take(j - 1)  # visible points in pts[:j]
+        rows = (counts + end_seen >= 2).nonzero()[0]
+        counts, end_seen, ends = counts.take(rows), end_seen.take(rows), ends.take(rows, axis=0)
+        last_seen = seen.take(counts - 1, axis=0)
+        endpoints = np.where(end_seen[:, None], ends, last_seen)
+        rows, end_seen = rows.tolist(), end_seen.tolist()
+    prior = model.prior_for(scenario.goals)
     posteriors = [dict(prior) for _ in fractions]
-    rows = np.flatnonzero(counts + end_seen >= 2)
-    if rows.size:
-        counts, end_seen, ends = counts[rows], end_seen[rows], ends[rows]
-        last_seen = seen[counts - 1]
+    if rows:
         last_seg = _hypot2(*(ends - last_seen).T)
         # Each length is np.sum over its own segments, as Trajectory.arc_length:
         # one contiguous run of a buffer whose slot k - 1 holds the last one.
-        buf = np.append(seen_seg, 0.0)
-        lengths = np.empty(rows.size)
-        for i, (k, e, d) in enumerate(zip(counts.tolist(), end_seen.tolist(), last_seg.tolist())):
+        buf = np.concatenate([seen_seg, [0.0]])
+        lengths = np.empty(len(rows))
+        for i, (k, e, d) in enumerate(zip(counts.tolist(), end_seen, last_seg.tolist())):
             kept, buf[k - 1] = buf[k - 1], d
             lengths[i] = np.add.reduce(buf[: k - 1 + e])
             buf[k - 1] = kept
-        endpoints = np.where(end_seen[:, None], ends, last_seen)
-        batch = posterior_batch(lengths, endpoints, seen[0], goals, model)
-        ids = [g.id for g in goals]
-        for r, row in zip(rows.tolist(), batch.tolist()):
-            posteriors[r] = dict(zip(ids, row))
+        batch = posterior_batch(lengths, endpoints, seen[0], scenario.goals, model)
+        for r, row in zip(rows, batch.tolist()):
+            posteriors[r] = dict(zip(prior, row))
     g_star_id = scenario.target_goal().id
     correctness_values = [correctness(p, g_star_id) for p in posteriors]
     return LegibilityReport(

@@ -355,14 +355,15 @@ def prefix_points(
     for fraction in fractions:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    # Array methods and take(): the bits of np.* and fancy indexing, less dispatch.
     seg = _segment_lengths(waypoints)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    target = np.asarray(fractions, dtype=float) * cum[-1]
-    j = np.maximum(np.searchsorted(cum, target, side="left"), 1)
-    step = seg[j - 1]
-    s = np.divide(target - cum[j - 1], step, out=np.zeros_like(step), where=step > 0.0)
-    ends = waypoints[j - 1] + s[:, None] * (waypoints[j] - waypoints[j - 1])
-    return seg, j, ends
+    cum = np.concatenate([[0.0], seg.cumsum()])
+    target = np.array(fractions, dtype=float) * cum[-1]
+    i = np.maximum(cum.searchsorted(target), 1) - 1  # segment of each endpoint
+    step = seg.take(i)
+    s = np.divide(target - cum.take(i), step, out=np.zeros(len(i)), where=step > 0.0)
+    start = waypoints.take(i, axis=0)
+    return seg, i + 1, start + s[:, None] * (waypoints.take(i + 1, axis=0) - start)
 
 
 def arc_length_prefix(traj: Trajectory, fraction: float) -> Trajectory:

@@ -1,11 +1,15 @@
 """Synthetic-observer posterior, correctness and legibility score."""
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+import legiplan.evaluation as evaluation_module
+import legiplan.legibility as legibility_module
 from legiplan import (
     Goal,
     ObserverState,
@@ -173,6 +177,21 @@ class TestPosteriorModel:
         with pytest.raises(ValueError):
             PosteriorModel(beta=-0.5)
 
+    def test_prior_is_a_read_only_copy(self):
+        prefix = Trajectory([[0, 0], [1, 0.5]], dt=1.0)
+        goals = (Goal("A", Point2(4, 2), is_target=True), Goal("B", Point2(4, -2)))
+        prior = {"A": 0.5, "B": 0.5}
+        model = PosteriorModel(prior=prior)
+        before = goal_posterior(prefix, goals, Point2(0, 0), model)
+        for edit in (-1.0, 5.0):
+            prior["A"] = edit  # the caller's dict, after validation
+            assert goal_posterior(prefix, goals, Point2(0, 0), model) == before
+        with pytest.raises(TypeError):
+            model.prior["A"] = -1.0
+        assert type(model.prior_for(goals)) is dict
+        assert model.prior_for(goals) == {"A": 0.5, "B": 0.5}
+        assert pickle.loads(pickle.dumps(model)) == model == copy.deepcopy(model)
+
 
 class TestCorrectness:
     def test_certain(self):
@@ -338,9 +357,9 @@ def _ref_prefix(pts, fraction):
     return np.vstack([pts[:j], pts[j - 1] + s * (pts[j] - pts[j - 1])])
 
 
-def _ref_posterior(prefix, goals, s, model):
+def _ref_posterior(prefix, goals, s, model, total=np.sum):
     prior = model.prior_for(goals)
-    length = float(np.sum(_ref_segments(prefix)))
+    length = float(total(_ref_segments(prefix)))
     q = prefix[-1]
     costs = [
         length + float(np.linalg.norm(q - g.position.as_array()))
@@ -359,7 +378,7 @@ def _ref_posterior(prefix, goals, s, model):
     return {g.id: float(w) for g, w in zip(goals, weights)}
 
 
-def _ref_evaluate(pts, scenario, model, fractions, mask_fov):
+def _ref_evaluate(pts, scenario, model, fractions, mask_fov, total=np.sum):
     g_star = scenario.target_goal()
     posteriors, values, flags = [], [], []
     for fraction in fractions:
@@ -370,7 +389,7 @@ def _ref_evaluate(pts, scenario, model, fractions, mask_fov):
         if len(prefix) < 2:
             posterior = model.prior_for(scenario.goals)
         else:
-            posterior = _ref_posterior(prefix, scenario.goals, prefix[0], model)
+            posterior = _ref_posterior(prefix, scenario.goals, prefix[0], model, total)
         posteriors.append(posterior)
         values.append(posterior[g_star.id])
         flags.append(values[-1] == max(posterior.values()))
@@ -463,17 +482,25 @@ class TestBatchMatchesScalarLoop:
 
     def test_prefix_length_sums_its_own_segments(self):
         # Over many segments np.sum's pairwise order and the running cumsum
-        # round differently; the report keeps np.sum's bits.
-        rng = np.random.default_rng(21)
-        pts = np.cumsum(rng.uniform(0.1, 10.0, size=(60, 2)), axis=0)
-        seg = _ref_segments(pts)
-        assert any(np.sum(seg[:k]) != np.cumsum(seg)[k - 1] for k in range(9, 60))
+        # round differently; the report keeps np.sum's bits. The path runs
+        # along the observer's gaze with about a fifth of its points mirrored
+        # behind the observer, and on it a cumsum's prefix lengths change
+        # posterior bits, masked and unmasked.
+        rng = np.random.default_rng(26)
+        steps = np.column_stack([-rng.uniform(0.1, 10.0, 60), rng.normal(scale=4.0, size=60)])
+        pts = np.array([4.0, 0.8]) + np.cumsum(steps, axis=0)
+        hidden = rng.uniform(size=60) < 0.2
+        pts[hidden, 0] = 9.6 - pts[hidden, 0]
         scenario = make_scenario()
         fractions = tuple((i + 1) / 20 for i in range(20))
         for mask_fov in (False, True):
+            expected = _ref_evaluate(pts, scenario, UNIFORM, fractions, mask_fov)
+            by_cumsum = _ref_evaluate(
+                pts, scenario, UNIFORM, fractions, mask_fov, total=lambda seg: np.cumsum(seg)[-1]
+            )
+            assert by_cumsum["posteriors"] != expected["posteriors"]
             traj = Trajectory(pts, 0.4)
-            report = evaluate_trajectory(traj, scenario, UNIFORM, fractions, mask_fov)
-            _same_bits(report, _ref_evaluate(pts, scenario, UNIFORM, fractions, mask_fov))
+            _same_bits(evaluate_trajectory(traj, scenario, UNIFORM, fractions, mask_fov), expected)
 
     def test_prefix_length_over_pairwise_blocks(self):
         # Beyond 128 values np.sum splits its pairwise sum recursively. The
@@ -539,6 +566,27 @@ def test_mask_that_hides_nothing_gives_the_unmasked_report(fractions, full_circl
         plain = evaluate_trajectory(traj, scenario, model, fractions)
         masked = evaluate_trajectory(traj, scenario, model, fractions, mask_fov=True)
         _same_bits(masked, plain.to_dict())
+
+
+@pytest.mark.parametrize("fractions", [DEFAULT_FRACTIONS, tuple((i + 1) / 20 for i in range(20))])
+def test_unmasked_scan_runs_no_visibility_pass(monkeypatch, fractions):
+    # With mask_fov off, or no observer to mask with, the scan is the path
+    # itself; the test above checks that it keeps the masked scan's bits.
+    calls = []
+    for module, name in ((evaluation_module, "visibility_points"),
+                         (legibility_module, "_deviation_angles")):
+        def counted(*args, _f=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    traj = Trajectory(np.cumsum(np.random.default_rng(5).normal(size=(30, 2)), axis=0), 0.4)
+    watched, unwatched = make_scenario(), make_scenario(observers=())
+    evaluate_trajectory(traj, watched, UNIFORM, fractions)
+    evaluate_trajectory(traj, unwatched, UNIFORM, fractions, mask_fov=True)
+    assert calls == []
+    evaluate_trajectory(traj, watched, UNIFORM, fractions, mask_fov=True)
+    assert calls == ["visibility_points", "_deviation_angles"]
 
 
 def _dragan(length, q, s, goals, model):

@@ -28,12 +28,21 @@ def summary():
     return quality_sweep.sweep((SCENE,), range(SEED, SEED + 1))
 
 
-def _score(mode: str) -> float:
+def _score(mode: str, **planner) -> float:
     spec = load_scenario(str(SCENARIO_DIR / f"{SCENE}.json"))
     spec = dataclasses.replace(
-        spec, seed=SEED, planner=dataclasses.replace(spec.planner, mode=mode)
+        spec, seed=SEED, planner=dataclasses.replace(spec.planner, mode=mode, **planner)
     )
     return evaluate_trajectory(run_closed_loop(spec).executed, spec).score
+
+
+def _quality(summary: dict) -> dict:
+    """The summary without its wall times, which differ from run to run."""
+    return {
+        scene: {mode: {k: v for k, v in row.items() if k != "wall_s_mean"}
+                for mode, row in modes.items()}
+        for scene, modes in summary.items()
+    }
 
 
 def test_one_seed_summary(summary):
@@ -53,10 +62,12 @@ def test_one_seed_summary(summary):
         assert row["away_max"] >= 0.0
         assert row["clearance_min"] >= 0.0
         assert 0.0 <= row["visible_mean"] <= 1.0
+        assert row["wall_s_mean"] > 0.0
 
 
 def test_two_workers_match_one(summary):
-    assert quality_sweep.sweep((SCENE,), range(SEED, SEED + 1), jobs=2) == summary
+    two_workers = quality_sweep.sweep((SCENE,), range(SEED, SEED + 1), jobs=2)
+    assert _quality(two_workers) == _quality(summary)
 
 
 def test_main_prints_table_and_writes_json(tmp_path, capsys, monkeypatch, summary):
@@ -66,7 +77,42 @@ def test_main_prints_table_and_writes_json(tmp_path, capsys, monkeypatch, summar
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"seeds {SEED}-{SEED}"
     assert [line.split()[:2] for line in lines[2:]] == [[SCENE, "baseline"], [SCENE, "legible"]]
-    assert json.loads(out.read_text()) == {"seeds": [SEED, SEED], "scenes": summary}
+    written = json.loads(out.read_text())
+    assert written.keys() == {"seeds", "set", "scenes"}
+    assert written["seeds"] == [SEED, SEED] and written["set"] == {}
+    assert _quality(written["scenes"]) == _quality(summary)
+
+
+def test_set_overrides_planner_fields(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(quality_sweep, "SCENES", (SCENE,))
+    out = tmp_path / "sweep.json"
+    argv = ["--seeds", str(SEED), "--set", "planner.cem_iterations=2",
+            "--set", "planner.goal_tolerance=0.35", "--json", str(out)]
+    assert quality_sweep.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"seeds {SEED}-{SEED}  set planner.cem_iterations=2 planner.goal_tolerance=0.35"
+    assert lines[1].split()[-2:] == ["s/run", "fail"]
+    written = json.loads(out.read_text())
+    assert written["set"] == {"planner.cem_iterations": 2, "planner.goal_tolerance": 0.35}
+    rows = written["scenes"][SCENE]
+    for mode in ("baseline", "legible"):
+        assert rows[mode]["L_mean"] == _score(mode, cem_iterations=2, goal_tolerance=0.35)
+    assert rows["legible"]["L_mean"] != _score("legible")  # the override changed the run
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("planner.cem_elites=1000", "cem_elites must be in"),  # PlannerParams
+    ("planner.dt=0.01", "v_max must be <= a_max * horizon_w * dt"),  # scenario invariant
+    ("planner.cem_iterations=2.5", "takes int"),
+    ("planner.mode=legible", "expected planner.KEY=VALUE"),
+    ("legibility.lambda_sim=1", "expected planner.KEY=VALUE"),
+])
+def test_set_rejects_bad_overrides_before_running(capsys, monkeypatch, setting, message):
+    monkeypatch.setattr(quality_sweep, "SCENES", (SCENE,))
+    monkeypatch.setattr(quality_sweep, "sweep", None)  # no run may start
+    with pytest.raises(SystemExit):
+        quality_sweep.main(["--seeds", str(SEED), "--set", setting])
+    assert message in capsys.readouterr().err
 
 
 def test_seed_range_is_inclusive():
