@@ -14,7 +14,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .legibility import designated_observer, visibility_points
-from .model import Goal, Point2, ScenarioSpec, Trajectory, _hypot2, _segment_lengths, prefix_points
+from .model import (
+    Goal, Point2, ScenarioSpec, Trajectory, _as_float, _hypot2, _segment_lengths, prefix_points,
+)
 
 @dataclass(frozen=True)
 class PosteriorModel:
@@ -25,12 +27,12 @@ class PosteriorModel:
 
     def __post_init__(self) -> None:
         # beta = 0 is allowed: it reduces the posterior to the prior.
-        if not np.isfinite(self.beta) or self.beta < 0:
+        if not 0 <= _as_float(self.beta) < np.inf:
             raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
         if self.prior is not None:
             object.__setattr__(self, "prior", MappingProxyType(dict(self.prior)))
             values = list(self.prior.values())
-            if not all(0 <= p < np.inf for p in values):
+            if not all(0 <= _as_float(p) < np.inf for p in values):
                 raise ValueError("prior probabilities must be finite and nonnegative")
             if abs(sum(values) - 1.0) > 1e-9:
                 raise ValueError(f"prior must sum to 1, got {sum(values)}")
@@ -156,33 +158,26 @@ def evaluate_trajectory(
     """
     model = _UNIFORM if model is None else model
     pts = executed.waypoints
-    seg, j, ends = prefix_points(pts, fractions)
+    cum, j, ends = prefix_points(pts, fractions)
     observer = designated_observer(scenario) if mask_fov else None
     if observer is None:  # nothing is masked: the scan is the path itself
-        seen, seen_seg, counts, rows, end_seen = pts, seg, j, range(len(j)), [1] * len(j)
+        seen, counts, rows, end_seen = pts, j, range(len(j)), True
         last_seen, endpoints = pts.take(j - 1, axis=0), ends
     else:
         visible = visibility_points(np.concatenate([pts, ends]), observer) > 0.0
         seen, end_seen = pts.compress(visible[: len(pts)], axis=0), visible[len(pts):]
-        seen_seg = _segment_lengths(seen)
+        cum = np.concatenate([[0.0], _segment_lengths(seen).cumsum()])  # of the seen points
         counts = visible.cumsum().take(j - 1)  # visible points in pts[:j]
         rows = (counts + end_seen >= 2).nonzero()[0]
         counts, end_seen, ends = counts.take(rows), end_seen.take(rows), ends.take(rows, axis=0)
         last_seen = seen.take(counts - 1, axis=0)
         endpoints = np.where(end_seen[:, None], ends, last_seen)
-        rows, end_seen = rows.tolist(), end_seen.tolist()
     prior = model.prior_for(scenario.goals)
     posteriors = [dict(prior) for _ in fractions]
-    if rows:
-        last_seg = _hypot2(*(ends - last_seen).T)
-        # Each length is np.sum over its own segments, as Trajectory.arc_length:
-        # one contiguous run of a buffer whose slot k - 1 holds the last one.
-        buf = np.concatenate([seen_seg, [0.0]])
-        lengths = np.empty(len(rows))
-        for i, (k, e, d) in enumerate(zip(counts.tolist(), end_seen, last_seg.tolist())):
-            kept, buf[k - 1] = buf[k - 1], d
-            lengths[i] = np.add.reduce(buf[: k - 1 + e])
-            buf[k - 1] = kept
+    if len(rows):
+        # The seen points' running length plus the seen end's leg: arc_length's
+        # bits. np.where, not a 0/1 product: an inf leg times 0 is NaN.
+        lengths = cum.take(counts - 1) + np.where(end_seen, _hypot2(*(ends - last_seen).T), 0.0)
         batch = posterior_batch(lengths, endpoints, seen[0], scenario.goals, model)
         for r, row in zip(rows, batch.tolist()):
             posteriors[r] = dict(zip(prior, row))

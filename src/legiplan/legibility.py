@@ -26,6 +26,7 @@ from .model import (
     RobotState,
     ScenarioSpec,
     Trajectory,
+    _as_float,
     _hypot2,
     _planes,
     velocities,
@@ -47,9 +48,9 @@ class LegibilityParams:
     eps_v: float = 1e-6  # m/s, below this a velocity carries no direction
 
     def __post_init__(self) -> None:
-        if not (0 <= self.lambda_sim < math.inf and 0 <= self.lambda_fov < math.inf):
+        if not all(0 <= _as_float(v) < math.inf for v in (self.lambda_sim, self.lambda_fov)):
             raise ValueError("lambda_sim and lambda_fov must be nonnegative")
-        if not (0 < self.h_max < math.inf and 0 < self.eps_v < math.inf):
+        if not all(0 < _as_float(v) < math.inf for v in (self.h_max, self.eps_v)):
             raise ValueError("h_max and eps_v must be positive")
 
 

@@ -56,6 +56,15 @@ def _hypot2(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
+def _as_float(value):
+    """An int as a float (-inf or inf beyond float range), any other value as
+    it is: for finiteness checks, which 10**400 would pass or raise on."""
+    try:
+        return float(value) if isinstance(value, int) else value
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _planes(points: np.ndarray) -> np.ndarray:
     """The x and y coordinate planes (2, ...) of points (..., 2), C-contiguous.
 
@@ -82,7 +91,7 @@ class Point2:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+        if not (math.isfinite(_as_float(self.x)) and math.isfinite(_as_float(self.y))):
             raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
 
     def as_array(self) -> np.ndarray:
@@ -106,9 +115,9 @@ class RobotState:
 
     def __post_init__(self) -> None:
         limits = (self.radius, self.v_max, self.a_max, self.omega_max)
-        if not all(0 < limit < math.inf for limit in limits):
+        if not all(0 < _as_float(limit) < math.inf for limit in limits):
             raise ValueError("radius, v_max, a_max and omega_max must be positive")
-        if not math.isfinite(self.heading):
+        if not math.isfinite(_as_float(self.heading)):
             raise ValueError(f"heading must be finite, got {self.heading}")
         if not 0 <= self.speed <= self.v_max:
             raise ValueError(f"speed {self.speed} outside [0, v_max={self.v_max}]")
@@ -138,7 +147,7 @@ class ObserverState:
     attached_goal: str | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.heading):
+        if not math.isfinite(_as_float(self.heading)):
             raise ValueError(f"heading must be finite, got {self.heading}")
         if not 0 < self.fov <= math.tau:
             raise ValueError(f"fov {self.fov} outside (0, 2*pi]")
@@ -150,7 +159,7 @@ class CircleObstacle:
     radius: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.radius < math.inf:
+        if not 0 < _as_float(self.radius) < math.inf:
             raise ValueError(f"circle radius must be positive, got {self.radius}")
 
 
@@ -184,7 +193,7 @@ class Trajectory:
             raise ValueError("a trajectory needs at least 2 waypoints")
         if not np.all(np.isfinite(pts)):
             raise ValueError("waypoints must be finite")
-        if not self.dt > 0:
+        if not 0 < _as_float(self.dt) < math.inf:
             raise ValueError(f"dt must be positive, got {self.dt}")
         pts.flags.writeable = False
         object.__setattr__(self, "waypoints", pts)
@@ -198,7 +207,7 @@ class Trajectory:
         return Point2(float(self.waypoints[-1, 0]), float(self.waypoints[-1, 1]))
 
     def arc_length(self) -> float:
-        return float(np.sum(_segment_lengths(self.waypoints)))
+        return float(_segment_lengths(self.waypoints).cumsum()[-1])  # prefix_points' cum[-1]
 
 
 @dataclass(frozen=True)
@@ -232,20 +241,15 @@ class ScenarioSpec:
             object.__setattr__(self, "legibility", LegibilityParams())
         # Resolve robot-dependent sampling defaults so the spec is
         # self-contained (and serialization round trips exactly).
-        if self.planner.cem_init_std_v is None or self.planner.cem_init_std_omega is None:
-            std_v = self.planner.cem_init_std_v
-            std_omega = self.planner.cem_init_std_omega
-            object.__setattr__(
-                self,
-                "planner",
-                dataclasses.replace(
-                    self.planner,
-                    cem_init_std_v=std_v if std_v is not None else 0.5 * self.robot.v_max,
-                    cem_init_std_omega=(
-                        std_omega if std_omega is not None else 0.5 * self.robot.omega_max
-                    ),
+        p, robot = self.planner, self.robot
+        if p.cem_init_std_v is None or p.cem_init_std_omega is None:
+            object.__setattr__(self, "planner", dataclasses.replace(
+                p,
+                cem_init_std_v=0.5 * robot.v_max if p.cem_init_std_v is None else p.cem_init_std_v,
+                cem_init_std_omega=(
+                    0.5 * robot.omega_max if p.cem_init_std_omega is None else p.cem_init_std_omega
                 ),
-            )
+            ))
         self._check_invariants()
 
     def _check_invariants(self) -> None:
@@ -277,14 +281,10 @@ class ScenarioSpec:
                     f"$.goals[{i}].position", "goal clearance must be >= robot radius"
                 )
         # Worst-case stopping rule: the horizon must be long enough to shed
-        # v_max. A product beyond float range (an integer dt from a library
-        # caller) satisfies it trivially.
+        # v_max. A product beyond float range (integer fields from a library
+        # caller, each inside float range) reads as inf and satisfies it.
         p = self.planner
-        try:
-            stopping_span = self.robot.a_max * p.horizon_w * p.dt
-        except OverflowError:
-            stopping_span = math.inf
-        if self.robot.v_max > stopping_span:
+        if self.robot.v_max > _as_float(self.robot.a_max * p.horizon_w) * p.dt:
             raise ScenarioError("$.planner", "v_max must be <= a_max * horizon_w * dt")
 
     def target_goal(self) -> Goal:
@@ -347,11 +347,13 @@ def prefix_points(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arc-length prefixes of one path for every fraction at once.
 
-    Returns the w segment lengths and, per fraction, the count j >= 1 of
-    whole waypoints in the prefix and its endpoint: the point where the arc
-    length first reaches fraction * total, interpolated on segment j - 1.
-    The prefix is waypoints[:j] followed by that endpoint.
+    Returns the running arc length at each of the w+1 waypoints and, per
+    fraction, the count j >= 1 of whole waypoints in the prefix and its
+    endpoint: where the arc length first reaches fraction * total, on segment
+    j - 1. The prefix is waypoints[:j] followed by that endpoint.
     """
+    if len(fractions) == 0:
+        raise ValueError("fractions must be non-empty")
     for fraction in fractions:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
@@ -363,7 +365,7 @@ def prefix_points(
     step = seg.take(i)
     s = np.divide(target - cum.take(i), step, out=np.zeros(len(i)), where=step > 0.0)
     start = waypoints.take(i, axis=0)
-    return seg, i + 1, start + s[:, None] * (waypoints.take(i + 1, axis=0) - start)
+    return cum, i + 1, start + s[:, None] * (waypoints.take(i + 1, axis=0) - start)
 
 
 def arc_length_prefix(traj: Trajectory, fraction: float) -> Trajectory:

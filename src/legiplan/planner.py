@@ -35,7 +35,9 @@ from .legibility import (
     # unused here; kept only for the benchmark tracer
     fov_cost_batch, legibility_aware_cost, weighted_similarity_batch,
 )
-from .model import Point2, RobotState, ScenarioSpec, Trajectory, velocity_points, wrap_angle
+from .model import (
+    Point2, RobotState, ScenarioSpec, Trajectory, _as_float, velocity_points, wrap_angle,
+)
 from .task_cost import (
     CostBreakdown, task_cost_batch,
     task_cost,  # unused here; kept only for the benchmark tracer
@@ -86,7 +88,7 @@ class PlannerParams:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not 0 < self.dt < math.inf:
+        if not 0 < _as_float(self.dt) < math.inf:
             raise ValueError("dt must be positive")
         if not self.horizon_w >= 2:
             raise ValueError("horizon_w must be >= 2")
@@ -102,11 +104,12 @@ class PlannerParams:
             if getattr(self, name) >= _KEY_FIELD_LIMIT:
                 raise ValueError(f"{name} must be < 2**32")
         for name in ("cem_init_std_v", "cem_init_std_omega"):
-            if getattr(self, name) is not None and not 0 < getattr(self, name) < math.inf:
+            std = getattr(self, name)
+            if std is not None and not 0 < _as_float(std) < math.inf:
                 raise ValueError(f"{name} must be positive")
         if not 1 <= self.execute_steps <= self.horizon_w:
             raise ValueError("execute_steps must be in [1, horizon_w]")
-        if not 0 < self.goal_tolerance < math.inf:
+        if not 0 < _as_float(self.goal_tolerance) < math.inf:
             raise ValueError("goal_tolerance must be positive")
         if not 1 <= self.max_cycles < math.inf:
             raise ValueError("max_cycles must be >= 1")

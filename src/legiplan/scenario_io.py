@@ -26,6 +26,7 @@ from .model import (
     ScenarioError,
     ScenarioSpec,
     Trajectory,
+    _as_float,
     clearance_points,
     wrap_angle,
 )
@@ -52,10 +53,7 @@ def _as_object(value: Any, path: str) -> dict:
 
 def _finite(value: int | float, path: str, rule: str) -> float:
     """`value` as a finite float; an integer beyond float range is not finite."""
-    try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
+    value = _as_float(value)
     if not math.isfinite(value):
         raise ScenarioError(path, rule)
     return value

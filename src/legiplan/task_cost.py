@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import (
-    Obstacle, Point2, RobotState, Trajectory, _hypot2, _planes, clearance_points,
+    Obstacle, Point2, RobotState, Trajectory, _as_float, _hypot2, _planes, clearance_points,
     velocity_points,
 )
 
@@ -39,9 +39,9 @@ class TaskCostWeights:
 
     def __post_init__(self) -> None:
         weights = (self.w_goal, self.w_clearance, self.w_approach, self.w_smooth, self.w_speed)
-        if any(w < 0 or not np.isfinite(w) for w in weights):
+        if not all(0 <= _as_float(w) < np.inf for w in weights):
             raise ValueError("all weights must be finite and nonnegative")
-        if not (0 < self.d_safe < np.inf and 0 < self.v_pref < np.inf):
+        if not (0 < _as_float(self.d_safe) < np.inf and 0 < _as_float(self.v_pref) < np.inf):
             raise ValueError("d_safe and v_pref must be positive")
 
 

@@ -19,7 +19,7 @@ cli_output_hashes = importlib.util.module_from_spec(_spec)
 sys.modules["cli_output_hashes"] = cli_output_hashes
 _spec.loader.exec_module(cli_output_hashes)
 
-DIGEST = "7c63e873dac7553a029cee8b6fcf9ea94baffa969c8b4c0194a4cb0e9ee06851"
+DIGEST = "01289274a3166f2b10a37f0a92fa786609cd2988f536032f0eb21276754db49c"
 
 
 def test_cli_output_listing_digest_is_unchanged():

@@ -16,6 +16,7 @@ from legiplan import (
     Point2,
     PosteriorModel,
     Trajectory,
+    arc_length_prefix,
     correctness,
     evaluate_trajectory,
     goal_posterior,
@@ -23,6 +24,7 @@ from legiplan import (
 )
 from legiplan.evaluation import DEFAULT_FRACTIONS, posterior_batch
 from legiplan.legibility import designated_observer, visibility_points
+from legiplan.model import prefix_points
 from tests.conftest import make_scenario
 
 UNIFORM = PosteriorModel()
@@ -357,7 +359,12 @@ def _ref_prefix(pts, fraction):
     return np.vstack([pts[:j], pts[j - 1] + s * (pts[j] - pts[j - 1])])
 
 
-def _ref_posterior(prefix, goals, s, model, total=np.sum):
+def _running_sum(seg):
+    # A path's arc length is the end of its running sum, as Trajectory.arc_length.
+    return np.cumsum(seg)[-1]
+
+
+def _ref_posterior(prefix, goals, s, model, total=_running_sum):
     prior = model.prior_for(goals)
     length = float(total(_ref_segments(prefix)))
     q = prefix[-1]
@@ -378,7 +385,7 @@ def _ref_posterior(prefix, goals, s, model, total=np.sum):
     return {g.id: float(w) for g, w in zip(goals, weights)}
 
 
-def _ref_evaluate(pts, scenario, model, fractions, mask_fov, total=np.sum):
+def _ref_evaluate(pts, scenario, model, fractions, mask_fov, total=_running_sum):
     g_star = scenario.target_goal()
     posteriors, values, flags = [], [], []
     for fraction in fractions:
@@ -482,10 +489,10 @@ class TestBatchMatchesScalarLoop:
 
     def test_prefix_length_sums_its_own_segments(self):
         # Over many segments np.sum's pairwise order and the running cumsum
-        # round differently; the report keeps np.sum's bits. The path runs
-        # along the observer's gaze with about a fifth of its points mirrored
-        # behind the observer, and on it a cumsum's prefix lengths change
-        # posterior bits, masked and unmasked.
+        # round differently; the report keeps the running sum's bits. The path
+        # runs along the observer's gaze with about a fifth of its points
+        # mirrored behind the observer, and on it np.sum's prefix lengths
+        # change posterior bits, masked and unmasked.
         rng = np.random.default_rng(26)
         steps = np.column_stack([-rng.uniform(0.1, 10.0, 60), rng.normal(scale=4.0, size=60)])
         pts = np.array([4.0, 0.8]) + np.cumsum(steps, axis=0)
@@ -495,10 +502,8 @@ class TestBatchMatchesScalarLoop:
         fractions = tuple((i + 1) / 20 for i in range(20))
         for mask_fov in (False, True):
             expected = _ref_evaluate(pts, scenario, UNIFORM, fractions, mask_fov)
-            by_cumsum = _ref_evaluate(
-                pts, scenario, UNIFORM, fractions, mask_fov, total=lambda seg: np.cumsum(seg)[-1]
-            )
-            assert by_cumsum["posteriors"] != expected["posteriors"]
+            by_np_sum = _ref_evaluate(pts, scenario, UNIFORM, fractions, mask_fov, total=np.sum)
+            assert by_np_sum["posteriors"] != expected["posteriors"]
             traj = Trajectory(pts, 0.4)
             _same_bits(evaluate_trajectory(traj, scenario, UNIFORM, fractions, mask_fov), expected)
 
@@ -542,6 +547,50 @@ class TestBatchMatchesScalarLoop:
         assert all(
             batched[i, k] == float(np.linalg.norm(v[i, k])) for i in range(400) for k in range(5)
         )
+
+
+class TestOneArcLength:
+    """Trajectory.arc_length, prefix_points and the report share one arc length:
+    the running sum that also places each prefix's end."""
+
+    def _check(self, pts, scenario, model, fractions):
+        traj = Trajectory(pts, 0.4)
+        cum, _, _ = prefix_points(traj.waypoints, fractions)
+        assert repr(traj.arc_length()) == repr(float(cum[-1]))
+        report = evaluate_trajectory(traj, scenario, model, fractions)
+        for fraction, posterior in zip(fractions, report.posteriors):
+            prefix = arc_length_prefix(traj, fraction)
+            scalar = goal_posterior(prefix, scenario.goals, traj.start, model)
+            assert repr(posterior) == repr(scalar)
+
+    def test_path_where_np_sum_differs(self):
+        # The 320-waypoint path of test_prefix_length_over_pairwise_blocks.
+        rng = np.random.default_rng(22)
+        steps = np.column_stack([-rng.uniform(0.1, 10.0, 320), rng.normal(scale=4.0, size=320)])
+        pts = np.array([4.0, 0.8]) + np.cumsum(steps, axis=0)
+        hidden = rng.uniform(size=320) < 0.2
+        pts[hidden, 0] = 9.6 - pts[hidden, 0]
+        scenario, fractions = make_scenario(), tuple(i / 400 for i in range(401))
+        # On this grid np.sum's prefix lengths change posterior bits.
+        by_np_sum = _ref_evaluate(pts, scenario, UNIFORM, fractions, False, total=np.sum)
+        assert by_np_sum != _ref_evaluate(pts, scenario, UNIFORM, fractions, False)
+        self._check(pts, scenario, UNIFORM, fractions)
+
+    def test_random_short_paths(self):
+        rng = np.random.default_rng(41)
+        for _ in range(150):
+            scenario, prior = _random_world(rng, int(rng.integers(1, 6)), rng.uniform() < 0.5)
+            model = PosteriorModel(beta=float(rng.choice([0.0, 1.0, 7.5])), prior=prior)
+            self._check(_random_path(rng), scenario, model, _random_fractions(rng))
+
+
+@pytest.mark.parametrize("mask_fov", [False, True])
+def test_empty_fractions_rejected_by_name(mask_fov):
+    traj = Trajectory([[0.0, 0.0], [1.0, 0.0]], 0.4)
+    with pytest.raises(ValueError, match="fractions must be non-empty"):
+        evaluate_trajectory(traj, make_scenario(), UNIFORM, (), mask_fov)
+    with pytest.raises(ValueError, match="fractions must be non-empty"):
+        prefix_points(traj.waypoints, [])
 
 
 @pytest.mark.parametrize(

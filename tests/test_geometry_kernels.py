@@ -261,6 +261,6 @@ def ref_arc_length_prefix(pts: np.ndarray, fraction: float) -> np.ndarray:
 def test_arc_lengths_match_norm(pts, fraction):
     pts[1] = pts[0]  # a zero-length segment
     traj = Trajectory(pts, 0.4)
-    assert traj.arc_length() == float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+    assert traj.arc_length() == float(np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))[-1])
     prefix = arc_length_prefix(traj, fraction)
     assert np.array_equal(prefix.waypoints, ref_arc_length_prefix(pts, fraction))

@@ -12,6 +12,7 @@ from legiplan import (
     ObserverState,
     PlannerParams,
     Point2,
+    PosteriorModel,
     RectObstacle,
     Trajectory,
     arc_length_prefix,
@@ -193,3 +194,46 @@ def test_library_built_values_reject_non_finite(build, field, rule, value):
     # and infinities fail every positivity or nonnegativity guard.
     with pytest.raises(ValueError, match=rule):
         build(**{field: value})
+
+
+# Every float field of the model and config dataclasses. An int beyond float
+# range compares exactly in Python, so 10**400 passed `< math.inf` guards and
+# raised OverflowError or TypeError from math.isfinite and np.isfinite.
+FLOAT_FIELDS = {
+    key: guard for key, guard in NON_FINITE_GUARDS.items()
+    if guard[1] not in ("horizon_w", "cem_population", "cem_iterations", "max_cycles")
+} | {
+    "Point2.x": (lambda **kw: Point2(**{"x": 0.0, "y": 0.0, **kw}), "x", "must be finite"),
+    "Point2.y": (lambda **kw: Point2(**{"x": 0.0, "y": 0.0, **kw}), "y", "must be finite"),
+    "RobotState.speed": (make_robot, "speed", "outside"),
+    "ObserverState.fov": (lambda **kw: ObserverState("O", Point2(0, 0), 0.0, **kw), "fov", "outside"),
+    "Trajectory.dt": (lambda **kw: Trajectory([[0, 0], [1, 0]], **kw), "dt", "must be positive"),
+    **{
+        f"TaskCostWeights.{name}": (TaskCostWeights, name, "must be finite and nonnegative")
+        for name in ("w_goal", "w_clearance", "w_approach", "w_smooth", "w_speed")
+    },
+    "PosteriorModel.beta": (PosteriorModel, "beta", "must be finite and nonnegative"),
+    "PosteriorModel.prior": (
+        lambda prior: PosteriorModel(prior={"A": prior, "B": 0.5}), "prior", "must be finite"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [10**400, -10**400, math.nan, math.inf], ids=["10**400", "-10**400", "nan", "inf"]
+)
+@pytest.mark.parametrize(("build", "field", "rule"), FLOAT_FIELDS.values(), ids=FLOAT_FIELDS.keys())
+def test_float_fields_reject_numbers_beyond_float_range(build, field, rule, value):
+    with pytest.raises(ValueError, match=rule):
+        build(**{field: value})
+
+
+def test_float_fields_keep_valid_ints():
+    # An int inside float range is accepted and kept as it was given.
+    assert Point2(10**308, -3).x == 10**308
+    assert make_robot(a_max=2, heading=-1).a_max == 2
+    assert PlannerParams(dt=1, goal_tolerance=1, cem_init_std_v=1).dt == 1
+    assert type(TaskCostWeights(w_goal=3).w_goal) is int
+    assert LegibilityParams(lambda_sim=0, h_max=2).lambda_sim == 0
+    assert PosteriorModel(beta=2, prior={"A": 1, "B": 0}).beta == 2
+    assert Trajectory([[0, 0], [1, 0]], dt=1).dt == 1

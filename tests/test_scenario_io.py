@@ -199,9 +199,9 @@ def test_oversized_planner_rejected(key, value, rule):
 
 
 def test_stopping_rule_beyond_float_range_satisfied():
-    # Files cannot carry such a dt, but a library caller's integer can push
-    # a_max * horizon_w * dt beyond float range.
-    assert make_scenario(planner=PlannerParams(dt=10**400)).planner.dt == 10**400
+    # Files read a_max as a float, but a library caller's integer a_max, itself
+    # inside float range, can push a_max * horizon_w * dt beyond it.
+    assert make_scenario(robot=make_robot(a_max=10**308)).robot.a_max == 10**308
 
 
 def test_largest_planner_sizes_accepted():
