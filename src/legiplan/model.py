@@ -271,8 +271,8 @@ class ScenarioSpec:
                     f"references unknown goal id {obs.attached_goal!r}",
                 )
         radius = self.robot.radius
-        points = [self.robot.position.as_array(), *(g.position.as_array() for g in self.goals)]
-        start_clr, *goal_clr = clearance_points(np.array(points), self.obstacles)
+        points = [(p.x, p.y) for p in (self.robot.position, *(g.position for g in self.goals))]
+        start_clr, *goal_clr = clearance_points(np.array(points, dtype=float), self.obstacles)
         if start_clr < radius:
             raise ScenarioError("$.robot.position", "start clearance must be >= robot radius")
         for i, clr in enumerate(goal_clr):
@@ -350,7 +350,8 @@ def prefix_points(
     Returns the running arc length at each of the w+1 waypoints and, per
     fraction, the count j >= 1 of whole waypoints in the prefix and its
     endpoint: where the arc length first reaches fraction * total, on segment
-    j - 1. The prefix is waypoints[:j] followed by that endpoint.
+    j - 1. The prefix is waypoints[:j] followed by that endpoint. A total
+    beyond float range is a ValueError.
     """
     if len(fractions) == 0:
         raise ValueError("fractions must be non-empty")
@@ -358,8 +359,11 @@ def prefix_points(
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     # Array methods and take(): the bits of np.* and fancy indexing, less dispatch.
-    seg = _segment_lengths(waypoints)
-    cum = np.concatenate([[0.0], seg.cumsum()])
+    with np.errstate(over="ignore"):  # an overflowing length is named below
+        seg = _segment_lengths(waypoints)
+        cum = np.concatenate([[0.0], seg.cumsum()])
+    if not math.isfinite(cum[-1]):
+        raise ValueError("path arc length overflows float range")
     target = np.array(fractions, dtype=float) * cum[-1]
     i = np.maximum(cum.searchsorted(target), 1) - 1  # segment of each endpoint
     step = seg.take(i)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Container
 from typing import Any, Callable
 
 import numpy as np
@@ -39,7 +40,7 @@ CSV_COLUMNS = ("t", "x", "y", "heading", "v", "omega", "clearance")
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
-def _check_keys(obj: dict, path: str, allowed: set[str]) -> None:
+def _check_keys(obj: dict, path: str, allowed: Container[str]) -> None:
     for key in obj:
         if key not in allowed:
             raise ScenarioError(f"{path}.{key}", "unknown key")
@@ -51,12 +52,15 @@ def _as_object(value: Any, path: str) -> dict:
     return value
 
 
-def _finite(value: int | float, path: str, rule: str) -> float:
-    """`value` as a finite float; an integer beyond float range is not finite."""
-    value = _as_float(value)
-    if not math.isfinite(value):
-        raise ScenarioError(path, rule)
-    return value
+def _real(value: Any) -> float | None:
+    """`value` as a float if it is a number and not a bool, else None; an
+    integer beyond float range reads as -inf or inf, so it fails the caller's
+    finiteness check."""
+    if type(value) is float:  # what JSON numbers mostly are: no isinstance chain
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return _as_float(value)
 
 
 def _number(obj: dict, path: str, key: str, default: float | None = None) -> float:
@@ -64,10 +68,12 @@ def _number(obj: dict, path: str, key: str, default: float | None = None) -> flo
         if default is None:
             raise ScenarioError(f"{path}.{key}", "required key missing")
         return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    value = _real(obj[key])
+    if value is None:
         raise ScenarioError(f"{path}.{key}", "must be a number")
-    return _finite(value, f"{path}.{key}", "must be finite")
+    if not math.isfinite(value):
+        raise ScenarioError(f"{path}.{key}", "must be finite")
+    return value
 
 
 def _integer(obj: dict, path: str, key: str, default: int | None = None) -> int:
@@ -85,13 +91,11 @@ def _point(obj: dict, path: str, key: str) -> Point2:
     if key not in obj:
         raise ScenarioError(f"{path}.{key}", "required key missing")
     value = obj[key]
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
+    x, y = map(_real, value) if isinstance(value, list) and len(value) == 2 else (None, None)
+    if x is None or y is None:
         raise ScenarioError(f"{path}.{key}", "must be a [x, y] pair of numbers")
-    x, y = (_finite(v, f"{path}.{key}", "coordinates must be finite") for v in value)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ScenarioError(f"{path}.{key}", "coordinates must be finite")
     return Point2(x, y)
 
 
@@ -228,10 +232,17 @@ def _parse_planner(obj: dict, path: str) -> PlannerParams:
     return _build(PlannerParams, path, fields)
 
 
+# The sections whose keys are the (all float) field names of their class.
+_NUMBER_READERS: dict[type, dict[str, Callable]] = {
+    cls: dict.fromkeys((f.name for f in dataclasses.fields(cls)), _number)
+    for cls in (TaskCostWeights, LegibilityParams)
+}
+
+
 def _number_fields(cls: type, obj: dict, path: str) -> dict:
     """Read a section whose keys are the (all float) field names of `cls`."""
-    readers = dict.fromkeys((f.name for f in dataclasses.fields(cls)), _number)
-    _check_keys(obj, path, set(readers))
+    readers = _NUMBER_READERS[cls]
+    _check_keys(obj, path, readers)
     return _present(obj, path, readers)
 
 
@@ -451,20 +462,36 @@ def write_trajectory_csv(path: str, rows: list[tuple]) -> None:
         fh.write(format_trajectory_csv(rows))
 
 
-def _is_log_row(line: str) -> bool:
-    """Whether a CSV line holds one finite number per column of CSV_COLUMNS."""
+def _finite_floats(line: str) -> list[float] | None:
+    """The cells of a CSV line as float() reads them, or None unless every
+    cell is a finite number."""
     try:
         cells = [float(cell) for cell in line.split(",")]
     except ValueError:
-        return False
-    return len(cells) == len(CSV_COLUMNS) and all(map(math.isfinite, cells))
+        return None
+    return cells if all(map(math.isfinite, cells)) else None
+
+
+def _float_cells(rows: list[str]) -> np.ndarray:
+    """The data rows' cells read one at a time by float(), shape (rows, cells).
+
+    The slow path: it reads the spellings only float() accepts (`1_0`,
+    non-ASCII digits), and when the rows are not all finite numbers of one
+    width it names the first row that is not one number per CSV column.
+    """
+    parsed = [_finite_floats(line) for line in rows]
+    if any(cells is None for cells in parsed) or len({len(cells) for cells in parsed}) > 1:
+        width = len(CSV_COLUMNS)
+        number = next(n for n, cells in enumerate(parsed, 1) if cells is None or len(cells) != width)
+        raise ValueError(f"trajectory CSV data row {number} must hold {width} numbers")
+    return np.array(parsed, dtype=float).reshape(len(parsed), len(parsed[0]) if parsed else 0)
 
 
 def read_trajectory_csv(data: str | bytes) -> tuple[Trajectory, dict[str, np.ndarray]]:
     """Parse a trajectory log back into a Trajectory plus its raw columns.
 
-    The rows must be evenly spaced in t, up to the 6-decimal format; only the
-    last step may be shorter.
+    Each cell reads as float() reads it. The rows must be evenly spaced in t,
+    up to the 6-decimal format; only the last step may be shorter.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -473,17 +500,18 @@ def read_trajectory_csv(data: str | bytes) -> tuple[Trajectory, dict[str, np.nda
         raise ValueError(f"trajectory CSV must start with header {CSV_HEADER!r}")
     rows = lines[1:]
     width = len(CSV_COLUMNS)
-    try:
-        # All cells in one pass; numpy parses each str cell as float() does.
-        # Reshaped to the widest row, rows of uneven width fail here.
-        widest = max((line.count(",") for line in rows), default=0) + 1
-        cells = ",".join(rows).split(",") if rows else []
-        values = np.array(cells, dtype=float).reshape(len(rows), widest)
-        if not np.isfinite(values).all():
-            raise ValueError
-    except ValueError:  # a ragged row, or a non-numeric or non-finite cell
-        number = next(n for n, line in enumerate(rows, 1) if not _is_log_row(line))
-        raise ValueError(f"trajectory CSV data row {number} must hold {width} numbers") from None
+    values = None
+    # numpy's C parser builds no str per cell, and a cell it accepts gets
+    # float()'s bits; but it strips the separator \x1f around a number and
+    # float() does not (splitlines breaks lines at \x1c-\x1e, not \x1f).
+    # Fewer than two rows is an error anyway, and loadtxt warns on none.
+    if len(rows) >= 2 and "\x1f" not in data:
+        try:
+            values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # a ragged row, or a cell numpy refuses (`1_0`, `zero`)
+            pass
+    if values is None or not np.isfinite(values).all():
+        values = _float_cells(rows)
     if len(values) < 2 or values.shape[1] != width:
         raise ValueError(f"trajectory CSV needs at least two data rows of {width} columns")
     t = values[:, 0]

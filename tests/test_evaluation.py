@@ -593,6 +593,23 @@ def test_empty_fractions_rejected_by_name(mask_fov):
         prefix_points(traj.waypoints, [])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mask_fov", [False, True])
+@pytest.mark.parametrize("pts", [
+    [[0, 0], [1e308, 0], [-1e308, 0]],  # a step overflows
+    [[0, 0], [1e200, 1e200]],  # a step's square overflows
+    [[0, 0], [1e308, 0], [0, 0], [1e308, 0]],  # finite steps whose sum overflows
+], ids=["step", "square", "sum"])
+def test_overflowing_arc_length_rejected_by_name(pts, mask_fov):
+    # The waypoints are finite, so the Trajectory is valid; scoring it used to
+    # fail on a NaN correctness value, with RuntimeWarnings.
+    traj = Trajectory(pts, 0.4)
+    with pytest.raises(ValueError, match=r"^path arc length overflows float range$"):
+        evaluate_trajectory(traj, make_scenario(), UNIFORM, DEFAULT_FRACTIONS, mask_fov)
+    with pytest.raises(ValueError, match=r"^path arc length overflows float range$"):
+        arc_length_prefix(traj, 0.5)
+
+
 @pytest.mark.parametrize(
     "fractions", [DEFAULT_FRACTIONS, (0.6,), tuple((i + 1) / 20 for i in range(20))]
 )
