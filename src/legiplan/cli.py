@@ -128,7 +128,7 @@ def _parse_fractions(raw: str) -> tuple[float, ...]:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     spec = scenario_io.load_scenario(args.scenario)
     trajectory, _ = scenario_io.load_trajectory_csv(args.trajectory)
-    model = PosteriorModel(beta=args.beta)
+    model = scenario_io._build(PosteriorModel, "--beta", {"beta": args.beta})
     report = evaluate_trajectory(
         trajectory,
         spec,

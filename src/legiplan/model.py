@@ -114,9 +114,9 @@ class RobotState:
     omega_max: float  # rad/s
 
     def __post_init__(self) -> None:
-        limits = (self.radius, self.v_max, self.a_max, self.omega_max)
-        if not all(0 < _as_float(limit) < math.inf for limit in limits):
-            raise ValueError("radius, v_max, a_max and omega_max must be positive")
+        for name in ("radius", "v_max", "a_max", "omega_max"):
+            if not 0 < _as_float(getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be positive")
         if not math.isfinite(_as_float(self.heading)):
             raise ValueError(f"heading must be finite, got {self.heading}")
         if not 0 <= self.speed <= self.v_max:
@@ -240,16 +240,20 @@ class ScenarioSpec:
         if self.legibility is None:
             object.__setattr__(self, "legibility", LegibilityParams())
         # Resolve robot-dependent sampling defaults so the spec is
-        # self-contained (and serialization round trips exactly).
+        # self-contained (and serialization round trips exactly). A std that is
+        # set is positive, so `or` keeps it. Half of a denormal v_max or
+        # omega_max rounds to 0: that default is the planner section's error.
         p, robot = self.planner, self.robot
         if p.cem_init_std_v is None or p.cem_init_std_omega is None:
-            object.__setattr__(self, "planner", dataclasses.replace(
-                p,
-                cem_init_std_v=0.5 * robot.v_max if p.cem_init_std_v is None else p.cem_init_std_v,
-                cem_init_std_omega=(
-                    0.5 * robot.omega_max if p.cem_init_std_omega is None else p.cem_init_std_omega
-                ),
-            ))
+            try:
+                planner = dataclasses.replace(
+                    p,
+                    cem_init_std_v=p.cem_init_std_v or 0.5 * robot.v_max,
+                    cem_init_std_omega=p.cem_init_std_omega or 0.5 * robot.omega_max,
+                )
+            except ValueError as exc:
+                raise ScenarioError("$.planner", str(exc)) from None
+            object.__setattr__(self, "planner", planner)
         self._check_invariants()
 
     def _check_invariants(self) -> None:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .legibility import LegibilityParams
 from .model import (
-    DEFAULT_FOV,
     CircleObstacle,
     Goal,
     Obstacle,
@@ -115,31 +114,15 @@ def _parse_robot(obj: dict, path: str) -> RobotState:
         obj, path,
         {"position", "heading_deg", "speed", "radius", "v_max", "a_max", "omega_max_deg"},
     )
-    position = _point(obj, path, "position")
-    speed = _number(obj, path, "speed", 0.0)
-    radius = _number(obj, path, "radius", 0.3)
-    v_max = _number(obj, path, "v_max", 1.0)
-    a_max = _number(obj, path, "a_max", 1.0)
-    omega_max_deg = _number(obj, path, "omega_max_deg", 90.0)
-    if radius <= 0:
-        raise ScenarioError(f"{path}.radius", "must be positive")
-    if v_max <= 0:
-        raise ScenarioError(f"{path}.v_max", "must be positive")
-    if a_max <= 0:
-        raise ScenarioError(f"{path}.a_max", "must be positive")
-    if omega_max_deg <= 0:
-        raise ScenarioError(f"{path}.omega_max_deg", "must be positive")
-    if not 0 <= speed <= v_max:
-        raise ScenarioError(f"{path}.speed", "must satisfy 0 <= speed <= v_max")
-    return RobotState(
-        position=position,
+    return _build(RobotState, path, dict(
+        position=_point(obj, path, "position"),
+        speed=_number(obj, path, "speed", 0.0),
+        radius=_number(obj, path, "radius", 0.3),
+        v_max=_number(obj, path, "v_max", 1.0),
+        a_max=_number(obj, path, "a_max", 1.0),
+        omega_max=math.radians(_number(obj, path, "omega_max_deg", 90.0)),
         heading=wrap_angle(math.radians(_number(obj, path, "heading_deg", 0.0))),
-        speed=speed,
-        radius=radius,
-        v_max=v_max,
-        a_max=a_max,
-        omega_max=math.radians(omega_max_deg),
-    )
+    ))
 
 
 def _parse_goal(obj: dict, path: str) -> Goal:
@@ -156,39 +139,31 @@ def _parse_goal(obj: dict, path: str) -> Goal:
 
 def _parse_observer(obj: dict, path: str) -> ObserverState:
     _check_keys(obj, path, {"id", "position", "heading_deg", "fov_deg", "attached_goal"})
-    fov = DEFAULT_FOV
-    if "fov_deg" in obj:
-        fov_deg = _number(obj, path, "fov_deg")
-        if not 0 < fov_deg <= 360.0:
-            raise ScenarioError(f"{path}.fov_deg", "must lie in (0, 360]")
-        fov = math.radians(fov_deg)
+    fov = {"fov": math.radians(_number(obj, path, "fov_deg"))} if "fov_deg" in obj else {}
     attached = obj.get("attached_goal")
     if attached is not None and not isinstance(attached, str):
         raise ScenarioError(f"{path}.attached_goal", "must be a string")
-    return ObserverState(
+    return _build(ObserverState, path, dict(
         id=_string(obj, path, "id"),
         position=_point(obj, path, "position"),
         heading=wrap_angle(math.radians(_number(obj, path, "heading_deg", 0.0))),
-        fov=fov,
         attached_goal=attached,
-    )
+        **fov,
+    ))
 
 
 def _parse_obstacle(obj: dict, path: str) -> Obstacle:
     kind = _string(obj, path, "type")
     if kind == "circle":
         _check_keys(obj, path, {"type", "center", "radius"})
-        radius = _number(obj, path, "radius")
-        if radius <= 0:
-            raise ScenarioError(f"{path}.radius", "must be positive")
-        return CircleObstacle(center=_point(obj, path, "center"), radius=radius)
+        return _build(CircleObstacle, path, dict(
+            radius=_number(obj, path, "radius"), center=_point(obj, path, "center")
+        ))
     if kind == "rect":
         _check_keys(obj, path, {"type", "min", "max"})
-        low = _point(obj, path, "min")
-        high = _point(obj, path, "max")
-        if not (low.x < high.x and low.y < high.y):
-            raise ScenarioError(path, "rect min must be strictly below max componentwise")
-        return RectObstacle(min=low, max=high)
+        return _build(RectObstacle, path, dict(
+            min=_point(obj, path, "min"), max=_point(obj, path, "max")
+        ))
     raise ScenarioError(f"{path}.type", "must be 'circle' or 'rect'")
 
 
@@ -219,8 +194,6 @@ _PLANNER_READERS: dict[str, Callable] = {
 def _parse_planner(obj: dict, path: str) -> PlannerParams:
     _check_keys(obj, path, {*_PLANNER_READERS, "cem_init_std"})
     fields = _present(obj, path, _PLANNER_READERS)
-    if fields.get("mode", "baseline") not in ("baseline", "legible"):
-        raise ScenarioError(f"{path}.mode", "must be 'baseline' or 'legible'")
     if "cem_init_std" in obj:
         std_path = f"{path}.cem_init_std"
         std_obj = _as_object(obj["cem_init_std"], std_path)
@@ -277,8 +250,10 @@ def parse_scenario(data: bytes | str | dict) -> ScenarioSpec:
     """Parse and fully validate a scenario document.
 
     Accepts raw bytes, a JSON string or an already-decoded object. Raises
-    ScenarioError naming the JSON path and the violated rule; the
-    cross-field invariants are ScenarioSpec's own.
+    ScenarioError naming the JSON path and the violated rule: a key's path
+    for a missing or unknown key, a wrong JSON type or a non-finite number;
+    the object's path for its dataclass's range rules; ScenarioSpec's own
+    paths for the cross-field invariants.
     """
     if isinstance(data, bytes):
         try:

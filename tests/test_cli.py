@@ -231,6 +231,19 @@ def test_evaluate_at_overflowing_beta(tmp_path, capsys):
     assert reports[0]["correctness"] == [1.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("beta, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])
+def test_evaluate_reports_a_bad_beta_at_its_flag(tmp_path, capsys, beta, shown):
+    log = tmp_path / "run.csv"
+    log.write_text("t,x,y,heading,v,omega,clearance\n0,0,0,0,0,0,1\n0.4,1,0,0,0,0,1\n")
+    code = cli_main(["evaluate", "--scenario", FIG1, "--trajectory", str(log), f"--beta={beta}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "validation", "path": "--beta",
+        "rule": f"beta must be finite and nonnegative, got {shown}",
+    }
+
+
 @pytest.mark.parametrize("t", ["nan", "inf"])
 def test_evaluate_rejects_a_non_finite_time(tmp_path, capsys, t):
     log = tmp_path / "bad_time.csv"
