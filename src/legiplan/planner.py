@@ -23,8 +23,10 @@ search and the legible re-optimization sample the same draws.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -176,9 +178,25 @@ def _score_chunked(objective: Objective, waypoints: np.ndarray) -> dict[str, np.
     return objective(waypoints)
 
 
+_THREAD_RNG = threading.local()
+
+
 def _candidate_rng(seed: int, iteration: int) -> np.random.Generator:
-    key = np.array([seed % _SEED_MODULUS, iteration << 32], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """This thread's generator, re-keyed to (seed mod 2^64, iteration << 32).
+
+    Its whole state is set (counter 0, empty buffer), so it draws what a fresh
+    Philox(key=...) would, whatever it drew before; building one reads OS
+    entropy that the key discards."""
+    try:
+        gen = _THREAD_RNG.gen
+    except AttributeError:
+        gen = _THREAD_RNG.gen = np.random.Generator(np.random.Philox(key=0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed % _SEED_MODULUS, iteration << 32)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
 
 
 def _draw_noise(seed: int, iteration: int, population: int, horizon: int) -> np.ndarray:
@@ -200,16 +218,17 @@ def _clip_controls(raw: np.ndarray, state: RobotState, dt: float) -> np.ndarray:
     floats as clipping to their intersection, because every previous speed
     already lies in [0, v_max].
     """
-    v = np.clip(raw[:, :, 0], 0.0, state.v_max)
+    out = np.empty(raw.shape)
+    v = np.clip(raw[:, :, 0], 0.0, state.v_max, out=out[:, :, 0])
     step = state.a_max * dt
-    prev = np.full(v.shape[0], state.speed, dtype=float)
+    prev = state.speed
     for t in range(v.shape[1]):
         col = v[:, t]
         np.maximum(col, prev - step, out=col)
         np.minimum(col, prev + step, out=col)
         prev = col
-    om = np.clip(raw[:, :, 1], -state.omega_max, state.omega_max)
-    return np.stack([v, om], axis=2)
+    np.clip(raw[:, :, 1], -state.omega_max, state.omega_max, out=out[:, :, 1])
+    return out
 
 
 def _rollout_batch(state: RobotState, controls: np.ndarray, dt: float) -> np.ndarray:
@@ -479,7 +498,11 @@ def run_closed_loop(scenario: ScenarioSpec) -> SimulationResult:
 
     state = robot
     while not reached and len(plan_results) < params.max_cycles:
-        cycle_scenario = dataclasses.replace(scenario, robot=state)
+        # replace(scenario, robot=state) without the scenario-wide checks: the
+        # state passed RobotState's, and an executed waypoint is on a
+        # non-collided row, so clearance >= radius, the start rule.
+        cycle_scenario = copy.copy(scenario)
+        object.__setattr__(cycle_scenario, "robot", state)
         cycle_seed = (scenario.seed + len(plan_results)) % _SEED_MODULUS
         try:
             result = plan_once(cycle_scenario, rng_seed=cycle_seed)

@@ -110,10 +110,14 @@ def _task_terms(
     # np.sum's, without their Python overhead.
     j_goal = dists[:, -1] + np.add.reduce(dists, axis=1) / dists.shape[1]
 
-    c = clearance_points(planar, obstacles) - robot_radius  # (n, T)
+    # Without obstacles every point has the EMPTY_CLEARANCE sentinel, so the
+    # first row's clearance terms are every row's bits.
+    c = clearance_points(planar if obstacles else planar[:1], obstacles) - robot_radius
     collided = (c < 0.0).any(axis=1)
     j_clr = np.add.reduce((np.maximum(0.0, weights.d_safe - c) / weights.d_safe) ** 2, axis=1)
     j_app = np.add.reduce(np.maximum(0.0, c[:, :-1] - c[:, 1:]), axis=1) / weights.d_safe
+    if not obstacles:
+        collided, j_clr, j_app = (np.repeat(x, len(planar)) for x in (collided, j_clr, j_app))
 
     accel = waypoints[:, 2:] - 2.0 * waypoints[:, 1:-1] + waypoints[:, :-2]
     j_sm = np.add.reduce(accel**2, axis=(1, 2)) / dt**4

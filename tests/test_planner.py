@@ -954,3 +954,38 @@ def test_closed_loop_ignores_goal_ids_and_order(name, mode, change):
     assert np.array_equal(there.controls, here.controls)
     assert there.cycles_used == here.cycles_used
     assert [r.breakdown for r in there.plan_results] == [r.breakdown for r in here.plan_results]
+
+
+@pytest.mark.parametrize("mode", ["baseline", "legible"])
+def test_each_cycle_plans_the_scenario_with_the_robot_replaced(monkeypatch, mode):
+    # run_closed_loop swaps the robot into a copy of the scenario without
+    # re-running its checks; the copy must equal the checked replace field for
+    # field, carry the executed state, and leave the caller's scenario alone.
+    scenario = make_scenario(
+        planner=PlannerParams(
+            mode=mode, cem_population=16, cem_iterations=2, horizon_w=8, execute_steps=2,
+            max_cycles=6,
+        )
+    )
+    robot = scenario.robot
+    seen = []
+    plan = planner_module.plan_once
+
+    def recording(spec, rng_seed=None):
+        seen.append(spec)
+        return plan(spec, rng_seed=rng_seed)
+
+    monkeypatch.setattr(planner_module, "plan_once", recording)
+    sim = run_closed_loop(scenario)
+    assert scenario.robot is robot
+    assert len(seen) == sim.cycles_used == 6
+    for i, spec in enumerate(seen):
+        expected = dataclasses.replace(scenario, robot=spec.robot)
+        assert type(spec) is type(scenario)
+        for field in dataclasses.fields(expected):
+            assert getattr(spec, field.name) == getattr(expected, field.name), field.name
+        assert spec == expected
+        k = 2 * i
+        assert spec.robot.position == Point2(*sim.executed.waypoints[k])
+        assert spec.robot.heading == sim.headings[k]
+        assert spec.robot.speed == (robot.speed if i == 0 else sim.controls[k - 1, 0])
