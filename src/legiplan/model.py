@@ -65,6 +65,14 @@ def _as_float(value):
         return math.inf if value > 0 else -math.inf
 
 
+def _as_count(value):
+    """An integer, numpy's too, as an int; any other value, a bool included, as
+    NaN, which fails every range check: for the integer fields."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        return math.nan
+    return int(value)
+
+
 def _planes(points: np.ndarray) -> np.ndarray:
     """The x and y coordinate planes (2, ...) of points (..., 2), C-contiguous.
 
@@ -207,7 +215,7 @@ class Trajectory:
         return Point2(float(self.waypoints[-1, 0]), float(self.waypoints[-1, 1]))
 
     def arc_length(self) -> float:
-        return float(_segment_lengths(self.waypoints).cumsum()[-1])  # prefix_points' cum[-1]
+        return float(_running_length(self.waypoints)[1][-1])  # prefix_points' cum[-1]
 
 
 @dataclass(frozen=True)
@@ -233,6 +241,7 @@ class ScenarioSpec:
         from .planner import PlannerParams
         from .task_cost import TaskCostWeights
 
+        object.__setattr__(self, "seed", _as_count(self.seed))
         if self.planner is None:
             object.__setattr__(self, "planner", PlannerParams())
         if self.task_weights is None:
@@ -331,6 +340,18 @@ def _segment_lengths(pts: np.ndarray) -> np.ndarray:
     return _hypot2(*(pts[1:] - pts[:-1]).T)  # np.diff's bits, without its overhead
 
 
+def _running_length(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The w segment lengths of waypoints (w+1, 2) and the running arc length
+    at each waypoint; a total beyond float range is a ValueError."""
+    # Array methods: the bits of np.*, less dispatch.
+    with np.errstate(over="ignore"):  # an overflowing length is named below
+        seg = _segment_lengths(pts)
+        cum = np.concatenate([[0.0], seg.cumsum()])
+    if not math.isfinite(cum[-1]):
+        raise ValueError("path arc length overflows float range")
+    return seg, cum
+
+
 def velocity_points(waypoints: np.ndarray, dt: float) -> np.ndarray:
     """Per-step velocity vectors of waypoints (..., w+1, 2), same shape.
 
@@ -362,12 +383,8 @@ def prefix_points(
     for fraction in fractions:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    # Array methods and take(): the bits of np.* and fancy indexing, less dispatch.
-    with np.errstate(over="ignore"):  # an overflowing length is named below
-        seg = _segment_lengths(waypoints)
-        cum = np.concatenate([[0.0], seg.cumsum()])
-    if not math.isfinite(cum[-1]):
-        raise ValueError("path arc length overflows float range")
+    seg, cum = _running_length(waypoints)
+    # take(): the bits of fancy indexing, less dispatch.
     target = np.array(fractions, dtype=float) * cum[-1]
     i = np.maximum(cum.searchsorted(target), 1) - 1  # segment of each endpoint
     step = seg.take(i)

@@ -38,7 +38,8 @@ from .legibility import (
     fov_cost_batch, legibility_aware_cost, weighted_similarity_batch,
 )
 from .model import (
-    Point2, RobotState, ScenarioSpec, Trajectory, _as_float, velocity_points, wrap_angle,
+    Point2, RobotState, ScenarioSpec, Trajectory, _as_count, _as_float, velocity_points,
+    wrap_angle,
 )
 from .task_cost import (
     CostBreakdown, task_cost_batch,
@@ -55,6 +56,9 @@ _KEY_FIELD_LIMIT = 2**32
 HORIZON_W_MAX = 10_000
 
 _MODES = ("baseline", "legible")
+_COUNTS = (
+    "horizon_w", "cem_population", "cem_elites", "cem_iterations", "execute_steps", "max_cycles",
+)
 
 
 class PlannerFailure(RuntimeError):
@@ -88,6 +92,8 @@ class PlannerParams:
     max_cycles: int = 500
 
     def __post_init__(self) -> None:
+        for name in _COUNTS:
+            object.__setattr__(self, name, _as_count(getattr(self, name)))
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not 0 < _as_float(self.dt) < math.inf:
@@ -329,8 +335,9 @@ def _cem_optimize(
     best_cost, best_at, best_row = np.full(g, math.inf), np.full(g, -1), np.zeros(g, dtype=np.intp)
     history = np.empty((g, len(noise)))
     for k, z in enumerate(noise):
-        raw = (mean[:, np.newaxis] + std[:, np.newaxis] * z[np.newaxis]).reshape(g * n, w, 2)
-        controls = _clip_controls(raw, state, params.dt)
+        raw = np.multiply(std.reshape(g, 1, 2 * w), z.reshape(n, 2 * w))
+        raw += mean.reshape(g, 1, 2 * w)  # mean + std * z's bits: product, then sum
+        controls = _clip_controls(raw.reshape(g * n, w, 2), state, params.dt)
         warm = k == 0 and warm_controls is not None
         if warm:
             controls = np.concatenate([controls, warm_controls])
@@ -353,9 +360,10 @@ def _cem_optimize(
         # elites.mean(axis=1) and .std(axis=1) by numpy's own steps (a sum, then
         # a division by the count): the same bits, with less per-call overhead.
         mean = np.add.reduce(elites, axis=1) / params.cem_elites
-        var = np.add.reduce(np.square(elites - mean[:, np.newaxis]), axis=1) / params.cem_elites
-        std = np.maximum(np.sqrt(var), _STD_FLOOR)
         history[:, k] = best_cost
+        if k + 1 < len(noise):  # after the last iteration only final_mean is read
+            var = np.add.reduce(np.square(elites - mean[:, np.newaxis]), axis=1)
+            std = np.maximum(np.sqrt(var / params.cem_elites), _STD_FLOOR)
     scored.append((np.zeros((1, w, 2)), np.zeros((1, w + 1, 2)), None))
     results = []
     for i, (k, r) in enumerate(zip(best_at, best_row)):
@@ -448,8 +456,8 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
         for goal, res in zip(scenario.goals, results)
     }
 
-    chosen = results[scenario.goals.index(scenario.target_goal())]
-    terms = chosen.terms
+    chosen = results[scenario.goals.index(target := scenario.target_goal())]
+    terms, trajectory = chosen.terms, predictions[target.id]
     if params.mode == "legible":
         objective = _legible_objective(scenario, predictions)
         leg = scenario.legibility
@@ -463,7 +471,7 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
                 init_std,
                 warm_controls=chosen.controls[np.newaxis],
             )
-            terms = chosen.terms
+            terms, trajectory = chosen.terms, Trajectory(chosen.waypoints, params.dt)
         else:
             terms = objective(chosen.waypoints[np.newaxis])
     breakdown = CostBreakdown.from_terms(terms)
@@ -472,7 +480,7 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
             "no collision-free candidate found", breakdown=breakdown
         )
     return PlanResult(
-        trajectory=Trajectory(chosen.waypoints, params.dt),
+        trajectory=trajectory,
         breakdown=breakdown,
         predictions=predictions,
         controls=ControlSequence(chosen.controls),

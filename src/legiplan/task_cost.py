@@ -7,13 +7,14 @@ agree.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .model import (
-    Obstacle, Point2, RobotState, Trajectory, _as_float, _hypot2, _planes, clearance_points,
-    velocity_points,
+    EMPTY_CLEARANCE, Obstacle, Point2, RobotState, Trajectory, _as_float, _hypot2, _planes,
+    clearance_points, velocity_points,
 )
 
 # Any trajectory touching an obstacle gets this finite sentinel so candidate
@@ -94,6 +95,20 @@ def task_cost_batch(
     return _task_terms(waypoints, dt, goal_xy, obstacles, robot_radius, weights)[0]
 
 
+def _clearance_terms(c: np.ndarray, d_safe: float) -> tuple[np.ndarray, ...]:
+    """collided, clearance and approach terms (n,) of clearances c (n, T)."""
+    j_clr = np.add.reduce((np.maximum(0.0, d_safe - c) / d_safe) ** 2, axis=1)
+    j_app = np.add.reduce(np.maximum(0.0, c[:, :-1] - c[:, 1:]), axis=1) / d_safe
+    return (c < 0.0).any(axis=1), j_clr, j_app
+
+
+@functools.lru_cache(maxsize=8)
+def _obstacle_free_row(horizon: int, robot_radius: float, d_safe: float) -> tuple[np.ndarray, ...]:
+    """_clearance_terms of one obstacle-free row, which are every such row's; read-only."""
+    row = _clearance_terms(np.full((1, horizon), EMPTY_CLEARANCE) - robot_radius, d_safe)
+    return tuple(x.setflags(write=False) or x for x in row)
+
+
 def _task_terms(
     waypoints: np.ndarray, dt: float, goal_xy: np.ndarray, obstacles: tuple[Obstacle, ...],
     robot_radius: float, weights: TaskCostWeights,
@@ -110,14 +125,12 @@ def _task_terms(
     # np.sum's, without their Python overhead.
     j_goal = dists[:, -1] + np.add.reduce(dists, axis=1) / dists.shape[1]
 
-    # Without obstacles every point has the EMPTY_CLEARANCE sentinel, so the
-    # first row's clearance terms are every row's bits.
-    c = clearance_points(planar if obstacles else planar[:1], obstacles) - robot_radius
-    collided = (c < 0.0).any(axis=1)
-    j_clr = np.add.reduce((np.maximum(0.0, weights.d_safe - c) / weights.d_safe) ** 2, axis=1)
-    j_app = np.add.reduce(np.maximum(0.0, c[:, :-1] - c[:, 1:]), axis=1) / weights.d_safe
-    if not obstacles:
-        collided, j_clr, j_app = (np.repeat(x, len(planar)) for x in (collided, j_clr, j_app))
+    if obstacles:
+        c = clearance_points(planar, obstacles) - robot_radius
+        collided, j_clr, j_app = _clearance_terms(c, weights.d_safe)
+    else:
+        row = _obstacle_free_row(p.shape[2], robot_radius, weights.d_safe)
+        collided, j_clr, j_app = (x.repeat(len(planar)) for x in row)  # fresh arrays
 
     accel = waypoints[:, 2:] - 2.0 * waypoints[:, 1:-1] + waypoints[:, :-2]
     j_sm = np.add.reduce(accel**2, axis=(1, 2)) / dt**4

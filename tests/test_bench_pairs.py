@@ -40,7 +40,7 @@ def test_seed_range(text, seeds):
     assert list(bench_pairs.seed_range(text)) == seeds
 
 
-def test_summary_reports_median_ratio_and_lower_count():
+def test_summary_reports_each_side_and_the_pairs_won():
     scales = (0.9, 0.8, 1.1, 0.95)  # this checkout over the ref, per pair
     pairs = [
         bench_pairs.compare(record(s, 2.0), record(s, 2.0 * k, sha="abc" if s else "def"))
@@ -50,14 +50,53 @@ def test_summary_reports_median_ratio_and_lower_count():
     assert pairs[0]["metrics"]["setup_s"] == pytest.approx((8.0, 7.2, 0.9))
     summary = bench_pairs.summarize(pairs)
     assert list(summary) == list(METRICS)
-    for s in summary.values():
+    for name, s in summary.items():
         assert s["median_ratio"] == pytest.approx(0.925)
-        assert (s["lower"], s["pairs"]) == (3, 4)
+        assert (s["ref_median"], s["ref_qd"]) == (2.0 * (METRICS.index(name) + 1), 0.0)
+        # L_mean is better higher, so the one pair it read higher is its only win.
+        assert (s["won"], s["pairs"]) == ((1, 4) if name == "L_mean" else (3, 4))
     lines = bench_pairs.summary_lines(summary)
-    assert lines[0] == "latency_p50_xref   median ratio 0.9250, lower in 3/4"
+    assert lines[0] == (
+        "latency_p50_xref   ref 2.0000 (qd 0.0000) -> 1.8500 (qd 0.4750), median ratio 0.9250,"
+        " better in 3/4: unresolved"
+    )
     head, *rows = bench_pairs.pair_lines(pairs[0], ref_first=True)
     assert head == "seed 0 (ref first): output_sha256 DIFFER, failed 0 -> 0"
     assert len(rows) == len(METRICS) and rows[0].endswith("ratio 0.9000")
+
+
+def test_rules_are_read_from_the_benchmark():
+    assert bench_pairs.RULES["latency_p50_xref"] == (1, 0.1)
+    assert bench_pairs.RULES["L_mean"] == (-1, 0.1)
+
+
+# (ref runs, this checkout's runs, better, bound) -> (pairs won, verdict)
+VERDICTS = {
+    "ten of ten won": ([1.0] * 10, [0.9] * 10, "lower", 0.1, 10, "gain"),
+    "nine of ten won": ([1.0] * 10, [0.9] * 9 + [1.2], "lower", 0.1, 9, "gain"),
+    "eight of ten won": ([1.0] * 10, [0.9] * 8 + [1.2] * 2, "lower", 0.1, 8, "no change"),
+    "ties win nothing": ([1.0] * 10, [0.9] * 8 + [1.0] * 2, "lower", 0.1, 8, "no change"),
+    "nine pairs": ([1.0] * 9, [0.9] * 9, "lower", 0.1, 9, "no change"),
+    "gap within the ref's spread": (
+        [0.8, 0.9, 1.0, 1.1, 1.2] * 2, [0.75, 0.85, 0.95, 1.05, 1.15] * 2, "lower", 0.5,
+        10, "no change",
+    ),
+    "higher is better": ([0.5] * 10, [0.6] * 10, "higher", 0.1, 10, "gain"),
+    "score dropped within bound": ([0.5] * 10, [0.48] * 10, "higher", 0.1, 0, "no change"),
+    "score dropped beyond bound": ([0.5] * 4, [0.4] * 4, "higher", 0.1, 0, "worse beyond bound"),
+    "slower within bound": ([1.0] * 4, [1.05] * 4, "lower", 0.1, 0, "no change"),
+    "slower beyond bound": ([1.0] * 4, [1.2] * 4, "lower", 0.1, 0, "worse beyond bound"),
+    "spread wider than bound": ([0.5, 1.5, 0.5, 1.5], [1.0] * 4, "lower", 0.1, 2, "unresolved"),
+    "wide but every run better": (
+        [1.0, 2.0, 1.0, 2.0], [0.5, 0.9, 0.5, 0.9], "lower", 0.1, 4, "no change",
+    ),
+}
+
+
+@pytest.mark.parametrize("ref, new, better, bound, won, said", VERDICTS.values(), ids=VERDICTS)
+def test_verdict(ref, new, better, bound, won, said):
+    sign = 1 if better == "lower" else -1
+    assert bench_pairs.verdict(ref, new, sign, bound) == (won, said)
 
 
 def test_sides_alternate_and_every_pair_is_reported(monkeypatch, capsys, tmp_path):
@@ -85,4 +124,5 @@ def test_sides_alternate_and_every_pair_is_reported(monkeypatch, capsys, tmp_pat
     ]
     out = capsys.readouterr().out
     assert out.count("output_sha256 match") == 3
-    assert "latency_p50_xref   median ratio 0.5000, lower in 3/3" in out
+    assert "median ratio 0.5000, better in 3/3: no change" in out  # 3 pairs show no gain
+    assert "L_mean" in out and "better in 0/3: worse beyond bound" in out

@@ -602,12 +602,19 @@ def test_empty_fractions_rejected_by_name(mask_fov):
 ], ids=["step", "square", "sum"])
 def test_overflowing_arc_length_rejected_by_name(pts, mask_fov):
     # The waypoints are finite, so the Trajectory is valid; scoring it used to
-    # fail on a NaN correctness value, with RuntimeWarnings.
+    # fail on a NaN correctness value, with RuntimeWarnings, and arc_length()
+    # returned inf, so goal_posterior gave the prior.
     traj = Trajectory(pts, 0.4)
-    with pytest.raises(ValueError, match=r"^path arc length overflows float range$"):
-        evaluate_trajectory(traj, make_scenario(), UNIFORM, DEFAULT_FRACTIONS, mask_fov)
-    with pytest.raises(ValueError, match=r"^path arc length overflows float range$"):
-        arc_length_prefix(traj, 0.5)
+    scenario = make_scenario()
+    calls = (
+        lambda: evaluate_trajectory(traj, scenario, UNIFORM, DEFAULT_FRACTIONS, mask_fov),
+        lambda: arc_length_prefix(traj, 0.5),
+        traj.arc_length,
+        lambda: goal_posterior(traj, scenario.goals, scenario.robot.position, UNIFORM),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^path arc length overflows float range$"):
+            call()
 
 
 @pytest.mark.parametrize(

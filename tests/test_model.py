@@ -21,7 +21,8 @@ from legiplan import (
     velocities,
 )
 from legiplan.model import EMPTY_CLEARANCE, clearance_points, wrap_angle
-from tests.conftest import make_robot
+from legiplan.planner import plan_once
+from tests.conftest import make_robot, make_scenario
 
 
 class TestClearance:
@@ -237,3 +238,59 @@ def test_float_fields_keep_valid_ints():
     assert LegibilityParams(lambda_sim=0, h_max=2).lambda_sim == 0
     assert PosteriorModel(beta=2, prior={"A": 1, "B": 0}).beta == 2
     assert Trajectory([[0, 0], [1, 0]], dt=1).dt == 1
+
+
+# The six counts and the seed: (build, field, a valid value, the field's rule).
+# Before these checks 96.0 passed and failed inside plan_once with a TypeError,
+# and seed 1.5 planned as seed 1.
+INTEGER_FIELDS = {
+    "PlannerParams.horizon_w": (PlannerParams, "horizon_w", 10, "horizon_w must be >= 2"),
+    "PlannerParams.cem_population": (
+        PlannerParams, "cem_population", 96, "cem_population must be >= 8"
+    ),
+    "PlannerParams.cem_elites": (
+        PlannerParams, "cem_elites", 8, r"cem_elites must be in \[2, cem_population\]"
+    ),
+    "PlannerParams.cem_iterations": (PlannerParams, "cem_iterations", 4, "cem_iterations must be >= 1"),
+    "PlannerParams.execute_steps": (
+        PlannerParams, "execute_steps", 2, r"execute_steps must be in \[1, horizon_w\]"
+    ),
+    "PlannerParams.max_cycles": (PlannerParams, "max_cycles", 50, "max_cycles must be >= 1"),
+    "ScenarioSpec.seed": (make_scenario, "seed", 1, "must be a 64-bit unsigned integer"),
+}
+NOT_INTEGERS = {
+    "float": float, "fraction": lambda v: v + 0.5, "np.float64": np.float64,
+    "True": lambda v: True, "np.True_": lambda v: np.True_, "str": str,
+}
+
+
+@pytest.mark.parametrize("make", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+@pytest.mark.parametrize(
+    ("build", "field", "valid", "rule"), INTEGER_FIELDS.values(), ids=INTEGER_FIELDS.keys()
+)
+def test_integer_fields_refuse_other_types(build, field, valid, rule, make):
+    build(**{field: valid})
+    with pytest.raises(ValueError, match=rule):
+        build(**{field: make(valid)})
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int16])
+@pytest.mark.parametrize(
+    ("build", "field", "valid", "rule"), INTEGER_FIELDS.values(), ids=INTEGER_FIELDS.keys()
+)
+def test_integer_fields_keep_numpy_integers_as_ints(build, field, valid, rule, dtype):
+    value = getattr(build(**{field: dtype(valid)}), field)
+    assert type(value) is int and value == valid
+
+
+def test_numpy_integer_fields_plan_as_ints():
+    # np.uint64 seeds used to overflow in the seed's mod-2**64 key.
+    sizes = dict(cem_population=16, cem_elites=4, cem_iterations=2, horizon_w=8)
+    seed = 2**64 - 1
+    as_ints = plan_once(make_scenario(seed=seed, planner=PlannerParams(**sizes)))
+    as_numpy = plan_once(make_scenario(
+        seed=np.uint64(seed),
+        planner=PlannerParams(**{k: np.int32(v) for k, v in sizes.items()}),
+    ))
+    assert as_numpy.trajectory.waypoints.tobytes() == as_ints.trajectory.waypoints.tobytes()
+    assert as_numpy.breakdown == as_ints.breakdown

@@ -1,5 +1,6 @@
-"""Without obstacles the batch kernels take the clearance terms from one row
-and repeat them; they must keep the bits of the full per-row formula."""
+"""Without obstacles the batch kernels take the clearance terms from one
+memoised row and repeat them; they must keep the bits of the full per-row
+formula."""
 from __future__ import annotations
 
 import math
@@ -74,3 +75,26 @@ def test_obstacle_free_terms_equal_the_per_row_formula(n, radius, d_safe):
         assert_same_bits(terms["total"], total, n, (kernel, "total"))
         for name, values in terms.items():
             assert values.shape == (n,), (kernel, name)
+
+
+def test_memoised_rows_keep_the_per_row_bits_across_calls():
+    # The same keys again and again, as in a run, through both kernels: every
+    # call must return fresh arrays with the frozen bits, also after an earlier
+    # caller wrote into the arrays it was given.
+    rng = np.random.default_rng(5)
+    radius = 0.3
+    pred_velocities = rng.normal(scale=0.5, size=(2, 12, 2))
+    for _ in range(2):
+        for d_safe in (0.5, 2e9, 1e300):
+            weights = TaskCostWeights(d_safe=d_safe)
+            legible = legible_objective(
+                DT, pred_velocities, GOALS, OBSERVER, (), radius, weights, PARAMS
+            )
+            for n in (0, 1, 97, 192):
+                batch = np.cumsum(rng.normal(scale=0.3, size=(n, 12, 2)), axis=1)
+                expected = frozen_clearance_terms(batch, radius, weights)
+                task = task_cost_batch(batch, DT, GOALS[1].position.as_array(), (), radius, weights)
+                for terms in (task, legible(batch)):
+                    for name, values in expected.items():
+                        assert_same_bits(terms[name], values, n, (d_safe, n, name))
+                        terms[name][...] = np.logical_not(values) if name == "collided" else -1.0

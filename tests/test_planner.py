@@ -153,6 +153,33 @@ class TestControlSampling:
             reference_noise(seed, iteration, population, horizon),
         )
 
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_population_has_the_broadcast_formula_bits(self, monkeypatch, g):
+        # The raw samples _cem_optimize hands to the clip, for random means and
+        # spreads (some at _STD_FLOOR), against mean + std * z broadcast in 4-D.
+        rng = np.random.default_rng(40 + g)
+        params = PlannerParams(cem_population=97, cem_elites=8, cem_iterations=1, horizon_w=10)
+        n, w = params.cem_population, params.horizon_w
+        mean = rng.normal(scale=3.0, size=(g, w, 2))
+        std = np.abs(rng.normal(size=(g, w, 2))) * 10.0 ** rng.integers(-4, 3, size=(g, w, 2))
+        std[rng.uniform(size=std.shape) < 0.3] = planner_module._STD_FLOOR
+        z = _draw_noise(g, 0, n, w)
+        z.flags.writeable = False
+        sampled = []
+
+        def clip(raw, state, dt):
+            sampled.append(raw.copy())
+            return _clip_controls(raw, state, dt)
+
+        monkeypatch.setattr(planner_module, "_clip_controls", clip)
+        objective = _task_objective(make_scenario(), np.array([4.0, 0.8]))
+        # Iteration 0 of a prediction search samples one spread for every goal.
+        for spread in (std, std[0]):
+            _cem_optimize(objective, make_robot(), params, [z], mean, spread)
+            expected = mean[:, np.newaxis] + np.broadcast_to(spread, mean.shape)[:, np.newaxis] * z
+            assert sampled[-1].shape == (g * n, w, 2)
+            assert sampled[-1].tobytes() == expected.reshape(g * n, w, 2).tobytes()
+
     def test_one_generator_per_draw(self, monkeypatch):
         calls = []
         make = planner_module._candidate_rng

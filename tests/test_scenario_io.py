@@ -199,6 +199,23 @@ def test_oversized_planner_rejected(key, value, rule):
         PlannerParams(**{key: value})
 
 
+@pytest.mark.parametrize("value", [10.0, 8.5, True])
+@pytest.mark.parametrize("key", [
+    "horizon_w", "cem_population", "cem_elites", "cem_iterations", "execute_steps", "max_cycles",
+    "seed",
+])
+def test_non_integer_counts_reported_at_their_key(key, value):
+    # The dataclasses refuse these too, but a file is reported at the key.
+    doc = json.loads(json.dumps(MINIMAL))
+    if key == "seed":
+        doc["seed"], path = value, "$.seed"
+    else:
+        doc["planner"], path = {key: value}, f"$.planner.{key}"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(json.dumps(doc))
+    assert (err.value.path, err.value.rule) == (path, "must be an integer")
+
+
 def test_stopping_rule_beyond_float_range_satisfied():
     # Files read a_max as a float, but a library caller's integer a_max, itself
     # inside float range, can push a_max * horizon_w * dt beyond it.

@@ -10,8 +10,19 @@ goes first alternates from pair to pair, so a drift in host speed does not
 favour one side. Each pair prints the six
 end-to-end metrics of ``BENCHMARK.json`` for both sides, their ratio (this
 checkout over REF) and whether the two ``output_sha256`` matched. The run
-ends with each metric's median ratio and the number of pairs in which this
-checkout read lower.
+ends with one line per metric: each side's median and quartile distance,
+the median ratio, the pairs this checkout won by the metric's ``better``
+direction (ties count for neither), and a verdict:
+
+* ``gain``: at least 10 pairs, at least 9/10 of them won, and the medians
+  differ in the better direction by more than REF's quartile distance;
+* ``worse beyond bound``: this checkout's median is worse than REF's by more
+  than the metric's ``bound``, a fraction of REF's median;
+* ``unresolved``: either side's quartile distance exceeds the bound, unless
+  every run of this checkout is better than every run of REF;
+* ``no change``: otherwise.
+
+``better`` and ``bound`` are read from ``BENCHMARK.json``.
 
 Each side imports the program from its own ``src/``; the benchmark files
 are REF's on one side and this checkout's on the other.
@@ -31,6 +42,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = tuple(m["name"] for m in BENCHMARK["end_to_end"])
+# name -> (+1 when lower is better, -1 when higher is, bound)
+RULES = {
+    m["name"]: (1 if m["better"] == "lower" else -1, m["bound"]) for m in BENCHMARK["end_to_end"]
+}
+GAIN_PAIRS = 10  # fewest pairs that can show a gain
 
 
 def seed_range(text: str) -> range:
@@ -79,17 +95,43 @@ def compare(ref: dict, new: dict) -> dict:
     }
 
 
+def quartile_distance(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def verdict(ref: list[float], new: list[float], sign: int, bound: float) -> tuple[int, str]:
+    """The pairs this checkout won and the metric's verdict (module docstring);
+    ``sign`` is +1 when lower is better, -1 when higher is."""
+    ref, new = [sign * x for x in ref], [sign * x for x in new]  # now lower is better
+    won = sum(b < a for a, b in zip(ref, new))
+    gain = statistics.median(ref) - statistics.median(new)
+    allowed = bound * abs(statistics.median(ref))
+    if len(ref) >= GAIN_PAIRS and 10 * won >= 9 * len(ref) and gain > quartile_distance(ref):
+        return won, "gain"
+    if -gain > allowed:
+        return won, "worse beyond bound"
+    if max(quartile_distance(ref), quartile_distance(new)) > allowed and max(new) >= min(ref):
+        return won, "unresolved"
+    return won, "no change"
+
+
 def summarize(pairs: list[dict]) -> dict:
-    """Each metric's median ratio over the pairs, and in how many pairs this
-    checkout read lower than REF."""
-    return {
-        name: {
-            "median_ratio": statistics.median(p["metrics"][name][2] for p in pairs),
-            "lower": sum(p["metrics"][name][2] < 1.0 for p in pairs),
-            "pairs": len(pairs),
+    """Per metric: each side's median and quartile distance, the median
+    ratio, the pairs this checkout won and the verdict."""
+    summary = {}
+    for name in METRICS:
+        ref, new, ratios = zip(*(p["metrics"][name] for p in pairs))
+        won, said = verdict(ref, new, *RULES[name])
+        summary[name] = {
+            "ref_median": statistics.median(ref), "ref_qd": quartile_distance(ref),
+            "new_median": statistics.median(new), "new_qd": quartile_distance(new),
+            "median_ratio": statistics.median(ratios), "won": won, "pairs": len(pairs),
+            "verdict": said,
         }
-        for name in METRICS
-    }
+    return summary
 
 
 def pair_lines(pair: dict, ref_first: bool) -> list[str]:
@@ -105,7 +147,9 @@ def pair_lines(pair: dict, ref_first: bool) -> list[str]:
 
 def summary_lines(summary: dict) -> list[str]:
     return [
-        f"{name:<18} median ratio {s['median_ratio']:.4f}, lower in {s['lower']}/{s['pairs']}"
+        f"{name:<18} ref {s['ref_median']:.4f} (qd {s['ref_qd']:.4f}) -> "
+        f"{s['new_median']:.4f} (qd {s['new_qd']:.4f}), median ratio {s['median_ratio']:.4f}, "
+        f"better in {s['won']}/{s['pairs']}: {s['verdict']}"
         for name, s in summary.items()
     ]
 
