@@ -15,7 +15,7 @@ import numpy as np
 
 from .legibility import designated_observer, visibility_points
 from .model import (
-    Goal, Point2, ScenarioSpec, Trajectory, _as_float, _hypot2, _segment_lengths, prefix_points,
+    Goal, Point2, ScenarioSpec, Trajectory, _as_float, _hypot2, _running_length, prefix_points,
 )
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def evaluate_trajectory(
     else:
         visible = visibility_points(np.concatenate([pts, ends]), observer) > 0.0
         seen, end_seen = pts.compress(visible[: len(pts)], axis=0), visible[len(pts):]
-        cum = np.concatenate([[0.0], _segment_lengths(seen).cumsum()])  # of the seen points
+        _, cum = _running_length(seen)  # of the seen points
         counts = visible.cumsum().take(j - 1)  # visible points in pts[:j]
         rows = (counts + end_seen >= 2).nonzero()[0]
         counts, end_seen, ends = counts.take(rows), end_seen.take(rows), ends.take(rows, axis=0)

@@ -57,8 +57,13 @@ def _hypot2(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 def _as_float(value):
-    """An int as a float (-inf or inf beyond float range), any other value as
-    it is: for finiteness checks, which 10**400 would pass or raise on."""
+    """An int as a float (-inf or inf beyond float range), a bool (numpy's
+    too) as NaN, which fails every range check, any other value as it is: for
+    the float fields' checks, which 10**400 would pass or raise on."""
+    if type(value) is float:  # the common case: no isinstance chain
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return math.nan
     try:
         return float(value) if isinstance(value, int) else value
     except OverflowError:
@@ -127,7 +132,7 @@ class RobotState:
                 raise ValueError(f"{name} must be positive")
         if not math.isfinite(_as_float(self.heading)):
             raise ValueError(f"heading must be finite, got {self.heading}")
-        if not 0 <= self.speed <= self.v_max:
+        if not 0 <= _as_float(self.speed) <= self.v_max:
             raise ValueError(f"speed {self.speed} outside [0, v_max={self.v_max}]")
 
 
@@ -157,7 +162,7 @@ class ObserverState:
     def __post_init__(self) -> None:
         if not math.isfinite(_as_float(self.heading)):
             raise ValueError(f"heading must be finite, got {self.heading}")
-        if not 0 < self.fov <= math.tau:
+        if not 0 < _as_float(self.fov) <= math.tau:
             raise ValueError(f"fov {self.fov} outside (0, 2*pi]")
 
 

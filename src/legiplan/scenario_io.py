@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 from collections.abc import Container
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -39,12 +40,6 @@ CSV_COLUMNS = ("t", "x", "y", "heading", "v", "omega", "clearance")
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
-def _check_keys(obj: dict, path: str, allowed: Container[str]) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ScenarioError(f"{path}.{key}", "unknown key")
-
-
 def _as_object(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(path, "must be an object")
@@ -62,34 +57,48 @@ def _real(value: Any) -> float | None:
     return _as_float(value)
 
 
-def _number(obj: dict, path: str, key: str, default: float | None = None) -> float:
-    if key not in obj:
-        if default is None:
-            raise ScenarioError(f"{path}.{key}", "required key missing")
-        return default
-    value = _real(obj[key])
-    if value is None:
+# Readers take a key's value with its object's path and the key, which make
+# the error's path only when the value breaks the reader's rule.
+def _number(value: Any, path: str, key: str) -> float:
+    number = value if type(value) is float else _real(value)  # most keys skip a call
+    if number is None:
         raise ScenarioError(f"{path}.{key}", "must be a number")
-    if not math.isfinite(value):
+    if not math.isfinite(number):
         raise ScenarioError(f"{path}.{key}", "must be finite")
-    return value
+    return number
 
 
-def _integer(obj: dict, path: str, key: str, default: int | None = None) -> int:
-    if key not in obj:
-        if default is None:
-            raise ScenarioError(f"{path}.{key}", "required key missing")
-        return default
-    value = obj[key]
+def _radians(value: Any, path: str, key: str) -> float:
+    return math.radians(_number(value, path, key))
+
+
+def _heading(value: Any, path: str, key: str) -> float:
+    return wrap_angle(math.radians(_number(value, path, key)))
+
+
+def _integer(value: Any, path: str, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{path}.{key}", "must be an integer")
     return value
 
 
-def _point(obj: dict, path: str, key: str) -> Point2:
-    if key not in obj:
-        raise ScenarioError(f"{path}.{key}", "required key missing")
-    value = obj[key]
+def _string(value: Any, path: str, key: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{path}.{key}", "must be a string")
+    return value
+
+
+def _string_or_null(value: Any, path: str, key: str) -> str | None:
+    return None if value is None else _string(value, path, key)
+
+
+def _boolean(value: Any, path: str, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{path}.{key}", "must be a boolean")
+    return value
+
+
+def _point(value: Any, path: str, key: str) -> Point2:
     x, y = map(_real, value) if isinstance(value, list) and len(value) == 2 else (None, None)
     if x is None or y is None:
         raise ScenarioError(f"{path}.{key}", "must be a [x, y] pair of numbers")
@@ -98,79 +107,106 @@ def _point(obj: dict, path: str, key: str) -> Point2:
     return Point2(x, y)
 
 
-def _string(obj: dict, path: str, key: str, default: str | None = None) -> str:
-    if key not in obj:
-        if default is None:
+# A section table maps each file key, in read order, to (field, reader,
+# default). The default is in file units and goes through the reader; None
+# makes the key required, and _KEEP leaves an absent key to the dataclass
+# default. A nested section has a table for its reader and None for its
+# field: its fields are merged in. Serializing writes each field back
+# through _WRITERS, so a key is read and written from its one entry.
+_KEEP = object()
+
+# Degrees in files, radians in fields; points as [x, y].
+_WRITERS: dict[Callable, Callable] = {
+    _radians: math.degrees, _heading: math.degrees, _point: lambda p: [p.x, p.y],
+}
+
+
+def _table(**entries: tuple) -> dict:
+    """A section table from `key=(reader, default)`, or `(reader, default,
+    field)` where the field is not named as the key."""
+    return {key: (field[0] if field else key, read, default)
+            for key, (read, default, *field) in entries.items()}
+
+
+def _field_table(cls: type, skip: Container[str] = ()) -> dict:
+    """The table of a section whose keys are the field names of `cls`, read
+    by their annotation (a string: the modules postpone annotations)."""
+    readers = {"float": _number, "int": _integer, "str": _string}
+    return {f.name: (f.name, readers[f.type], _KEEP)
+            for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+_ROBOT = _table(
+    position=(_point, None), speed=(_number, 0.0), radius=(_number, 0.3),
+    v_max=(_number, 1.0), a_max=(_number, 1.0),
+    omega_max_deg=(_radians, 90.0, "omega_max"), heading_deg=(_heading, 0.0, "heading"),
+)
+_GOAL = _table(is_target=(_boolean, False), id=(_string, None), position=(_point, None))
+_OBSERVER = _table(
+    fov_deg=(_radians, _KEEP, "fov"), attached_goal=(_string_or_null, _KEEP),
+    id=(_string, None), position=(_point, None), heading_deg=(_heading, 0.0, "heading"),
+)
+# The obstacle key that names the class and table of the rest.
+_KIND = "type"
+_OBSTACLES = {
+    "circle": (CircleObstacle, _table(radius=(_number, None), center=(_point, None))),
+    "rect": (RectObstacle, _table(min=(_point, None), max=(_point, None))),
+}
+_OBSTACLE_KINDS = {cls: (kind, table) for kind, (cls, table) in _OBSTACLES.items()}
+
+_CEM_INIT_STD = _table(
+    v=(_number, _KEEP, "cem_init_std_v"), omega_deg=(_radians, _KEEP, "cem_init_std_omega"),
+)
+_PLANNER = {
+    **_field_table(PlannerParams, skip=[field for field, _, _ in _CEM_INIT_STD.values()]),
+    **_table(cem_init_std=(_CEM_INIT_STD, _KEEP, None)),
+}
+_TASK_WEIGHTS = _field_table(TaskCostWeights)
+_LEGIBILITY = _field_table(LegibilityParams)
+
+
+def _check_keys(obj: dict, path: str, allowed: Container[str], extra: Container[str] = ()) -> None:
+    for key in obj:
+        if key not in allowed and key not in extra:
+            raise ScenarioError(f"{path}.{key}", "unknown key")
+
+
+def _read(obj: dict, path: str, table: dict, fields: dict, extra: Container[str] = ()) -> dict:
+    """`fields` with those of section `obj` at `path`, read by `table`; keys
+    beyond the table's and `extra` are errors."""
+    if not obj.keys() <= table.keys():  # one C-level test passes most sections
+        _check_keys(obj, path, table, extra)
+    for key, (field, read, default) in table.items():
+        value = obj.get(key, default)
+        if (value is None or value is _KEEP) and key not in obj:
+            if value is _KEEP:
+                continue
             raise ScenarioError(f"{path}.{key}", "required key missing")
-        return default
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ScenarioError(f"{path}.{key}", "must be a string")
-    return value
+        if field is None:
+            sub = f"{path}.{key}"
+            _read(_as_object(value, sub), sub, read, fields)
+        else:
+            fields[field] = read(value, path, key)
+    return fields
 
 
-def _parse_robot(obj: dict, path: str) -> RobotState:
-    _check_keys(
-        obj, path,
-        {"position", "heading_deg", "speed", "radius", "v_max", "a_max", "omega_max_deg"},
-    )
-    return _build(RobotState, path, dict(
-        position=_point(obj, path, "position"),
-        speed=_number(obj, path, "speed", 0.0),
-        radius=_number(obj, path, "radius", 0.3),
-        v_max=_number(obj, path, "v_max", 1.0),
-        a_max=_number(obj, path, "a_max", 1.0),
-        omega_max=math.radians(_number(obj, path, "omega_max_deg", 90.0)),
-        heading=wrap_angle(math.radians(_number(obj, path, "heading_deg", 0.0))),
-    ))
+def _write(obj: Any, table: dict) -> dict:
+    """The section of `obj` that `table` reads, every key written."""
+    section = {}
+    for key, (field, read, _) in table.items():
+        if field is None:
+            section[key] = _write(obj, read)
+        else:
+            value, write = getattr(obj, field), _WRITERS.get(read)
+            section[key] = value if write is None else write(value)
+    return section
 
 
-def _parse_goal(obj: dict, path: str) -> Goal:
-    _check_keys(obj, path, {"id", "position", "is_target"})
-    is_target = obj.get("is_target", False)
-    if not isinstance(is_target, bool):
-        raise ScenarioError(f"{path}.is_target", "must be a boolean")
-    return Goal(
-        id=_string(obj, path, "id"),
-        position=_point(obj, path, "position"),
-        is_target=is_target,
-    )
-
-
-def _parse_observer(obj: dict, path: str) -> ObserverState:
-    _check_keys(obj, path, {"id", "position", "heading_deg", "fov_deg", "attached_goal"})
-    fov = {"fov": math.radians(_number(obj, path, "fov_deg"))} if "fov_deg" in obj else {}
-    attached = obj.get("attached_goal")
-    if attached is not None and not isinstance(attached, str):
-        raise ScenarioError(f"{path}.attached_goal", "must be a string")
-    return _build(ObserverState, path, dict(
-        id=_string(obj, path, "id"),
-        position=_point(obj, path, "position"),
-        heading=wrap_angle(math.radians(_number(obj, path, "heading_deg", 0.0))),
-        attached_goal=attached,
-        **fov,
-    ))
-
-
-def _parse_obstacle(obj: dict, path: str) -> Obstacle:
-    kind = _string(obj, path, "type")
-    if kind == "circle":
-        _check_keys(obj, path, {"type", "center", "radius"})
-        return _build(CircleObstacle, path, dict(
-            radius=_number(obj, path, "radius"), center=_point(obj, path, "center")
-        ))
-    if kind == "rect":
-        _check_keys(obj, path, {"type", "min", "max"})
-        return _build(RectObstacle, path, dict(
-            min=_point(obj, path, "min"), max=_point(obj, path, "max")
-        ))
-    raise ScenarioError(f"{path}.type", "must be 'circle' or 'rect'")
-
-
-def _present(obj: dict, path: str, readers: dict[str, Callable]) -> dict:
-    """Read and type-check the keys present in `obj`; absent keys are left
-    to the dataclass defaults."""
-    return {key: read(obj, path, key) for key, read in readers.items() if key in obj}
+def _parse(cls: type, table: dict, obj: dict, path: str, extra: Container[str] = (),
+           **defaults: Any) -> Any:
+    """The `cls` object that `table` reads from `obj` at `path`, `defaults`
+    giving fields for the keys it leaves out."""
+    return _build(cls, path, _read(obj, path, table, defaults, extra))
 
 
 def _build(cls: type, path: str, fields: dict) -> Any:
@@ -181,53 +217,25 @@ def _build(cls: type, path: str, fields: dict) -> Any:
         raise ScenarioError(path, str(exc)) from None
 
 
-# The planner keys that are PlannerParams fields as they stand. cem_init_std
-# is read and written by hand: it nests two fields and converts degrees.
-_PLANNER_READERS: dict[str, Callable] = {
-    "dt": _number, "horizon_w": _integer, "mode": _string,
-    "cem_population": _integer, "cem_elites": _integer,
-    "cem_iterations": _integer, "execute_steps": _integer,
-    "goal_tolerance": _number, "max_cycles": _integer,
-}
+def _top_section(doc: dict, key: str, cls: type, table: dict, **defaults: Any) -> Any:
+    """The `cls` object of the top-level section `key`; an absent one reads
+    as {}."""
+    path = f"$.{key}"
+    return _parse(cls, table, _as_object(doc.get(key, {}), path), path, **defaults)
 
 
-def _parse_planner(obj: dict, path: str) -> PlannerParams:
-    _check_keys(obj, path, {*_PLANNER_READERS, "cem_init_std"})
-    fields = _present(obj, path, _PLANNER_READERS)
-    if "cem_init_std" in obj:
-        std_path = f"{path}.cem_init_std"
-        std_obj = _as_object(obj["cem_init_std"], std_path)
-        _check_keys(std_obj, std_path, {"v", "omega_deg"})
-        if "v" in std_obj:
-            fields["cem_init_std_v"] = _number(std_obj, std_path, "v")
-        if "omega_deg" in std_obj:
-            fields["cem_init_std_omega"] = math.radians(_number(std_obj, std_path, "omega_deg"))
-    return _build(PlannerParams, path, fields)
+def _parse_obstacle(obj: dict, path: str) -> Obstacle:
+    if _KIND not in obj:
+        raise ScenarioError(f"{path}.{_KIND}", "required key missing")
+    kind = _string(obj[_KIND], path, _KIND)
+    if kind not in _OBSTACLES:
+        raise ScenarioError(f"{path}.{_KIND}", f"must be {' or '.join(map(repr, _OBSTACLES))}")
+    return _parse(*_OBSTACLES[kind], obj, path, extra=(_KIND,))
 
 
-# The sections whose keys are the (all float) field names of their class.
-_NUMBER_READERS: dict[type, dict[str, Callable]] = {
-    cls: dict.fromkeys((f.name for f in dataclasses.fields(cls)), _number)
-    for cls in (TaskCostWeights, LegibilityParams)
-}
-
-
-def _number_fields(cls: type, obj: dict, path: str) -> dict:
-    """Read a section whose keys are the (all float) field names of `cls`."""
-    readers = _NUMBER_READERS[cls]
-    _check_keys(obj, path, readers)
-    return _present(obj, path, readers)
-
-
-def _parse_task_weights(obj: dict, path: str, robot: RobotState) -> TaskCostWeights:
-    fields = _number_fields(TaskCostWeights, obj, path)
-    # The class default for v_pref assumes v_max = 1; derive it from the robot.
-    fields.setdefault("v_pref", 0.8 * robot.v_max)
-    return _build(TaskCostWeights, path, fields)
-
-
-def _parse_legibility(obj: dict, path: str) -> LegibilityParams:
-    return _build(LegibilityParams, path, _number_fields(LegibilityParams, obj, path))
+def _write_obstacle(obstacle: Obstacle) -> dict:
+    kind, table = _OBSTACLE_KINDS[type(obstacle)]
+    return {_KIND: kind, **_write(obstacle, table)}
 
 
 def _array(doc: dict, key: str, parse_item: Callable, required: bool = False) -> tuple:
@@ -271,35 +279,28 @@ def parse_scenario(data: bytes | str | dict) -> ScenarioSpec:
         {"version", "robot", "goals", "observers", "obstacles", "planner",
          "task_weights", "legibility", "seed"},
     )
-    version = _integer(doc, "$", "version", SCHEMA_VERSION)
+    version = _integer(doc.get("version", SCHEMA_VERSION), "$", "version")
     if version != SCHEMA_VERSION:
         raise ScenarioError("$.version", f"unsupported schema version {version}")
 
     if "robot" not in doc:
         raise ScenarioError("$.robot", "required key missing")
-    robot = _parse_robot(_as_object(doc["robot"], "$.robot"), "$.robot")
+    robot = _top_section(doc, "robot", RobotState, _ROBOT)
 
-    goals = _array(doc, "goals", _parse_goal, required=True)
-    observers = _array(doc, "observers", _parse_observer)
+    goals = _array(doc, "goals", partial(_parse, Goal, _GOAL), required=True)
+    observers = _array(doc, "observers", partial(_parse, ObserverState, _OBSERVER))
     obstacles = _array(doc, "obstacles", _parse_obstacle)
 
-    planner = _parse_planner(_as_object(doc.get("planner", {}), "$.planner"), "$.planner")
-    weights = _parse_task_weights(
-        _as_object(doc.get("task_weights", {}), "$.task_weights"), "$.task_weights", robot
+    planner = _top_section(doc, "planner", PlannerParams, _PLANNER)
+    # The class default for v_pref assumes v_max = 1; derive it from the robot.
+    weights = _top_section(
+        doc, "task_weights", TaskCostWeights, _TASK_WEIGHTS, v_pref=0.8 * robot.v_max
     )
-    legibility = _parse_legibility(
-        _as_object(doc.get("legibility", {}), "$.legibility"), "$.legibility"
-    )
+    legibility = _top_section(doc, "legibility", LegibilityParams, _LEGIBILITY)
 
     return ScenarioSpec(
-        robot=robot,
-        goals=goals,
-        observers=observers,
-        obstacles=obstacles,
-        planner=planner,
-        task_weights=weights,
-        legibility=legibility,
-        seed=_integer(doc, "$", "seed", 0),
+        robot=robot, goals=goals, observers=observers, obstacles=obstacles, planner=planner,
+        task_weights=weights, legibility=legibility, seed=_integer(doc.get("seed", 0), "$", "seed"),
     )
 
 
@@ -312,52 +313,13 @@ def serialize_scenario(spec: ScenarioSpec) -> dict:
     """Scenario document (JSON-ready dict) with every default materialized."""
     return {
         "version": SCHEMA_VERSION,
-        "robot": {
-            "position": [spec.robot.position.x, spec.robot.position.y],
-            "heading_deg": math.degrees(spec.robot.heading),
-            "speed": spec.robot.speed,
-            "radius": spec.robot.radius,
-            "v_max": spec.robot.v_max,
-            "a_max": spec.robot.a_max,
-            "omega_max_deg": math.degrees(spec.robot.omega_max),
-        },
-        "goals": [
-            {"id": g.id, "position": [g.position.x, g.position.y], "is_target": g.is_target}
-            for g in spec.goals
-        ],
-        "observers": [
-            {
-                "id": o.id,
-                "position": [o.position.x, o.position.y],
-                "heading_deg": math.degrees(o.heading),
-                "fov_deg": math.degrees(o.fov),
-                "attached_goal": o.attached_goal,
-            }
-            for o in spec.observers
-        ],
-        "obstacles": [
-            {
-                "type": "circle",
-                "center": [o.center.x, o.center.y],
-                "radius": o.radius,
-            }
-            if isinstance(o, CircleObstacle)
-            else {
-                "type": "rect",
-                "min": [o.min.x, o.min.y],
-                "max": [o.max.x, o.max.y],
-            }
-            for o in spec.obstacles
-        ],
-        "planner": {
-            **{key: getattr(spec.planner, key) for key in _PLANNER_READERS},
-            "cem_init_std": {
-                "v": spec.planner.cem_init_std_v,
-                "omega_deg": math.degrees(spec.planner.cem_init_std_omega),
-            },
-        },
-        "task_weights": dataclasses.asdict(spec.task_weights),
-        "legibility": dataclasses.asdict(spec.legibility),
+        "robot": _write(spec.robot, _ROBOT),
+        "goals": [_write(g, _GOAL) for g in spec.goals],
+        "observers": [_write(o, _OBSERVER) for o in spec.observers],
+        "obstacles": [_write_obstacle(o) for o in spec.obstacles],
+        "planner": _write(spec.planner, _PLANNER),
+        "task_weights": _write(spec.task_weights, _TASK_WEIGHTS),
+        "legibility": _write(spec.legibility, _LEGIBILITY),
         "seed": spec.seed,
     }
 

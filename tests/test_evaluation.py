@@ -593,25 +593,42 @@ def test_empty_fractions_rejected_by_name(mask_fov):
         prefix_points(traj.waypoints, [])
 
 
+def _seen_ends_world():
+    # The observer at (0, -1) looks up: it sees a path's points far up on
+    # either side, not one just behind it.
+    return make_scenario(
+        goals=(Goal("G", Point2(0, 8e153), is_target=True), Goal("H", Point2(0, 7e153))),
+        observers=(ObserverState("O", Point2(0, -1), math.pi / 2),),
+    )
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mask_fov", [False, True])
-@pytest.mark.parametrize("pts", [
-    [[0, 0], [1e308, 0], [-1e308, 0]],  # a step overflows
-    [[0, 0], [1e200, 1e200]],  # a step's square overflows
-    [[0, 0], [1e308, 0], [0, 0], [1e308, 0]],  # finite steps whose sum overflows
-], ids=["step", "square", "sum"])
-def test_overflowing_arc_length_rejected_by_name(pts, mask_fov):
+@pytest.mark.parametrize(("pts", "world"), [
+    ([[0, 0], [1e308, 0], [-1e308, 0]], make_scenario),  # a step overflows
+    ([[0, 0], [1e200, 1e200]], make_scenario),  # a step's square overflows
+    ([[0, 0], [1e308, 0], [0, 0], [1e308, 0]], make_scenario),  # finite steps whose sum overflows
+    # The path's length is finite, but only its two far ends are seen, and
+    # the step between them overflows.
+    ([[-8e153, 8e153], [0, -2], [8e153, 8e153]], _seen_ends_world),
+], ids=["step", "square", "sum", "seen"])
+def test_overflowing_arc_length_rejected_by_name(pts, world, mask_fov):
     # The waypoints are finite, so the Trajectory is valid; scoring it used to
     # fail on a NaN correctness value, with RuntimeWarnings, and arc_length()
-    # returned inf, so goal_posterior gave the prior.
+    # returned inf, so goal_posterior gave the prior. The masked "seen" case
+    # gave a posterior from an infinite length, with RuntimeWarnings.
     traj = Trajectory(pts, 0.4)
-    scenario = make_scenario()
+    scenario = world()
     calls = (
         lambda: evaluate_trajectory(traj, scenario, UNIFORM, DEFAULT_FRACTIONS, mask_fov),
         lambda: arc_length_prefix(traj, 0.5),
         traj.arc_length,
         lambda: goal_posterior(traj, scenario.goals, scenario.robot.position, UNIFORM),
     )
+    if world is _seen_ends_world:  # only the masked evaluation overflows
+        for call in calls[mask_fov:]:
+            call()
+        calls = calls[:mask_fov]
     for call in calls:
         with pytest.raises(ValueError, match=r"^path arc length overflows float range$"):
             call()

@@ -229,6 +229,15 @@ def test_float_fields_reject_numbers_beyond_float_range(build, field, rule, valu
         build(**{field: value})
 
 
+@pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])
+@pytest.mark.parametrize(("build", "field", "rule"), FLOAT_FIELDS.values(), ids=FLOAT_FIELDS.keys())
+def test_float_fields_refuse_bools(build, field, rule, value):
+    # A bool is an int to Python, so True used to pass as 1.0 and stay True
+    # in the field; the scenario file route already refuses `true`.
+    with pytest.raises(ValueError, match=rule):
+        build(**{field: value})
+
+
 def test_float_fields_keep_valid_ints():
     # An int inside float range is accepted and kept as it was given.
     assert Point2(10**308, -3).x == 10**308

@@ -32,12 +32,7 @@ from legiplan.scenario_io import (
     scenario_to_bytes,
     simulation_rows,
 )
-from tests.conftest import SCENARIO_NAMES, make_robot, make_scenario
-
-MINIMAL = {
-    "robot": {"position": [0.0, 0.0]},
-    "goals": [{"id": "G", "position": [2.0, 0.0], "is_target": True}],
-}
+from tests.conftest import MINIMAL, SCENARIO_NAMES, make_robot, make_scenario
 
 
 def test_minimal_file_gets_defaults():
