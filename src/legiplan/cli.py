@@ -126,15 +126,16 @@ def _parse_fractions(raw: str) -> tuple[float, ...]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    # The flags first, so a bad one is reported before any file is read.
+    try:
+        model = PosteriorModel(beta=args.beta)
+    except ValueError as exc:
+        raise ScenarioError("--beta", str(exc)) from None
+    fractions = _parse_fractions(args.fractions)
     spec = scenario_io.load_scenario(args.scenario)
     trajectory, _ = scenario_io.load_trajectory_csv(args.trajectory)
-    model = scenario_io._build(PosteriorModel, "--beta", {"beta": args.beta})
     report = evaluate_trajectory(
-        trajectory,
-        spec,
-        model=model,
-        fractions=_parse_fractions(args.fractions),
-        mask_fov=args.mask_fov,
+        trajectory, spec, model=model, fractions=fractions, mask_fov=args.mask_fov
     )
     _print_json(report.to_dict())
     return EXIT_OK

@@ -95,7 +95,8 @@ def _deviation_angles(rel: np.ndarray, gaze: np.ndarray) -> np.ndarray:
     rows = np.empty((norm.size + 1, 2))
     rows[:-1], rows[-1] = rel.reshape(2, -1).T, gaze  # the last row is the spare
     cosang = (rows @ gaze)[:-1].reshape(norm.shape) / safe
-    angles = np.arccos(np.clip(cosang, -1.0, 1.0))
+    # No out=: a 0-d batch makes cosang a numpy scalar.
+    angles = np.arccos(cosang.clip(-1.0, 1.0))
     return np.where(at_observer, 0.0, angles)
 
 

@@ -6,8 +6,9 @@ function, so everything here is safe to call concurrently.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -204,7 +205,7 @@ class Trajectory:
             raise ValueError(f"waypoints must have shape (n, 2), got {pts.shape}")
         if pts.shape[0] < 2:
             raise ValueError("a trajectory needs at least 2 waypoints")
-        if not np.all(np.isfinite(pts)):
+        if not np.logical_and.reduce(np.isfinite(pts), axis=None):  # np.all's ufunc
             raise ValueError("waypoints must be finite")
         if not 0 < _as_float(self.dt) < math.inf:
             raise ValueError(f"dt must be positive, got {self.dt}")
@@ -239,13 +240,7 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Late imports keep the module dependency graph acyclic.
-        import dataclasses
-
-        from .legibility import LegibilityParams
-        from .planner import PlannerParams
-        from .task_cost import TaskCostWeights
-
+        LegibilityParams, PlannerParams, TaskCostWeights = _param_types()
         object.__setattr__(self, "seed", _as_count(self.seed))
         if self.planner is None:
             object.__setattr__(self, "planner", PlannerParams())
@@ -260,7 +255,7 @@ class ScenarioSpec:
         p, robot = self.planner, self.robot
         if p.cem_init_std_v is None or p.cem_init_std_omega is None:
             try:
-                planner = dataclasses.replace(
+                planner = replace(
                     p,
                     cem_init_std_v=p.cem_init_std_v or 0.5 * robot.v_max,
                     cem_init_std_omega=p.cem_init_std_omega or 0.5 * robot.omega_max,
@@ -309,6 +304,17 @@ class ScenarioSpec:
         return next(g for g in self.goals if g.is_target)
 
 
+@functools.cache
+def _param_types() -> tuple[type, type, type]:
+    """LegibilityParams, PlannerParams and TaskCostWeights, imported on first
+    use: their modules import this one, so a top-level import would be a cycle."""
+    from .legibility import LegibilityParams
+    from .planner import PlannerParams
+    from .task_cost import TaskCostWeights
+
+    return LegibilityParams, PlannerParams, TaskCostWeights
+
+
 def clearance_points(points: np.ndarray, obstacles: tuple[Obstacle, ...]) -> np.ndarray:
     """Signed distance from each point to the nearest obstacle surface.
 
@@ -317,7 +323,8 @@ def clearance_points(points: np.ndarray, obstacles: tuple[Obstacle, ...]) -> np.
     """
     pts = np.asarray(points, dtype=float)
     x, y = pts[..., 0], pts[..., 1]
-    out = np.full(pts.shape[:-1], EMPTY_CLEARANCE, dtype=float)
+    out = np.empty(pts.shape[:-1])
+    out.fill(EMPTY_CLEARANCE)
     for obs in obstacles:
         # Plain-float constants: no small arrays built per obstacle and call.
         if isinstance(obs, CircleObstacle):

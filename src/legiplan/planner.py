@@ -222,10 +222,11 @@ def _clip_controls(raw: np.ndarray, state: RobotState, dt: float) -> np.ndarray:
     holds along the whole sequence, starting from the current speed. Clipping
     to [0, v_max] first and to the accel band per step selects the same
     floats as clipping to their intersection, because every previous speed
-    already lies in [0, v_max].
+    already lies in [0, v_max]. ndarray.clip, not np.maximum/np.minimum, for
+    the bounds: clip keeps the sign of a -0.0 sample, which that pair drops.
     """
     out = np.empty(raw.shape)
-    v = np.clip(raw[:, :, 0], 0.0, state.v_max, out=out[:, :, 0])
+    v = raw[:, :, 0].clip(0.0, state.v_max, out=out[:, :, 0])
     step = state.a_max * dt
     prev = state.speed
     for t in range(v.shape[1]):
@@ -233,7 +234,7 @@ def _clip_controls(raw: np.ndarray, state: RobotState, dt: float) -> np.ndarray:
         np.maximum(col, prev - step, out=col)
         np.minimum(col, prev + step, out=col)
         prev = col
-    np.clip(raw[:, :, 1], -state.omega_max, state.omega_max, out=out[:, :, 1])
+    raw[:, :, 1].clip(-state.omega_max, state.omega_max, out=out[:, :, 1])
     return out
 
 
@@ -245,7 +246,7 @@ def _rollout_batch(state: RobotState, controls: np.ndarray, dt: float) -> np.nda
     """
     v = controls[:, :, 0]
     om = controls[:, :, 1]
-    theta = state.heading + np.cumsum(om * dt, axis=1)
+    theta = state.heading + (om * dt).cumsum(axis=1)
     step = v * dt
     dx = step * np.cos(theta)
     dy = step * np.sin(theta)
@@ -253,8 +254,8 @@ def _rollout_batch(state: RobotState, controls: np.ndarray, dt: float) -> np.nda
     waypoints = np.empty((n, w + 1, 2), dtype=float)
     waypoints[:, 0, 0] = state.position.x
     waypoints[:, 0, 1] = state.position.y
-    waypoints[:, 1:, 0] = state.position.x + np.cumsum(dx, axis=1)
-    waypoints[:, 1:, 1] = state.position.y + np.cumsum(dy, axis=1)
+    waypoints[:, 1:, 0] = state.position.x + dx.cumsum(axis=1)
+    waypoints[:, 1:, 1] = state.position.y + dy.cumsum(axis=1)
     return waypoints
 
 
@@ -266,7 +267,7 @@ def rollout(state: RobotState, controls: ControlSequence, dt: float) -> Trajecto
 
 def rollout_headings(state: RobotState, controls: np.ndarray, dt: float) -> np.ndarray:
     """Heading at each waypoint of a single rollout, shape (w+1,), unwrapped."""
-    return np.concatenate([[state.heading], state.heading + np.cumsum(controls[:, 1] * dt)])
+    return np.concatenate([[state.heading], state.heading + (controls[:, 1] * dt).cumsum()])
 
 
 def _initial_mean(
@@ -328,14 +329,18 @@ def _cem_optimize(
     g, w, _ = init_mean.shape
     n = params.cem_population
     first_rows = np.arange(g) * n  # each search's first row in a population
-    mean, std = init_mean, np.broadcast_to(init_std, init_mean.shape)
+    # Array methods and ufuncs, not np.* wrappers: the same C routines, less Python.
+    mean, std = init_mean, init_std  # std: one spread (w, 2) or one per search (G, w, 2)
     # Each iteration's (controls, waypoints, terms), then a zero placeholder
     # (best_at -1): search i's best so far is row best_row[i] of scored[best_at[i]].
     scored = []
-    best_cost, best_at, best_row = np.full(g, math.inf), np.full(g, -1), np.zeros(g, dtype=np.intp)
+    best_cost, best_at, best_row = np.empty(g), np.empty(g, dtype=np.intp), np.zeros(g, np.intp)
+    best_cost.fill(math.inf)
+    best_at.fill(-1)
     history = np.empty((g, len(noise)))
     for k, z in enumerate(noise):
-        raw = np.multiply(std.reshape(g, 1, 2 * w), z.reshape(n, 2 * w))
+        raw = np.empty((g, n, 2 * w))
+        np.multiply(std.reshape(-1, 1, 2 * w), z.reshape(n, 2 * w), out=raw)
         raw += mean.reshape(g, 1, 2 * w)  # mean + std * z's bits: product, then sum
         controls = _clip_controls(raw.reshape(g * n, w, 2), state, params.dt)
         warm = k == 0 and warm_controls is not None
@@ -349,13 +354,13 @@ def _cem_optimize(
             best_at[:], best_row = 0, g * n + np.arange(g)
         costs = terms["total"][: g * n].reshape(g, n)
         # argmin picks a NaN row if any, and NaN < best is False.
-        rows = first_rows + np.argmin(costs, axis=1)  # flat: numpy's fast index path
+        rows = first_rows + costs.argmin(axis=1)  # flat: numpy's fast index path
         row_cost = terms["total"][rows]
         improved = row_cost < best_cost
         np.copyto(best_cost, row_cost, where=improved)
         np.copyto(best_at, k, where=improved)
         np.copyto(best_row, rows, where=improved)
-        order = np.argsort(costs, axis=1, kind="stable")[:, : params.cem_elites]
+        order = costs.argsort(axis=1, kind="stable")[:, : params.cem_elites]
         elites = controls[first_rows[:, np.newaxis] + order]  # (G, cem_elites, w, 2)
         # elites.mean(axis=1) and .std(axis=1) by numpy's own steps (a sum, then
         # a division by the count): the same bits, with less per-call overhead.
@@ -394,7 +399,7 @@ def _task_objective(scenario: ScenarioSpec, goal_xy: np.ndarray) -> Objective:
 def _legible_objective(scenario: ScenarioSpec, predictions: PredictedPathSet) -> Objective:
     """Combined objective with the predicted paths held fixed."""
     dt = scenario.planner.dt
-    pred_waypoints = np.stack([predictions[goal.id].waypoints for goal in scenario.goals])
+    pred_waypoints = np.array([predictions[goal.id].waypoints for goal in scenario.goals])
     return legible_objective(
         dt, velocity_points(pred_waypoints, dt), scenario.goals, designated_observer(scenario),
         scenario.obstacles, scenario.robot.radius, scenario.task_weights, scenario.legibility,
@@ -419,9 +424,8 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
     params = scenario.planner
     robot = scenario.robot
     seed = scenario.seed if rng_seed is None else rng_seed
-    init_std = np.full(
-        (params.horizon_w, 2), [params.cem_init_std_v, params.cem_init_std_omega]
-    )
+    init_std = np.empty((params.horizon_w, 2))
+    init_std[:] = params.cem_init_std_v, params.cem_init_std_omega
     # Drawn once and shared by every CEM of the cycle; read-only so no search
     # can alter the samples another one sees.
     noise = [
@@ -436,12 +440,12 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
     goals_xy = np.array([goal.position.as_array() for goal in scenario.goals])
     results = _cem_optimize(
         _task_objective(
-            scenario, np.repeat(goals_xy, params.cem_population, axis=0)[:, np.newaxis]
+            scenario, goals_xy.repeat(params.cem_population, axis=0)[:, np.newaxis]
         ),
         robot,
         params,
         noise,
-        np.stack([
+        np.array([
             _initial_mean(
                 robot, params.horizon_w, params.dt, scenario.task_weights.v_pref, goal.position
             )
@@ -555,10 +559,8 @@ def _finish_simulation(
         # executed path is still a valid trajectory.
         positions = positions + [positions[0]]
         headings = headings + [headings[0]]
-    executed = Trajectory(np.vstack(positions), params.dt)
-    controls = (
-        np.vstack(controls_log) if controls_log else np.zeros((0, 2), dtype=float)
-    )
+    executed = Trajectory(np.array(positions), params.dt)
+    controls = np.array(controls_log) if controls_log else np.zeros((0, 2), dtype=float)
     return SimulationResult(
         plan_results=tuple(plan_results),
         executed=executed,

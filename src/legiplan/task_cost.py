@@ -99,7 +99,7 @@ def _clearance_terms(c: np.ndarray, d_safe: float) -> tuple[np.ndarray, ...]:
     """collided, clearance and approach terms (n,) of clearances c (n, T)."""
     j_clr = np.add.reduce((np.maximum(0.0, d_safe - c) / d_safe) ** 2, axis=1)
     j_app = np.add.reduce(np.maximum(0.0, c[:, :-1] - c[:, 1:]), axis=1) / d_safe
-    return (c < 0.0).any(axis=1), j_clr, j_app
+    return np.logical_or.reduce(c < 0.0, axis=1), j_clr, j_app  # .any(axis=1)'s ufunc
 
 
 @functools.lru_cache(maxsize=8)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from legiplan import scenario_io
 from legiplan.cli import cli_main
 from legiplan.scenario_io import scenario_to_bytes
 from tests.conftest import SCENARIO_DIR, make_scenario
@@ -242,6 +243,12 @@ def test_evaluate_reports_a_bad_beta_at_its_flag(tmp_path, capsys, beta, shown):
         "error": "validation", "path": "--beta",
         "rule": f"beta must be finite and nonnegative, got {shown}",
     }
+
+
+def test_evaluate_checks_beta_without_the_parser_helper(tmp_path, capsys, monkeypatch):
+    # The CLI reports --beta itself: no private scenario_io helper is on its path.
+    monkeypatch.delattr(scenario_io, "_build")
+    test_evaluate_reports_a_bad_beta_at_its_flag(tmp_path, capsys, "-1", "-1.0")
 
 
 @pytest.mark.parametrize("t", ["nan", "inf"])

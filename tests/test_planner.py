@@ -68,6 +68,23 @@ def reference_clip(raw: np.ndarray, state, dt: float) -> np.ndarray:
     return np.stack([v, om], axis=2)
 
 
+def frozen_np_clip_controls(raw: np.ndarray, state, dt: float) -> np.ndarray:
+    """_clip_controls as it was written with np.clip, kept to pin its bits,
+    the sign of zero included: reference_clip clips to the band intersection,
+    and np.array_equal reads -0.0 as 0.0."""
+    out = np.empty(raw.shape)
+    v = np.clip(raw[:, :, 0], 0.0, state.v_max, out=out[:, :, 0])
+    step = state.a_max * dt
+    prev = state.speed
+    for t in range(v.shape[1]):
+        col = v[:, t]
+        np.maximum(col, prev - step, out=col)
+        np.minimum(col, prev + step, out=col)
+        prev = col
+    np.clip(raw[:, :, 1], -state.omega_max, state.omega_max, out=out[:, :, 1])
+    return out
+
+
 def reference_cem(objective, state, params, noise, init_mean, init_std, warm_controls=None):
     """One cross-entropy search on its own, shapes (w, 2), as run per goal
     before the searches were batched. Returns the _CEMResult fields in order."""
@@ -134,6 +151,20 @@ class TestControlSampling:
         for i in range(controls.shape[0]):
             seq = ControlSequence(controls[i])
             assert seq.respects(rng_state, params.dt)
+
+    @pytest.mark.parametrize("speed", [0.0, 1.0])  # at rest and at v_max
+    def test_clip_keeps_the_np_clip_bits_and_sign_of_zero(self, speed):
+        state, dt = make_robot(speed=speed), 0.4
+        step = state.a_max * dt
+        v_values = [-0.0, 0.0, state.v_max, -state.v_max, step, -step, 2.0 * state.v_max]
+        om_values = [-0.0, 0.0, state.omega_max, -state.omega_max, 2.0 * state.omega_max]
+        rng = np.random.default_rng(5)
+        raw = np.stack([rng.choice(v_values, (300, 6)), rng.choice(om_values, (300, 6))], axis=2)
+        clipped = _clip_controls(raw, state, dt)
+        assert clipped.tobytes() == frozen_np_clip_controls(raw, state, dt).tobytes()
+        # -0.0 reaches the output in both channels, so the bytes compare its sign.
+        negative_zero = (clipped == 0.0) & np.signbit(clipped)
+        assert negative_zero[:, :, 0].any() and negative_zero[:, :, 1].any()
 
     def test_counter_based_draws_are_order_independent(self):
         a = _draw_noise(42, 3, 16, 8)
