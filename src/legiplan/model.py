@@ -90,11 +90,9 @@ def _planes(points: np.ndarray) -> np.ndarray:
 
 
 def wrap_angle(angle: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    wrapped = (angle + math.pi) % math.tau - math.pi
-    if wrapped == -math.pi:
-        wrapped = math.pi
-    return wrapped
+    """Wrap an angle into (-pi, pi]: exact, the identity there, odd away from +-pi."""
+    wrapped = math.remainder(angle, math.tau)
+    return math.pi if wrapped == -math.pi else wrapped
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ class RobotState:
     """Robot pose plus the kinodynamic limits every plan must respect."""
 
     position: Point2
-    heading: float  # radians, (-pi, pi]
+    heading: float  # radians; the parser and run_closed_loop wrap it into (-pi, pi]
     speed: float  # m/s, 0 <= speed <= v_max
     radius: float  # m, disc footprint
     v_max: float  # m/s

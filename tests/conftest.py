@@ -1,22 +1,26 @@
 """Shared fixtures: scenario paths, scenario documents and small hand-built worlds."""
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import legiplan.planner as planner_module
 from legiplan import (
     CircleObstacle,
     Goal,
     LegibilityParams,
     ObserverState,
+    PlannerFailure,
     PlannerParams,
     Point2,
     RobotState,
     ScenarioSpec,
     TaskCostWeights,
+    run_closed_loop,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -130,3 +134,76 @@ def random_trajectory(rng: np.random.Generator, steps: int = 8, dt: float = 0.4)
     start = rng.uniform(-3, 3, size=2)
     deltas = rng.normal(scale=0.4, size=(steps, 2))
     return Trajectory(np.vstack([start, start + np.cumsum(deltas, axis=0)]), dt)
+
+
+def mirrored(spec: ScenarioSpec) -> ScenarioSpec:
+    """The same scene mirrored in the x axis (y -> -y): robot, goals, observers
+    and obstacles, with every heading negated and left unwrapped."""
+
+    def flip(p: Point2) -> Point2:
+        return Point2(p.x, -p.y)
+
+    def flip_obstacle(obs):
+        if isinstance(obs, CircleObstacle):
+            return dataclasses.replace(obs, center=flip(obs.center))
+        return dataclasses.replace(
+            obs, min=Point2(obs.min.x, -obs.max.y), max=Point2(obs.max.x, -obs.min.y)
+        )
+
+    return dataclasses.replace(
+        spec,
+        robot=dataclasses.replace(
+            spec.robot, position=flip(spec.robot.position), heading=-spec.robot.heading
+        ),
+        goals=tuple(dataclasses.replace(g, position=flip(g.position)) for g in spec.goals),
+        observers=tuple(
+            dataclasses.replace(o, position=flip(o.position), heading=-o.heading)
+            for o in spec.observers
+        ),
+        obstacles=tuple(flip_obstacle(obs) for obs in spec.obstacles),
+    )
+
+
+def run_or_failure(spec: ScenarioSpec):
+    """run_closed_loop's result, or the PlannerFailure it raised."""
+    try:
+        return run_closed_loop(spec)
+    except PlannerFailure as failure:
+        return failure
+
+
+def run_mirrored(spec: ScenarioSpec):
+    """run_or_failure on mirrored(spec), with the omega channel of every noise
+    draw negated: each candidate is then the mirror of the same candidate in
+    the run on spec."""
+    draw = planner_module._draw_noise
+
+    def omega_negated(*args):
+        noise = draw(*args)
+        noise[..., 1] *= -1.0
+        return noise
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planner_module, "_draw_noise", omega_negated)
+        return run_or_failure(mirrored(spec))
+
+
+def assert_mirrors(here, there) -> None:
+    """`there` is the mirror of `here`, bit for bit: both runs, or both
+    PlannerFailures with their partial logs. `==` on floats, so +0.0 and -0.0
+    count as equal."""
+    assert type(there) is type(here)
+    if isinstance(here, PlannerFailure):
+        assert there.breakdown == here.breakdown
+        here, there = here.partial, there.partial
+    assert there.reached == here.reached
+    assert there.cycles_used == here.cycles_used
+    xy, mirror_xy = here.executed.waypoints, there.executed.waypoints
+    assert np.all(mirror_xy[:, 0] == xy[:, 0])
+    assert np.all(mirror_xy[:, 1] == -xy[:, 1])
+    headings = -here.headings
+    headings[headings == -math.pi] = math.pi
+    assert np.all(there.headings == headings)
+    assert np.all(there.controls[:, 0] == here.controls[:, 0])
+    assert np.all(there.controls[:, 1] == -here.controls[:, 1])
+    assert [p.breakdown for p in there.plan_results] == [p.breakdown for p in here.plan_results]

@@ -19,7 +19,7 @@ cli_output_hashes = importlib.util.module_from_spec(_spec)
 sys.modules["cli_output_hashes"] = cli_output_hashes
 _spec.loader.exec_module(cli_output_hashes)
 
-DIGEST = "01289274a3166f2b10a37f0a92fa786609cd2988f536032f0eb21276754db49c"
+DIGEST = "a54404c21b4ab7bfd5c74d8481bd272aab59a4bae7fac82e1c9622c2afc2c333"
 
 
 def test_cli_output_listing_digest_is_unchanged():

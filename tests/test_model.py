@@ -150,11 +150,28 @@ class TestTrajectoryType:
 
 
 def test_wrap_angle_range():
-    for angle in np.linspace(-12.0, 12.0, 400):
-        wrapped = wrap_angle(float(angle))
-        assert -math.pi < wrapped <= math.pi
-        assert math.cos(wrapped) == pytest.approx(math.cos(angle), abs=1e-12)
-        assert math.sin(wrapped) == pytest.approx(math.sin(angle), abs=1e-12)
+    # Exact: IEEE remainder by tau rounds nothing, so an angle already in
+    # (-pi, pi] comes back unchanged and wrap(-a) == -wrap(a) away from +-pi,
+    # which a mirrored scene needs bit for bit.
+    assert wrap_angle(math.radians(160)) == math.radians(160)
+    assert wrap_angle(-math.pi) == math.pi
+    assert math.copysign(1.0, wrap_angle(-0.0)) == -1.0
+    rng = np.random.default_rng(27)
+    for bound in (3.2, 12.0, 1e6):
+        # Scaled after the draw, so the angles' low bits vary: the draws of
+        # rng.uniform(-3.2, 3.2) lie on a coarse grid, on which even an
+        # inexact wrap can be the identity.
+        angles = bound * rng.uniform(-1.0, 1.0, 200_000)
+        wrapped = np.array([wrap_angle(a) for a in angles.tolist()])
+        assert np.all((-math.pi < wrapped) & (wrapped <= math.pi))
+        in_range = (-math.pi < angles) & (angles <= math.pi)
+        assert np.array_equal(wrapped[in_range], angles[in_range])
+        negated = np.array([wrap_angle(-a) for a in angles.tolist()])
+        odd = np.abs(wrapped) != math.pi
+        assert np.array_equal(negated[odd], -wrapped[odd])
+        assert np.array_equal([wrap_angle(w) for w in wrapped.tolist()], wrapped)
+        turns = (angles - wrapped) / math.tau
+        assert np.allclose(turns, np.round(turns), rtol=0, atol=1e-9)
 
 
 NON_FINITE_GUARDS = {

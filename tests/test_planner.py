@@ -39,7 +39,15 @@ from legiplan.planner import (
 )
 from legiplan.task_cost import COLLISION_COST, task_cost
 from legiplan.scenario_io import load_scenario
-from tests.conftest import SCENARIO_DIR, SCENARIO_NAMES, make_robot, make_scenario
+from tests.conftest import (
+    SCENARIO_DIR,
+    SCENARIO_NAMES,
+    assert_mirrors,
+    make_robot,
+    make_scenario,
+    run_mirrored,
+    run_or_failure,
+)
 
 
 def reference_noise(seed: int, iteration: int, population: int, horizon: int) -> np.ndarray:
@@ -816,6 +824,20 @@ def test_plan_is_rotation_equivariant(name, mode):
         here = plan_once(spec, rng_seed=seed).trajectory.waypoints
         there = plan_once(turned, rng_seed=seed).trajectory.waypoints
         assert np.allclose(there, np.stack([-here[:, 1], here[:, 0]], axis=1), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+@pytest.mark.parametrize("mode", ["baseline", "legible"])
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_closed_loop_is_mirror_equivariant(name, mode, seed):
+    # Mirroring the scene in y, with the omega noise negated, mirrors the run
+    # bit for bit, with no tolerance: rounding to nearest is symmetric under
+    # negation, and numpy's sin and wrap_angle are odd.
+    spec = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    spec = dataclasses.replace(
+        spec, seed=seed, planner=dataclasses.replace(spec.planner, mode=mode, max_cycles=15)
+    )
+    assert_mirrors(run_or_failure(spec), run_mirrored(spec))
 
 
 @pytest.mark.parametrize("mode", ["baseline", "legible"])

@@ -21,7 +21,7 @@ scenario_parse_hashes = importlib.util.module_from_spec(_spec)
 sys.modules["scenario_parse_hashes"] = scenario_parse_hashes
 _spec.loader.exec_module(scenario_parse_hashes)
 
-DIGEST = "e913c27cb3c9e83e65f2063627e991570f802ebe3cfd6a28380a2ab819afec57"
+DIGEST = "8eb6872a178f773ce8cea9929448119625d1cd325c4579d10b681e319be0aeb7"
 
 
 def test_scenario_parse_listing_digest_is_unchanged():
