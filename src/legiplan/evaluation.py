@@ -175,8 +175,7 @@ def evaluate_trajectory(
     prior = model.prior_for(scenario.goals)
     posteriors = [dict(prior) for _ in fractions]
     if len(rows):
-        # The seen points' running length plus the seen end's leg: arc_length's
-        # bits. np.where, not a 0/1 product: an inf leg times 0 is NaN.
+        # The seen points' running length plus the seen end's leg: arc_length's bits.
         lengths = cum.take(counts - 1) + np.where(end_seen, _hypot2(*(ends - last_seen).T), 0.0)
         batch = posterior_batch(lengths, endpoints, seen[0], scenario.goals, model)
         for r, row in zip(rows, batch.tolist()):

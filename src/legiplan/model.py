@@ -32,6 +32,10 @@ class ScenarioError(ValueError):
         self.rule = rule
 
 
+# The coordinate domain of every Point2 and Trajectory: no distance or arc length overflows.
+COORD_LIMIT = 1e150
+_COORD_RULE = f"coordinates must lie within +-{COORD_LIMIT:g}"
+
 # Clearance reported when there are no obstacles at all. A large finite
 # value keeps downstream cost arithmetic finite.
 EMPTY_CLEARANCE = 1e9
@@ -103,8 +107,8 @@ class Point2:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(_as_float(self.x)) and math.isfinite(_as_float(self.y))):
-            raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
+        if not (abs(_as_float(self.x)) <= COORD_LIMIT and abs(_as_float(self.y)) <= COORD_LIMIT):
+            raise ValueError(f"{_COORD_RULE}, got ({self.x}, {self.y})")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
@@ -203,8 +207,8 @@ class Trajectory:
             raise ValueError(f"waypoints must have shape (n, 2), got {pts.shape}")
         if pts.shape[0] < 2:
             raise ValueError("a trajectory needs at least 2 waypoints")
-        if not np.logical_and.reduce(np.isfinite(pts), axis=None):  # np.all's ufunc
-            raise ValueError("waypoints must be finite")
+        if not np.maximum.reduce(np.abs(pts), None) <= COORD_LIMIT:  # np.max's ufunc; NaN fails
+            raise ValueError(f"waypoint {_COORD_RULE}")
         if not 0 < _as_float(self.dt) < math.inf:
             raise ValueError(f"dt must be positive, got {self.dt}")
         pts.flags.writeable = False
@@ -345,21 +349,11 @@ def clearance(p: Point2, obstacles: tuple[Obstacle, ...] | list[Obstacle]) -> fl
     return float(clearance_points(p.as_array(), tuple(obstacles)))
 
 
-def _segment_lengths(pts: np.ndarray) -> np.ndarray:
-    """Lengths of the w segments between the (w+1, 2) waypoints."""
-    return _hypot2(*(pts[1:] - pts[:-1]).T)  # np.diff's bits, without its overhead
-
-
 def _running_length(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The w segment lengths of waypoints (w+1, 2) and the running arc length
-    at each waypoint; a total beyond float range is a ValueError."""
-    # Array methods: the bits of np.*, less dispatch.
-    with np.errstate(over="ignore"):  # an overflowing length is named below
-        seg = _segment_lengths(pts)
-        cum = np.concatenate([[0.0], seg.cumsum()])
-    if not math.isfinite(cum[-1]):
-        raise ValueError("path arc length overflows float range")
-    return seg, cum
+    at each waypoint; inside COORD_LIMIT neither can overflow."""
+    seg = _hypot2(*(pts[1:] - pts[:-1]).T)  # np.diff's bits, without its overhead
+    return seg, np.concatenate([[0.0], seg.cumsum()])  # cumsum(): np.cumsum's bits
 
 
 def velocity_points(waypoints: np.ndarray, dt: float) -> np.ndarray:
@@ -385,8 +379,7 @@ def prefix_points(
     Returns the running arc length at each of the w+1 waypoints and, per
     fraction, the count j >= 1 of whole waypoints in the prefix and its
     endpoint: where the arc length first reaches fraction * total, on segment
-    j - 1. The prefix is waypoints[:j] followed by that endpoint. A total
-    beyond float range is a ValueError.
+    j - 1. The prefix is waypoints[:j] followed by that endpoint.
     """
     if len(fractions) == 0:
         raise ValueError("fractions must be non-empty")

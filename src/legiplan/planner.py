@@ -62,8 +62,8 @@ _COUNTS = (
 
 
 class PlannerFailure(RuntimeError):
-    """Raised when every candidate stays in collision, or none scores a
-    finite cost.
+    """Raised when every candidate stays in collision, none scores a finite
+    cost, or a chosen path leaves the coordinate domain (COORD_LIMIT).
 
     Carries the best breakdown seen, and in closed-loop runs the partial
     simulation log up to the failing cycle.
@@ -380,6 +380,13 @@ def _cem_optimize(
     return results
 
 
+def _plan_path(waypoints: np.ndarray, dt: float) -> Trajectory:
+    try:  # a path beyond COORD_LIMIT is the plan's failure, not a bad input
+        return Trajectory(waypoints, dt)
+    except ValueError as exc:
+        raise PlannerFailure(f"planned {exc}") from None
+
+
 def _task_objective(scenario: ScenarioSpec, goal_xy: np.ndarray) -> Objective:
     """Task cost toward ``goal_xy``: one goal (2,), or one per row (n, 1, 2)."""
 
@@ -418,8 +425,8 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
 
     The reported breakdown is CostBreakdown.from_terms of the chosen row's
     terms. A prediction search that scored no candidate finitely raises
-    PlannerFailure, and so does a collided chosen row, whose breakdown
-    carries zero similarity and FOV terms.
+    PlannerFailure, and so do a path beyond COORD_LIMIT and a collided chosen
+    row, whose breakdown carries zero similarity and FOV terms.
     """
     params = scenario.planner
     robot = scenario.robot
@@ -456,7 +463,7 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
     if not all(math.isfinite(res.cost) for res in results):
         raise PlannerFailure("no candidate scored a finite cost")
     predictions: PredictedPathSet = {
-        goal.id: Trajectory(res.waypoints, params.dt)
+        goal.id: _plan_path(res.waypoints, params.dt)
         for goal, res in zip(scenario.goals, results)
     }
 
@@ -475,7 +482,7 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
                 init_std,
                 warm_controls=chosen.controls[np.newaxis],
             )
-            terms, trajectory = chosen.terms, Trajectory(chosen.waypoints, params.dt)
+            terms, trajectory = chosen.terms, _plan_path(chosen.waypoints, params.dt)
         else:
             terms = objective(chosen.waypoints[np.newaxis])
     breakdown = CostBreakdown.from_terms(terms)

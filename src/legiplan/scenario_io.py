@@ -49,7 +49,7 @@ def _as_object(value: Any, path: str) -> dict:
 def _real(value: Any) -> float | None:
     """`value` as a float if it is a number and not a bool, else None; an
     integer beyond float range reads as -inf or inf, so it fails the caller's
-    finiteness check."""
+    range check."""
     if type(value) is float:  # what JSON numbers mostly are: no isinstance chain
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -102,9 +102,10 @@ def _point(value: Any, path: str, key: str) -> Point2:
     x, y = map(_real, value) if isinstance(value, list) and len(value) == 2 else (None, None)
     if x is None or y is None:
         raise ScenarioError(f"{path}.{key}", "must be a [x, y] pair of numbers")
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ScenarioError(f"{path}.{key}", "coordinates must be finite")
-    return Point2(x, y)
+    try:
+        return Point2(x, y)  # which owns the coordinate rule
+    except ValueError as exc:  # the path is built only on this rare branch
+        raise ScenarioError(f"{path}.{key}", str(exc)) from None
 
 
 # A section table maps each file key, in read order, to (field, reader,
@@ -259,9 +260,9 @@ def parse_scenario(data: bytes | str | dict) -> ScenarioSpec:
 
     Accepts raw bytes, a JSON string or an already-decoded object. Raises
     ScenarioError naming the JSON path and the violated rule: a key's path
-    for a missing or unknown key, a wrong JSON type or a non-finite number;
-    the object's path for its dataclass's range rules; ScenarioSpec's own
-    paths for the cross-field invariants.
+    for a missing or unknown key, a wrong JSON type, a non-finite number or a
+    coordinate beyond COORD_LIMIT; the object's path for its dataclass's range
+    rules; ScenarioSpec's own paths for the cross-field invariants.
     """
     if isinstance(data, bytes):
         try:

@@ -29,6 +29,8 @@ TRAJECTORY_COLORS = {
 FALLBACK_TRAJECTORY_COLOR = "#5c6bc0"
 PREDICTION_TARGET_COLOR = "#2e8b57"
 PREDICTION_OTHER_COLOR = "#d64541"
+# xml.sax.saxutils.escape's table for text; importing that module loads urllib.request.
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _fmt(value: float) -> str:
@@ -71,13 +73,9 @@ def _scene_bounds(
         else:
             xs.extend([ob.min.x, ob.max.x])
             ys.extend([ob.min.y, ob.max.y])
-    for _, traj in trajectories:
+    for traj in [*(traj for _, traj in trajectories), *(predictions or {}).values()]:
         xs.extend(traj.waypoints[:, 0].tolist())
         ys.extend(traj.waypoints[:, 1].tolist())
-    if predictions:
-        for traj in predictions.values():
-            xs.extend(traj.waypoints[:, 0].tolist())
-            ys.extend(traj.waypoints[:, 1].tolist())
     return min(xs) - MARGIN, max(xs) + MARGIN, min(ys) - MARGIN, max(ys) + MARGIN
 
 
@@ -143,7 +141,8 @@ def render_svg(
         )
         parts.append(
             f'<text x="{_fmt(apex[0] + 0.2)}" y="{_fmt(-(apex[1] + 0.2))}" '
-            f'font-size="0.3" font-family="sans-serif" fill="{OBSERVER_COLOR}">{obs.id}</text>'
+            f'font-size="0.3" font-family="sans-serif" fill="{OBSERVER_COLOR}">'
+            f'{obs.id.translate(_XML_TEXT)}</text>'
         )
 
     if predictions:
@@ -178,7 +177,7 @@ def render_svg(
                 f'<circle cx="{_fmt(goal.position.x)}" cy="{_fmt(-goal.position.y)}" '
                 f'r="0.25" fill="none" stroke="{color}" stroke-width="0.05"/>'
             )
-        label = goal.id + ("*" if goal.is_target else "")
+        label = goal.id.translate(_XML_TEXT) + ("*" if goal.is_target else "")
         parts.append(
             f'<text x="{_fmt(goal.position.x + 0.3)}" y="{_fmt(-(goal.position.y + 0.1))}" '
             f'font-size="0.35" font-family="sans-serif" fill="{color}">{label}</text>'

@@ -2,6 +2,7 @@
 with no benchmark run."""
 from __future__ import annotations
 
+import argparse
 import contextlib
 import importlib.util
 import sys
@@ -35,9 +36,18 @@ def test_metrics_are_the_benchmark_end_to_end_set():
     assert bench_pairs.METRICS == METRICS
 
 
-@pytest.mark.parametrize("text, seeds", [("3-6", [3, 4, 5, 6]), ("9", [9])])
+@pytest.mark.parametrize(
+    "text, seeds", [("3-6", [3, 4, 5, 6]), ("9", [9]), ("0-19", list(range(20))), ("7", [7])]
+)
 def test_seed_range(text, seeds):
     assert list(bench_pairs.seed_range(text)) == seeds
+
+
+def test_seed_range_refuses_an_empty_range():
+    # tools/quality_sweep.py swept no seed and exited 0 on it, and
+    # tools/interleave_pairs.py divided by zero.
+    with pytest.raises(argparse.ArgumentTypeError, match=r"^empty seed range '5-3'$"):
+        bench_pairs.seed_range("5-3")
 
 
 def test_summary_reports_each_side_and_the_pairs_won():

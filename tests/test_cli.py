@@ -329,6 +329,26 @@ def test_planner_failure_exits_two(tmp_path, capsys):
         assert json.loads(captured.out)["reached"] is False
 
 
+@pytest.mark.parametrize("mode", ["baseline", "legible"])
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_plan_beyond_the_coordinate_domain_exits_two(tmp_path, capsys, command, mode):
+    # A robot this fast plans past COORD_LIMIT: a planner failure, not a bad scene.
+    scenario = tmp_path / "fast.json"
+    scenario.write_text(json.dumps({
+        "robot": {"position": [0, 0], "v_max": 1e151, "a_max": 1e151},
+        "goals": [{"id": "G", "position": [5, 0], "is_target": True}],
+    }))
+    out = tmp_path / "out.csv"
+    code = cli_main([command, "--scenario", str(scenario), "--mode", mode, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "planner_failure",
+        "detail": "planned waypoint coordinates must lie within +-1e+150",
+    }
+    assert not out.exists()
+
+
 def test_simulate_started_at_goal_logs_start_twice(tmp_path, capsys):
     scenario = tmp_path / "at_goal.json"
     scenario.write_text(json.dumps({

@@ -24,7 +24,7 @@ from legiplan import (
 )
 from legiplan.evaluation import DEFAULT_FRACTIONS, posterior_batch
 from legiplan.legibility import designated_observer, visibility_points
-from legiplan.model import prefix_points
+from legiplan.model import COORD_LIMIT, prefix_points
 from tests.conftest import make_scenario
 
 UNIFORM = PosteriorModel()
@@ -593,45 +593,39 @@ def test_empty_fractions_rejected_by_name(mask_fov):
         prefix_points(traj.waypoints, [])
 
 
-def _seen_ends_world():
-    # The observer at (0, -1) looks up: it sees a path's points far up on
-    # either side, not one just behind it.
-    return make_scenario(
-        goals=(Goal("G", Point2(0, 8e153), is_target=True), Goal("H", Point2(0, 7e153))),
-        observers=(ObserverState("O", Point2(0, -1), math.pi / 2),),
-    )
+@pytest.mark.parametrize("pts", [
+    [[0, 0], [1e308, 0], [-1e308, 0]],  # a step overflowed
+    [[0, 0], [1e200, 1e200]],  # a step's square overflowed
+    [[0, 0], [1e308, 0], [0, 0], [1e308, 0]],  # finite steps whose sum overflowed
+    [[-8e153, 8e153], [0, -2], [8e153, 8e153]],  # only the two seen ends' step overflowed
+], ids=["step", "square", "sum", "seen"])
+def test_paths_whose_length_overflowed_are_outside_the_domain(pts):
+    # Scoring these finite paths once raised a named overflow error; now the
+    # Trajectory that would carry them is refused.
+    with pytest.raises(ValueError, match=r"^waypoint coordinates must lie within \+-1e\+150$"):
+        Trajectory(pts, 0.4)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mask_fov", [False, True])
-@pytest.mark.parametrize(("pts", "world"), [
-    ([[0, 0], [1e308, 0], [-1e308, 0]], make_scenario),  # a step overflows
-    ([[0, 0], [1e200, 1e200]], make_scenario),  # a step's square overflows
-    ([[0, 0], [1e308, 0], [0, 0], [1e308, 0]], make_scenario),  # finite steps whose sum overflows
-    # The path's length is finite, but only its two far ends are seen, and
-    # the step between them overflows.
-    ([[-8e153, 8e153], [0, -2], [8e153, 8e153]], _seen_ends_world),
-], ids=["step", "square", "sum", "seen"])
-def test_overflowing_arc_length_rejected_by_name(pts, world, mask_fov):
-    # The waypoints are finite, so the Trajectory is valid; scoring it used to
-    # fail on a NaN correctness value, with RuntimeWarnings, and arc_length()
-    # returned inf, so goal_posterior gave the prior. The masked "seen" case
-    # gave a posterior from an infinite length, with RuntimeWarnings.
-    traj = Trajectory(pts, 0.4)
-    scenario = world()
-    calls = (
-        lambda: evaluate_trajectory(traj, scenario, UNIFORM, DEFAULT_FRACTIONS, mask_fov),
-        lambda: arc_length_prefix(traj, 0.5),
-        traj.arc_length,
-        lambda: goal_posterior(traj, scenario.goals, scenario.robot.position, UNIFORM),
+def test_path_across_the_domain_scores_without_overflow(mask_fov):
+    # 300 waypoints that visit the domain's four corners in turn, so every
+    # step is a diagonal or a side of the domain: the longest steps a path
+    # inside it can take. The observer at (0, -1) looks up and sees only the
+    # top corners, so the masked scan measures the seen points' own legs.
+    c = COORD_LIMIT
+    traj = Trajectory(np.tile([[c, c], [-c, -c], [c, -c], [-c, c]], (75, 1)), 0.4)
+    expected = 150 * math.hypot(2 * c, 2 * c) + 149 * 2 * c
+    assert traj.arc_length() == pytest.approx(expected, rel=1e-12)
+    scenario = make_scenario(
+        goals=(Goal("G", Point2(c, c), is_target=True), Goal("H", Point2(-c, c))),
+        observers=(ObserverState("O", Point2(0, -1), math.pi / 2),),
     )
-    if world is _seen_ends_world:  # only the masked evaluation overflows
-        for call in calls[mask_fov:]:
-            call()
-        calls = calls[:mask_fov]
-    for call in calls:
-        with pytest.raises(ValueError, match=r"^path arc length overflows float range$"):
-            call()
+    report = evaluate_trajectory(traj, scenario, UNIFORM, DEFAULT_FRACTIONS, mask_fov)
+    assert all(0.0 <= value <= 1.0 for value in report.correctness)
+    assert arc_length_prefix(traj, 0.5).arc_length() == pytest.approx(expected / 2, rel=1e-12)
+    posterior = goal_posterior(traj, scenario.goals, scenario.robot.position, UNIFORM)
+    assert sum(posterior.values()) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize(

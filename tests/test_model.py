@@ -20,7 +20,7 @@ from legiplan import (
     TaskCostWeights,
     velocities,
 )
-from legiplan.model import EMPTY_CLEARANCE, clearance_points, wrap_angle
+from legiplan.model import COORD_LIMIT, EMPTY_CLEARANCE, clearance_points, wrap_angle
 from legiplan.planner import plan_once
 from tests.conftest import make_robot, make_scenario
 
@@ -149,6 +149,25 @@ class TestTrajectoryType:
             traj.waypoints[0, 0] = 5.0
 
 
+@pytest.mark.parametrize(
+    "beyond", [math.nextafter(COORD_LIMIT, math.inf), 10**151, 1e308, math.inf, math.nan],
+    ids=["above-1e150", "10**151", "1e308", "inf", "nan"],
+)
+def test_coordinate_domain_is_owned_by_point2_and_trajectory(beyond):
+    # One rule, |x|, |y| <= COORD_LIMIT, with the bound itself inside; NaN
+    # fails the comparison. Inside it no squared difference overflows.
+    rule = r"coordinates must lie within \+-1e\+150"
+    for sign in (1, -1):
+        corner = sign * COORD_LIMIT
+        assert Point2(corner, -corner).distance_to(Point2(-corner, corner)) < math.inf
+        assert Trajectory([[corner, corner], [-corner, -corner]], dt=1.0).arc_length() < math.inf
+        for x, y in ((sign * beyond, 0.0), (0.0, sign * beyond)):
+            with pytest.raises(ValueError, match=rf"^{rule}, got \("):
+                Point2(x, y)
+            with pytest.raises(ValueError, match=rf"^waypoint {rule}$"):
+                Trajectory([[0.0, 0.0], [x, y]], dt=1.0)
+
+
 def test_wrap_angle_range():
     # Exact: IEEE remainder by tau rounds nothing, so an angle already in
     # (-pi, pi] comes back unchanged and wrap(-a) == -wrap(a) away from +-pi,
@@ -221,8 +240,8 @@ FLOAT_FIELDS = {
     key: guard for key, guard in NON_FINITE_GUARDS.items()
     if guard[1] not in ("horizon_w", "cem_population", "cem_iterations", "max_cycles")
 } | {
-    "Point2.x": (lambda **kw: Point2(**{"x": 0.0, "y": 0.0, **kw}), "x", "must be finite"),
-    "Point2.y": (lambda **kw: Point2(**{"x": 0.0, "y": 0.0, **kw}), "y", "must be finite"),
+    "Point2.x": (lambda **kw: Point2(**{"x": 0.0, "y": 0.0, **kw}), "x", "must lie within"),
+    "Point2.y": (lambda **kw: Point2(**{"x": 0.0, "y": 0.0, **kw}), "y", "must lie within"),
     "RobotState.speed": (make_robot, "speed", "outside"),
     "ObserverState.fov": (lambda **kw: ObserverState("O", Point2(0, 0), 0.0, **kw), "fov", "outside"),
     "Trajectory.dt": (lambda **kw: Trajectory([[0, 0], [1, 0]], **kw), "dt", "must be positive"),
@@ -256,8 +275,9 @@ def test_float_fields_refuse_bools(build, field, rule, value):
 
 
 def test_float_fields_keep_valid_ints():
-    # An int inside float range is accepted and kept as it was given.
-    assert Point2(10**308, -3).x == 10**308
+    # An int inside the field's range is accepted and kept as it was given.
+    assert type(Point2(10**150, -3).x) is int
+    assert Point2(10**150, -3).x == 10**150
     assert make_robot(a_max=2, heading=-1).a_max == 2
     assert PlannerParams(dt=1, goal_tolerance=1, cem_init_std_v=1).dt == 1
     assert type(TaskCostWeights(w_goal=3).w_goal) is int

@@ -19,6 +19,7 @@ from legiplan import (
     PlannerParams,
     Point2,
     RectObstacle,
+    ScenarioSpec,
     Trajectory,
     designated_observer,
     legibility_aware_cost,
@@ -539,17 +540,17 @@ class TestPlanOnce:
     @pytest.mark.parametrize("goal_count", [1, 2])
     @pytest.mark.parametrize("mode", ["baseline", "legible"])
     def test_no_finite_cost_raises(self, mode, goal_count):
-        # Every goal distance overflows to inf, so no candidate gets a score
-        # to report; the cycle fails rather than return an unscored path. In
-        # legible mode the warm-start row would otherwise seed the legible
-        # search with an unscored prediction.
-        goals = (Goal("G", Point2(-1e200, 0.0), is_target=True), Goal("H", Point2(-1e200, 5.0)))
+        # The goal weight times a goal term of a few meters overflows to inf,
+        # so no candidate gets a score to report; the cycle fails rather than
+        # return an unscored path. In legible mode the warm-start row would
+        # otherwise seed the legible search with an unscored prediction.
+        base = make_scenario()
         scenario = make_scenario(
-            robot=make_robot(position=Point2(1e200, 0.0)),
-            goals=goals[:goal_count],
+            goals=base.goals[:goal_count],
             observers=(),
             obstacles=(),
-            planner=dataclasses.replace(make_scenario().planner, mode=mode),
+            planner=dataclasses.replace(base.planner, mode=mode),
+            task_weights=dataclasses.replace(base.task_weights, w_goal=1e308),
         )
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(PlannerFailure, match="finite cost"):
@@ -1001,6 +1002,24 @@ def test_all_candidates_colliding_raises_with_collided_breakdown(mode):
     assert breakdown.collided and breakdown.total == COLLISION_COST
     assert breakdown.sim_term == 0.0 and breakdown.fov_term == 0.0
     assert breakdown.goal_term > 0.0
+
+
+@pytest.mark.parametrize("mode", ["baseline", "legible"])
+def test_plan_beyond_the_coordinate_domain_is_a_planner_failure(mode):
+    # So fast that the chosen plan scores a finite cost with waypoints beyond
+    # COORD_LIMIT: the planner fails, the scenario is not at fault.
+    scenario = ScenarioSpec(
+        robot=make_robot(v_max=1e151, a_max=1e151),
+        goals=(Goal("G", Point2(5.0, 0.0), is_target=True),),
+        planner=PlannerParams(mode=mode),
+    )
+    rule = r"^planned waypoint coordinates must lie within \+-1e\+150$"
+    with pytest.raises(PlannerFailure, match=rule):
+        plan_once(scenario)
+    with pytest.raises(PlannerFailure, match=rule) as failure:
+        run_closed_loop(scenario)
+    assert failure.value.partial.cycles_used == 0
+    assert failure.value.partial.executed.waypoints.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def _relabelled(spec, names: dict[str, str]):

@@ -115,6 +115,10 @@ def test_set_rejects_bad_overrides_before_running(capsys, monkeypatch, setting, 
     assert message in capsys.readouterr().err
 
 
-def test_seed_range_is_inclusive():
-    assert quality_sweep._seed_range("0-19") == range(20)
-    assert quality_sweep._seed_range("7") == range(7, 8)
+def test_empty_seed_range_is_a_usage_error(capsys, monkeypatch):
+    # It used to sweep no seed, print a table of "-" and exit 0.
+    monkeypatch.setattr(quality_sweep, "sweep", None)  # no run may start
+    with pytest.raises(SystemExit) as exc:
+        quality_sweep.main(["--seeds", "5-3"])
+    assert exc.value.code == 2
+    assert "empty seed range '5-3'" in capsys.readouterr().err

@@ -32,7 +32,7 @@ from legiplan.scenario_io import (
     scenario_to_bytes,
     simulation_rows,
 )
-from tests.conftest import MINIMAL, SCENARIO_NAMES, make_robot, make_scenario
+from tests.conftest import MINIMAL, SCENARIO_DIR, SCENARIO_NAMES, make_robot, make_scenario
 
 
 def test_minimal_file_gets_defaults():
@@ -146,7 +146,7 @@ def test_scenario_error_has_one_home():
         (lambda d: d["robot"].update(speed=10**400), "$.robot.speed", "must be finite"),
         (
             lambda d: d["goals"][0].update(position=[10**400, 0]),
-            "$.goals[0].position", "coordinates must be finite",
+            "$.goals[0].position", "coordinates must lie within +-1e+150, got (inf, 0.0)",
         ),
         (lambda d: d.update(planner={"dt": -10**400}), "$.planner.dt", "must be finite"),
         (
@@ -165,11 +165,32 @@ def test_integer_beyond_float_range_rejected(edit, path, rule):
 
 
 def test_integer_just_inside_float_range_accepted():
-    # The largest integer that rounds to a finite float: a number, not an error.
+    # The largest integer that rounds to a finite float: a number, not an
+    # error, in a float field with no upper bound.
     doc = json.loads(json.dumps(MINIMAL))
-    doc["goals"][0]["position"] = [2**1024 - 2**970 - 1, 0]
+    doc["task_weights"] = {"w_goal": 2**1024 - 2**970 - 1}
     spec = parse_scenario(json.dumps(doc))
-    assert spec.goals[0].position.x == 1.7976931348623157e308
+    assert spec.task_weights.w_goal == 1.7976931348623157e308
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "x", [1e308, -1e308, math.nextafter(1e150, math.inf), 10**151],
+    ids=["1e308", "-1e308", "above-1e150", "10**151"],
+)
+def test_goal_beyond_the_coordinate_domain_rejected_without_warning(x):
+    # Such a goal's clearance once overflowed to inf, with two RuntimeWarnings,
+    # and passed the clearance rule; now its point is refused at its key.
+    doc = json.loads((SCENARIO_DIR / "fig3_obstacle_detour.json").read_text())
+    doc["goals"][0]["position"] = [x, 0]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(json.dumps(doc))
+    assert err.value.path == "$.goals[0].position"
+    assert err.value.rule.startswith("coordinates must lie within +-1e+150, got (")
+    doc["goals"][0]["position"] = [1e150, 0]  # the bound itself is inside
+    spec = parse_scenario(json.dumps(doc))
+    assert spec.goals[0].position == Point2(1e150, 0.0)
+    assert clearance(spec.goals[0].position, spec.obstacles) < math.inf
 
 
 # Planner sizes beyond the horizon maximum or the 32-bit noise-key fields are

@@ -21,14 +21,16 @@ scenario_parse_hashes = importlib.util.module_from_spec(_spec)
 sys.modules["scenario_parse_hashes"] = scenario_parse_hashes
 _spec.loader.exec_module(scenario_parse_hashes)
 
-DIGEST = "8eb6872a178f773ce8cea9929448119625d1cd325c4579d10b681e319be0aeb7"
+DIGEST = "c0bf8d20ba5ba00b6b5777c42a25c67efc01ba53be2af439052a4f4894fdf74b"
 
 
 def test_scenario_parse_listing_digest_is_unchanged():
     listing = scenario_parse_hashes.listing()
     lines = listing.splitlines()
     assert len(lines) == 3000
-    # The corpus reaches both outcomes and the overflow warnings.
+    # The corpus reaches both outcomes. Its coordinates of 1e154 and 1e308,
+    # whose squares overflowed, now fail at COORD_LIMIT: no warning is left.
     assert sum(len(line) == 64 for line in lines) > 300
-    assert any(" | warning: " in line for line in lines)
+    assert any("coordinates must lie within" in line for line in lines)
+    assert not any(" | warning: " in line for line in lines)
     assert hashlib.sha256(listing.encode("utf-8")).hexdigest() == DIGEST

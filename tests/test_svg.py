@@ -1,9 +1,11 @@
 """Deterministic SVG rendering."""
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
+
 import numpy as np
 
-from legiplan import Trajectory, render_svg, run_closed_loop
+from legiplan import Goal, ObserverState, Point2, Trajectory, render_svg, run_closed_loop
 from tests.conftest import make_scenario
 
 
@@ -53,3 +55,14 @@ def test_trajectories_extend_view_box():
     without = render_svg(scenario).decode("utf-8")
     assert with_far != without
     assert "32.000" in with_far  # x span 30 m plus 1 m margins in the viewBox
+
+
+def test_ids_are_escaped_as_xml_text():
+    # Ids are free strings; & and < must not end up raw in a <text> element.
+    goals = (Goal("A&B<1>", Point2(4.0, 0.8), is_target=True), Goal("<G2>", Point2(4.0, -0.8)))
+    scenario = make_scenario(
+        goals=goals, observers=(ObserverState("O&<>", Point2(4.8, 0.8), 3.14),)
+    )
+    root = ET.fromstring(render_svg(scenario))
+    labels = {el.text for el in root.iter("{http://www.w3.org/2000/svg}text")}
+    assert labels == {"A&B<1>*", "<G2>", "O&<>"}

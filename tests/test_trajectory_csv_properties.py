@@ -13,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from legiplan.model import COORD_LIMIT  # noqa: E402
 from legiplan.scenario_io import (  # noqa: E402
     CSV_COLUMNS,
     CSV_HEADER,
@@ -87,6 +88,9 @@ def _log_texts(draw) -> str:
     return draw(st.sampled_from(["\n", "\r\n"])).join(out) + draw(st.sampled_from(["", "\n"]))
 
 
+# Above the "error" mark, so it wins: hypothesis imports libcst to report a
+# failing example, and that import warns; as an error it would end the session.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @pytest.mark.filterwarnings("error")  # a numpy warning from the parse is a failure
 class TestTrajectoryCsv:
     @settings(max_examples=200, deadline=None)
@@ -111,7 +115,10 @@ class TestTrajectoryCsv:
     @settings(max_examples=100, deadline=None)
     @given(
         values=st.lists(
-            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6),
+            st.tuples(
+                *[st.floats(-COORD_LIMIT, COORD_LIMIT)] * 2,  # x and y, inside the domain
+                *[st.floats(allow_nan=False, allow_infinity=False)] * 4,
+            ),
             min_size=2, max_size=30,
         ),
         dt=st.sampled_from([0.4, 1.2, 1 / 3, 0.05]),
@@ -124,3 +131,18 @@ class TestTrajectoryCsv:
         )
         read = np.column_stack([columns[name] for name in CSV_COLUMNS])
         assert read.tobytes() == expected.tobytes()
+
+
+
+@pytest.mark.parametrize("column", ["x", "y"])
+@pytest.mark.parametrize("value", [1.0000001e150, -1e300, 1.7976931348623157e308])
+def test_log_with_a_coordinate_beyond_the_domain_rejected(column, value):
+    def log(coord: float) -> str:
+        first = dict.fromkeys(CSV_COLUMNS, 0.0) | {column: coord}
+        return format_trajectory_csv([tuple(first.values()), (0.4, *[0.0] * 6)])
+
+    with pytest.raises(ValueError, match=r"^waypoint coordinates must lie within \+-1e\+150$"):
+        read_trajectory_csv(log(value))
+    for bound in (COORD_LIMIT, -COORD_LIMIT):  # the bound itself is inside
+        trajectory, _ = read_trajectory_csv(log(bound))
+        assert trajectory.waypoints[0, CSV_COLUMNS.index(column) - 1] == bound

@@ -50,9 +50,13 @@ GAIN_PAIRS = 10  # fewest pairs that can show a gain
 
 
 def seed_range(text: str) -> range:
-    """``A-B`` (inclusive) or a single seed ``A``."""
+    """``A-B`` (inclusive) or a single seed ``A``; a range with no seed is an
+    argparse error, not a run over nothing."""
     first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
+    seeds = range(int(first), int(last or first) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
 
 
 @contextlib.contextmanager

@@ -50,6 +50,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tools"))
 
 import numpy as np  # noqa: E402
 
@@ -59,6 +60,8 @@ from legiplan.legibility import visibility_points  # noqa: E402
 from legiplan.model import clearance_points  # noqa: E402
 from legiplan.planner import PlannerParams  # noqa: E402
 from legiplan.scenario_io import load_scenario  # noqa: E402
+
+from bench_pairs import seed_range  # noqa: E402
 
 MODES = ("baseline", "legible")
 MARGIN_FLOOR = 0.05  # acceptance criterion 3's legibility gain
@@ -197,11 +200,6 @@ def format_table(summary: dict) -> str:
     return "\n".join(lines)
 
 
-def _seed_range(text: str) -> range:
-    first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
-
-
 _PLANNER_DEFAULTS = {
     f.name: f.default for f in dataclasses.fields(PlannerParams) if f.name != "mode"
 }
@@ -228,7 +226,7 @@ def _planner_override(text: str) -> tuple[str, int | float]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=_seed_range, default=range(20),
+    parser.add_argument("--seeds", type=seed_range, default=range(20),
                         help="inclusive seed range A-B, or one seed (default 0-19)")
     parser.add_argument("--set", type=_planner_override, action="append", default=[],
                         metavar="planner.KEY=VALUE", dest="overrides",
