@@ -1,5 +1,7 @@
 """Legibility-aware local motion planning and scenario simulation."""
 
+import importlib
+
 from .evaluation import (
     LegibilityReport,
     PosteriorModel,
@@ -9,7 +11,6 @@ from .evaluation import (
     legibility_score,
 )
 from .legibility import (
-    LegibilityParams,
     PredictedPathSet,
     designated_observer,
     fov_cost,
@@ -23,35 +24,35 @@ from .legibility import (
 from .model import (
     CircleObstacle,
     Goal,
+    LegibilityParams,
     Obstacle,
     ObserverState,
+    PlannerParams,
     Point2,
     RectObstacle,
     RobotState,
     ScenarioError,
     ScenarioSpec,
+    TaskCostWeights,
     Trajectory,
     arc_length_prefix,
     clearance,
     velocities,
-)
-from .planner import (
-    ControlSequence,
-    PlannerFailure,
-    PlannerParams,
-    PlanResult,
-    SimulationResult,
-    plan_once,
-    rollout,
-    run_closed_loop,
 )
 from .scenario_io import (
     load_scenario,
     parse_scenario,
     serialize_scenario,
 )
-from .svg_render import render_svg
-from .task_cost import CostBreakdown, TaskCostWeights, task_cost
+from .task_cost import CostBreakdown, task_cost  # eager: the function, over the submodule
+
+# Deferred names and the submodule each loads on first use: parsing a scenario
+# and scoring a logged path load neither the planner nor the SVG writer.
+_DEFERRED = {
+    **dict.fromkeys(("ControlSequence", "PlannerFailure", "PlanResult", "SimulationResult",
+                     "plan_once", "rollout", "run_closed_loop", "planner"), "planner"),
+    **dict.fromkeys(("render_svg", "svg_render"), "svg_render"),
+}
 
 __version__ = "0.1.0"
 
@@ -101,3 +102,11 @@ __all__ = [
     "visibility",
     "weighted_similarity",
 ]
+
+
+def __getattr__(name: str):
+    """A deferred name, imported with its submodule on first use (PEP 562)."""
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_DEFERRED[name]}", __name__)  # a renamed copy's own
+    return module if name == _DEFERRED[name] else globals().setdefault(name, getattr(module, name))

@@ -15,7 +15,8 @@ import numpy as np
 
 from .legibility import designated_observer, visibility_points
 from .model import (
-    Goal, Point2, ScenarioSpec, Trajectory, _as_float, _hypot2, _running_length, prefix_points,
+    Goal, Point2, ScenarioSpec, Trajectory, _as_float, _hypot2, _running_length, _shown,
+    prefix_points,
 )
 
 @dataclass(frozen=True)
@@ -28,7 +29,7 @@ class PosteriorModel:
     def __post_init__(self) -> None:
         # beta = 0 is allowed: it reduces the posterior to the prior.
         if not 0 <= _as_float(self.beta) < np.inf:
-            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
+            raise ValueError(f"beta must be finite and nonnegative, got {_shown(self.beta)}")
         if self.prior is not None:
             object.__setattr__(self, "prior", MappingProxyType(dict(self.prior)))
             values = list(self.prior.values())
@@ -136,7 +137,7 @@ def legibility_score(correctness_values: list[float] | tuple[float, ...]) -> flo
         raise ValueError("correctness list must be non-empty")
     for c in correctness_values:
         if not 0.0 <= c <= 1.0:
-            raise ValueError(f"correctness values must lie in [0, 1], got {c}")
+            raise ValueError(f"correctness values must lie in [0, 1], got {_shown(c)}")
     weights = np.array([1.0 / k for k in range(1, len(correctness_values) + 1)])
     return float(np.dot(weights, correctness_values) / weights.sum())
 

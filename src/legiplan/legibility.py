@@ -13,45 +13,31 @@ calls the kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .model import (
     Goal,
+    LegibilityParams,
     Obstacle,
     ObserverState,
     Point2,
     RobotState,
     ScenarioSpec,
+    TaskCostWeights,
     Trajectory,
-    _as_float,
     _hypot2,
     _planes,
     velocities,
     velocity_points,
 )
-from .task_cost import COLLISION_COST, CostBreakdown, TaskCostWeights, _task_terms
+from .task_cost import COLLISION_COST, CostBreakdown, _task_terms
 
 # Per-goal predicted local paths, keyed by goal id. Must cover every goal in
 # the scenario (including the target) and share dt/horizon with the
 # candidate being scored.
 PredictedPathSet = dict[str, Trajectory]
-
-
-@dataclass(frozen=True)
-class LegibilityParams:
-    lambda_sim: float = 1.0  # weight of the similarity cost
-    lambda_fov: float = 1.0  # weight of the field-of-view cost
-    h_max: float = 3.0  # clamp for the distance-ratio weighting
-    eps_v: float = 1e-6  # m/s, below this a velocity carries no direction
-
-    def __post_init__(self) -> None:
-        if not all(0 <= _as_float(v) < math.inf for v in (self.lambda_sim, self.lambda_fov)):
-            raise ValueError("lambda_sim and lambda_fov must be nonnegative")
-        if not all(0 < _as_float(v) < math.inf for v in (self.h_max, self.eps_v)):
-            raise ValueError("h_max and eps_v must be positive")
 
 
 def designated_observer(scenario: ScenarioSpec) -> ObserverState | None:

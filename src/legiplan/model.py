@@ -6,17 +6,11 @@ function, so everything here is safe to call concurrently.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .legibility import LegibilityParams
-    from .planner import PlannerParams
-    from .task_cost import TaskCostWeights
 
 
 class ScenarioError(ValueError):
@@ -75,6 +69,15 @@ def _as_float(value):
         return math.inf if value > 0 else -math.inf
 
 
+def _shown(value):
+    """`value` for a message; an int past Python's int-to-str digit limit as -inf or inf."""
+    try:
+        repr(value)
+    except ValueError:
+        return _as_float(value)
+    return value
+
+
 def _as_count(value):
     """An integer, numpy's too, as an int; any other value, a bool included, as
     NaN, which fails every range check: for the integer fields."""
@@ -108,7 +111,7 @@ class Point2:
 
     def __post_init__(self) -> None:
         if not (abs(_as_float(self.x)) <= COORD_LIMIT and abs(_as_float(self.y)) <= COORD_LIMIT):
-            raise ValueError(f"{_COORD_RULE}, got ({self.x}, {self.y})")
+            raise ValueError(f"{_COORD_RULE}, got ({_shown(self.x)}, {_shown(self.y)})")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
@@ -134,9 +137,9 @@ class RobotState:
             if not 0 < _as_float(getattr(self, name)) < math.inf:
                 raise ValueError(f"{name} must be positive")
         if not math.isfinite(_as_float(self.heading)):
-            raise ValueError(f"heading must be finite, got {self.heading}")
+            raise ValueError(f"heading must be finite, got {_shown(self.heading)}")
         if not 0 <= _as_float(self.speed) <= self.v_max:
-            raise ValueError(f"speed {self.speed} outside [0, v_max={self.v_max}]")
+            raise ValueError(f"speed {_shown(self.speed)} outside [0, v_max={self.v_max}]")
 
 
 @dataclass(frozen=True)
@@ -164,19 +167,21 @@ class ObserverState:
 
     def __post_init__(self) -> None:
         if not math.isfinite(_as_float(self.heading)):
-            raise ValueError(f"heading must be finite, got {self.heading}")
+            raise ValueError(f"heading must be finite, got {_shown(self.heading)}")
         if not 0 < _as_float(self.fov) <= math.tau:
-            raise ValueError(f"fov {self.fov} outside (0, 2*pi]")
+            raise ValueError(f"fov {_shown(self.fov)} outside (0, 2*pi]")
 
 
 @dataclass(frozen=True)
 class CircleObstacle:
+    """Disc of a positive radius around its center."""
+
     center: Point2
     radius: float
 
     def __post_init__(self) -> None:
         if not 0 < _as_float(self.radius) < math.inf:
-            raise ValueError(f"circle radius must be positive, got {self.radius}")
+            raise ValueError(f"circle radius must be positive, got {_shown(self.radius)}")
 
 
 @dataclass(frozen=True)
@@ -210,7 +215,7 @@ class Trajectory:
         if not np.maximum.reduce(np.abs(pts), None) <= COORD_LIMIT:  # np.max's ufunc; NaN fails
             raise ValueError(f"waypoint {_COORD_RULE}")
         if not 0 < _as_float(self.dt) < math.inf:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ValueError(f"dt must be positive, got {_shown(self.dt)}")
         pts.flags.writeable = False
         object.__setattr__(self, "waypoints", pts)
 
@@ -226,6 +231,107 @@ class Trajectory:
         return float(_running_length(self.waypoints)[1][-1])  # prefix_points' cum[-1]
 
 
+# planner._candidate_rng keys on iteration << 32 in one uint64 word, so the
+# iteration count must fit in 32 bits. The population is not in the key; its
+# bound is only a size limit.
+_KEY_FIELD_LIMIT = 2**32
+# Longest plan accepted, in steps; the shipped scenes use 10-12.
+HORIZON_W_MAX = 10_000
+
+_MODES = ("baseline", "legible")
+_COUNTS = (
+    "horizon_w", "cem_population", "cem_elites", "cem_iterations", "execute_steps", "max_cycles",
+)
+
+
+@dataclass(frozen=True)
+class PlannerParams:
+    """Horizon, mode and cross-entropy optimizer settings."""
+
+    dt: float = 0.4  # s
+    horizon_w: int = 12  # steps per plan
+    mode: str = "baseline"  # "baseline" | "legible"
+    cem_population: int = 64
+    cem_elites: int = 8
+    cem_iterations: int = 4
+    cem_init_std_v: float | None = None  # m/s, default 0.5 * v_max
+    cem_init_std_omega: float | None = None  # rad/s, default 0.5 * omega_max
+    execute_steps: int = 1
+    goal_tolerance: float = 0.3  # m
+    max_cycles: int = 500
+
+    def __post_init__(self) -> None:
+        for name in _COUNTS:
+            object.__setattr__(self, name, _as_count(getattr(self, name)))
+        if self.mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}, got {_shown(self.mode)!r}")
+        if not 0 < _as_float(self.dt) < math.inf:
+            raise ValueError("dt must be positive")
+        if not self.horizon_w >= 2:
+            raise ValueError("horizon_w must be >= 2")
+        if self.horizon_w > HORIZON_W_MAX:
+            raise ValueError(f"horizon_w must be <= {HORIZON_W_MAX}")
+        if not self.cem_population >= 8:
+            raise ValueError("cem_population must be >= 8")
+        if not 2 <= self.cem_elites <= self.cem_population:
+            raise ValueError("cem_elites must be in [2, cem_population]")
+        if not self.cem_iterations >= 1:
+            raise ValueError("cem_iterations must be >= 1")
+        for name in ("cem_population", "cem_iterations"):
+            if getattr(self, name) >= _KEY_FIELD_LIMIT:
+                raise ValueError(f"{name} must be < 2**32")
+        for name in ("cem_init_std_v", "cem_init_std_omega"):
+            std = getattr(self, name)
+            if std is not None and not 0 < _as_float(std) < math.inf:
+                raise ValueError(f"{name} must be positive")
+        if not 1 <= self.execute_steps <= self.horizon_w:
+            raise ValueError("execute_steps must be in [1, horizon_w]")
+        if not 0 < _as_float(self.goal_tolerance) < math.inf:
+            raise ValueError("goal_tolerance must be positive")
+        if not 1 <= self.max_cycles < math.inf:
+            raise ValueError("max_cycles must be >= 1")
+
+
+@dataclass(frozen=True)
+class TaskCostWeights:
+    """Weights and scales for the task cost terms.
+
+    The defaults assume v_max = 1 m/s (v_pref = 0.8 * v_max); the scenario
+    parser recomputes v_pref from the robot when the file omits it.
+    """
+
+    w_goal: float = 1.0
+    w_clearance: float = 2.0
+    w_approach: float = 0.5
+    w_smooth: float = 0.1
+    w_speed: float = 0.2
+    d_safe: float = 0.5  # m, clearance below this is penalized
+    v_pref: float = 0.8  # m/s, preferred cruise speed
+
+    def __post_init__(self) -> None:
+        weights = (self.w_goal, self.w_clearance, self.w_approach, self.w_smooth, self.w_speed)
+        if not all(0 <= _as_float(w) < np.inf for w in weights):
+            raise ValueError("all weights must be finite and nonnegative")
+        if not (0 < _as_float(self.d_safe) < np.inf and 0 < _as_float(self.v_pref) < np.inf):
+            raise ValueError("d_safe and v_pref must be positive")
+
+
+@dataclass(frozen=True)
+class LegibilityParams:
+    """Weights of the similarity and field-of-view costs, and their scales."""
+
+    lambda_sim: float = 1.0  # weight of the similarity cost
+    lambda_fov: float = 1.0  # weight of the field-of-view cost
+    h_max: float = 3.0  # clamp for the distance-ratio weighting
+    eps_v: float = 1e-6  # m/s, below this a velocity carries no direction
+
+    def __post_init__(self) -> None:
+        if not all(0 <= _as_float(v) < math.inf for v in (self.lambda_sim, self.lambda_fov)):
+            raise ValueError("lambda_sim and lambda_fov must be nonnegative")
+        if not all(0 < _as_float(v) < math.inf for v in (self.h_max, self.eps_v)):
+            raise ValueError("h_max and eps_v must be positive")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Complete declarative world: robot, goals, observers, obstacles, params.
@@ -236,13 +342,12 @@ class ScenarioSpec:
     goals: tuple[Goal, ...]
     observers: tuple[ObserverState, ...] = ()
     obstacles: tuple[Obstacle, ...] = ()
-    planner: "PlannerParams" = None  # type: ignore[assignment]
-    task_weights: "TaskCostWeights" = None  # type: ignore[assignment]
-    legibility: "LegibilityParams" = None  # type: ignore[assignment]
+    planner: PlannerParams = None  # type: ignore[assignment]
+    task_weights: TaskCostWeights = None  # type: ignore[assignment]
+    legibility: LegibilityParams = None  # type: ignore[assignment]
     seed: int = 0
 
     def __post_init__(self) -> None:
-        LegibilityParams, PlannerParams, TaskCostWeights = _param_types()
         object.__setattr__(self, "seed", _as_count(self.seed))
         if self.planner is None:
             object.__setattr__(self, "planner", PlannerParams())
@@ -304,17 +409,6 @@ class ScenarioSpec:
 
     def target_goal(self) -> Goal:
         return next(g for g in self.goals if g.is_target)
-
-
-@functools.cache
-def _param_types() -> tuple[type, type, type]:
-    """LegibilityParams, PlannerParams and TaskCostWeights, imported on first
-    use: their modules import this one, so a top-level import would be a cycle."""
-    from .legibility import LegibilityParams
-    from .planner import PlannerParams
-    from .task_cost import TaskCostWeights
-
-    return LegibilityParams, PlannerParams, TaskCostWeights
 
 
 def clearance_points(points: np.ndarray, obstacles: tuple[Obstacle, ...]) -> np.ndarray:
@@ -385,7 +479,7 @@ def prefix_points(
         raise ValueError("fractions must be non-empty")
     for fraction in fractions:
         if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+            raise ValueError(f"fraction must be in [0, 1], got {_shown(fraction)}")
     seg, cum = _running_length(waypoints)
     # take(): the bits of fancy indexing, less dispatch.
     target = np.array(fractions, dtype=float) * cum[-1]

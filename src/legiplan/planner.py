@@ -38,8 +38,7 @@ from .legibility import (
     fov_cost_batch, legibility_aware_cost, weighted_similarity_batch,
 )
 from .model import (
-    Point2, RobotState, ScenarioSpec, Trajectory, _as_count, _as_float, velocity_points,
-    wrap_angle,
+    PlannerParams, Point2, RobotState, ScenarioSpec, Trajectory, velocity_points, wrap_angle,
 )
 from .task_cost import (
     CostBreakdown, task_cost_batch,
@@ -48,17 +47,6 @@ from .task_cost import (
 
 _SEED_MODULUS = 2**64
 _STD_FLOOR = 1e-3  # keeps the sampling distribution from collapsing
-# _candidate_rng keys on iteration << 32 in one uint64 word, so the iteration
-# count must fit in 32 bits. The population is not in the key; its bound is
-# only a size limit.
-_KEY_FIELD_LIMIT = 2**32
-# Longest plan accepted, in steps; the shipped scenes use 10-12.
-HORIZON_W_MAX = 10_000
-
-_MODES = ("baseline", "legible")
-_COUNTS = (
-    "horizon_w", "cem_population", "cem_elites", "cem_iterations", "execute_steps", "max_cycles",
-)
 
 
 class PlannerFailure(RuntimeError):
@@ -73,54 +61,6 @@ class PlannerFailure(RuntimeError):
         super().__init__(message)
         self.breakdown = breakdown
         self.partial = partial
-
-
-@dataclass(frozen=True)
-class PlannerParams:
-    """Horizon, mode and cross-entropy optimizer settings."""
-
-    dt: float = 0.4  # s
-    horizon_w: int = 12  # steps per plan
-    mode: str = "baseline"  # "baseline" | "legible"
-    cem_population: int = 64
-    cem_elites: int = 8
-    cem_iterations: int = 4
-    cem_init_std_v: float | None = None  # m/s, default 0.5 * v_max
-    cem_init_std_omega: float | None = None  # rad/s, default 0.5 * omega_max
-    execute_steps: int = 1
-    goal_tolerance: float = 0.3  # m
-    max_cycles: int = 500
-
-    def __post_init__(self) -> None:
-        for name in _COUNTS:
-            object.__setattr__(self, name, _as_count(getattr(self, name)))
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not 0 < _as_float(self.dt) < math.inf:
-            raise ValueError("dt must be positive")
-        if not self.horizon_w >= 2:
-            raise ValueError("horizon_w must be >= 2")
-        if self.horizon_w > HORIZON_W_MAX:
-            raise ValueError(f"horizon_w must be <= {HORIZON_W_MAX}")
-        if not self.cem_population >= 8:
-            raise ValueError("cem_population must be >= 8")
-        if not 2 <= self.cem_elites <= self.cem_population:
-            raise ValueError("cem_elites must be in [2, cem_population]")
-        if not self.cem_iterations >= 1:
-            raise ValueError("cem_iterations must be >= 1")
-        for name in ("cem_population", "cem_iterations"):
-            if getattr(self, name) >= _KEY_FIELD_LIMIT:
-                raise ValueError(f"{name} must be < 2**32")
-        for name in ("cem_init_std_v", "cem_init_std_omega"):
-            std = getattr(self, name)
-            if std is not None and not 0 < _as_float(std) < math.inf:
-                raise ValueError(f"{name} must be positive")
-        if not 1 <= self.execute_steps <= self.horizon_w:
-            raise ValueError("execute_steps must be in [1, horizon_w]")
-        if not 0 < _as_float(self.goal_tolerance) < math.inf:
-            raise ValueError("goal_tolerance must be positive")
-        if not 1 <= self.max_cycles < math.inf:
-            raise ValueError("max_cycles must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -148,6 +88,8 @@ class ControlSequence:
 
 @dataclass(frozen=True)
 class PlanResult:
+    """One cycle's plan: its path, cost breakdown, per-goal predictions and controls."""
+
     trajectory: Trajectory
     breakdown: CostBreakdown
     predictions: PredictedPathSet
@@ -292,6 +234,8 @@ def _initial_mean(
 
 @dataclass
 class _CEMResult:
+    """The outcome of one cross-entropy search."""
+
     controls: np.ndarray  # (w, 2) best sequence ever seen
     waypoints: np.ndarray  # (w+1, 2) its rollout
     cost: float

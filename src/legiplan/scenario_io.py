@@ -11,28 +11,32 @@ import json
 import math
 from collections.abc import Container
 from functools import partial
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from .legibility import LegibilityParams
 from .model import (
     CircleObstacle,
     Goal,
+    LegibilityParams,
     Obstacle,
     ObserverState,
+    PlannerParams,
     Point2,
     RectObstacle,
     RobotState,
     ScenarioError,
     ScenarioSpec,
+    TaskCostWeights,
     Trajectory,
     _as_float,
+    _shown,
     clearance_points,
     wrap_angle,
 )
-from .planner import PlannerParams, SimulationResult
-from .task_cost import TaskCostWeights
+
+if TYPE_CHECKING:  # an annotation only: parsing and scoring do not load the planner
+    from .planner import SimulationResult
 
 SCHEMA_VERSION = 1
 
@@ -274,6 +278,8 @@ def parse_scenario(data: bytes | str | dict) -> ScenarioSpec:
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise ScenarioError("$", f"malformed JSON: {exc.msg} (line {exc.lineno})") from None
+        except ValueError:  # int() of a literal beyond Python's int-to-str digit limit
+            raise ScenarioError("$", "integer literal has too many digits") from None
     doc = _as_object(data, "$")
     _check_keys(
         doc, "$",
@@ -282,7 +288,7 @@ def parse_scenario(data: bytes | str | dict) -> ScenarioSpec:
     )
     version = _integer(doc.get("version", SCHEMA_VERSION), "$", "version")
     if version != SCHEMA_VERSION:
-        raise ScenarioError("$.version", f"unsupported schema version {version}")
+        raise ScenarioError("$.version", f"unsupported schema version {_shown(version)}")
 
     if "robot" not in doc:
         raise ScenarioError("$.robot", "required key missing")

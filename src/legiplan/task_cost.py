@@ -13,37 +13,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import (
-    EMPTY_CLEARANCE, Obstacle, Point2, RobotState, Trajectory, _as_float, _hypot2, _planes,
+    EMPTY_CLEARANCE, Obstacle, Point2, RobotState, TaskCostWeights, Trajectory, _hypot2, _planes,
     clearance_points, velocity_points,
 )
 
 # Any trajectory touching an obstacle gets this finite sentinel so candidate
 # ranking stays a total order under floating point.
 COLLISION_COST = 1e12
-
-
-@dataclass(frozen=True)
-class TaskCostWeights:
-    """Weights and scales for the task cost terms.
-
-    The defaults assume v_max = 1 m/s (v_pref = 0.8 * v_max); the scenario
-    parser recomputes v_pref from the robot when the file omits it.
-    """
-
-    w_goal: float = 1.0
-    w_clearance: float = 2.0
-    w_approach: float = 0.5
-    w_smooth: float = 0.1
-    w_speed: float = 0.2
-    d_safe: float = 0.5  # m, clearance below this is penalized
-    v_pref: float = 0.8  # m/s, preferred cruise speed
-
-    def __post_init__(self) -> None:
-        weights = (self.w_goal, self.w_clearance, self.w_approach, self.w_smooth, self.w_speed)
-        if not all(0 <= _as_float(w) < np.inf for w in weights):
-            raise ValueError("all weights must be finite and nonnegative")
-        if not (0 < _as_float(self.d_safe) < np.inf and 0 < _as_float(self.v_pref) < np.inf):
-            raise ValueError("d_safe and v_pref must be positive")
 
 
 @dataclass(frozen=True)

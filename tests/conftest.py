@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,13 @@ MINIMAL = {
     "robot": {"position": [0.0, 0.0]},
     "goals": [{"id": "G", "position": [2.0, 0.0], "is_target": True}],
 }
+
+# A goal x written as an integer literal of 5,000 nines: beyond Python's
+# int-to-str digit limit (4,300 unless PYTHONINTMAXSTRDIGITS changes it).
+LONG_LITERAL = json.dumps(MINIMAL).replace("[2.0, 0.0]", "[" + "9" * 5000 + ", 0.0]")
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < sys.get_int_max_str_digits() < 5000, reason="needs an int digit limit below 5000"
+)
 
 # MINIMAL's goal in a document that sets every key the parser reads, so the
 # fuzz can hit each: all robot keys, an observer with every key, one obstacle

@@ -1,4 +1,5 @@
-"""Every function the benchmark's layer tracer hooks still exists.
+"""Every function the benchmark's layer tracer hooks still exists, and a
+traced benchmark run completes.
 
 perfbench/tracing.py wraps module attributes by name (``LAYER_HOOKS``), so a
 refactor that drops or renames one breaks the benchmark. This checks each
@@ -7,6 +8,8 @@ name against the package, reading the hook table from that file.
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +34,16 @@ def _layer_hooks() -> tuple:
 @pytest.mark.parametrize("hook", _layer_hooks(), ids=lambda hook: f"{hook.module}.{hook.attr}")
 def test_traced_name_resolves(hook):
     assert callable(getattr(sys.modules[hook.module], hook.attr, None))
+
+
+def test_a_traced_scoring_run_completes():
+    # The hooks patch sys.modules["legiplan.planner"], which parsing and
+    # scoring never load: the run depends on the first hook reading
+    # legiplan.run_closed_loop, which imports it.
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "score_logs", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=TRACING.parent.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True

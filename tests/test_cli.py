@@ -12,7 +12,7 @@ import pytest
 from legiplan import scenario_io
 from legiplan.cli import cli_main
 from legiplan.scenario_io import scenario_to_bytes
-from tests.conftest import SCENARIO_DIR, make_scenario
+from tests.conftest import LONG_LITERAL, SCENARIO_DIR, make_scenario, needs_digit_limit
 
 FIG1 = str(SCENARIO_DIR / "fig1_two_goals.json")
 
@@ -73,6 +73,18 @@ def test_integer_beyond_float_range_exits_one(tmp_path, capsys):
     assert code == 1
     assert json.loads(captured.err) == {
         "error": "validation", "path": "$.robot.speed", "rule": "must be finite",
+    }
+
+
+@needs_digit_limit
+def test_integer_literal_beyond_the_digit_limit_exits_one(tmp_path, capsys):
+    bad = tmp_path / "long.json"
+    bad.write_text(LONG_LITERAL)
+    code = cli_main(["plan", "--scenario", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "validation", "path": "$", "rule": "integer literal has too many digits",
     }
 
 

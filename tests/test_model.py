@@ -20,8 +20,10 @@ from legiplan import (
     TaskCostWeights,
     velocities,
 )
-from legiplan.model import COORD_LIMIT, EMPTY_CLEARANCE, clearance_points, wrap_angle
+from legiplan.evaluation import legibility_score
+from legiplan.model import COORD_LIMIT, EMPTY_CLEARANCE, clearance_points, prefix_points, wrap_angle
 from legiplan.planner import plan_once
+from legiplan.scenario_io import parse_scenario
 from tests.conftest import make_robot, make_scenario
 
 
@@ -257,12 +259,30 @@ FLOAT_FIELDS = {
 
 
 @pytest.mark.parametrize(
-    "value", [10**400, -10**400, math.nan, math.inf], ids=["10**400", "-10**400", "nan", "inf"]
+    "value", [10**400, -10**400, 10**5000, -10**5000, math.nan, math.inf],
+    ids=["10**400", "-10**400", "10**5000", "-10**5000", "nan", "inf"],
 )
 @pytest.mark.parametrize(("build", "field", "rule"), FLOAT_FIELDS.values(), ids=FLOAT_FIELDS.keys())
 def test_float_fields_reject_numbers_beyond_float_range(build, field, rule, value):
+    # 10**5000 is beyond Python's int-to-str digit limit: a message that
+    # printed it raised that conversion's ValueError instead of the rule.
     with pytest.raises(ValueError, match=rule):
         build(**{field: value})
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: Point2(10**5000, 0), r"coordinates must lie within \+-1e\+150, got \(inf, 0\)"),
+    (lambda: Point2(0, -10**5000), r"coordinates must lie within \+-1e\+150, got \(0, -inf\)"),
+    (lambda: make_robot(speed=10**5000), r"speed inf outside \[0, v_max=1.0\]"),
+    (lambda: PlannerParams(mode=10**5000), r"mode must be one of .*, got inf"),
+    (lambda: legibility_score([10**5000]), r"correctness values must lie in \[0, 1\], got inf"),
+    (lambda: prefix_points(np.zeros((2, 2)), (10**5000,)), r"fraction must be in .*, got inf"),
+    (lambda: parse_scenario({"version": 10**5000}), "unsupported schema version inf"),
+], ids=["Point2.x", "Point2.y", "RobotState.speed", "PlannerParams.mode", "legibility_score",
+        "prefix_points", "parse_scenario.version"])
+def test_a_message_shows_an_unprintable_int_as_its_range_reading(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])

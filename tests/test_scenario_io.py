@@ -32,7 +32,10 @@ from legiplan.scenario_io import (
     scenario_to_bytes,
     simulation_rows,
 )
-from tests.conftest import MINIMAL, SCENARIO_DIR, SCENARIO_NAMES, make_robot, make_scenario
+from tests.conftest import (
+    LONG_LITERAL, MINIMAL, SCENARIO_DIR, SCENARIO_NAMES, make_robot, make_scenario,
+    needs_digit_limit,
+)
 
 
 def test_minimal_file_gets_defaults():
@@ -91,6 +94,15 @@ def test_malformed_json_reports_path():
     with pytest.raises(ScenarioError) as err:
         parse_scenario(b"{not json")
     assert err.value.path == "$"
+
+
+@needs_digit_limit
+def test_integer_literal_beyond_the_digit_limit_is_a_document_error():
+    # json.loads raises a plain ValueError for it, which a caller's
+    # `except ScenarioError` missed.
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(LONG_LITERAL)
+    assert (err.value.path, err.value.rule) == ("$", "integer literal has too many digits")
 
 
 def test_invalid_utf8_rejected():
