@@ -13,7 +13,7 @@ import sys
 
 from . import scenario_io, svg_render
 from .evaluation import PosteriorModel, evaluate_trajectory
-from .model import ScenarioError, ScenarioSpec, wrap_angle
+from .model import ScenarioError, ScenarioSpec
 from .planner import PlannerFailure, PlanResult, plan_once, rollout_headings, run_closed_loop
 
 EXIT_OK = 0
@@ -68,10 +68,7 @@ def _check_writable(*paths: str | None) -> None:
 
 
 def _plan_csv(result: PlanResult, spec: ScenarioSpec, out: str) -> None:
-    headings = [
-        wrap_angle(float(h))
-        for h in rollout_headings(spec.robot, result.controls.controls, spec.planner.dt)
-    ]
+    headings = rollout_headings(spec.robot, result.controls.controls, spec.planner.dt)
     rows = scenario_io.plan_rows(
         result.trajectory, headings, result.controls.controls, spec.robot.speed, spec
     )

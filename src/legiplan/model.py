@@ -125,7 +125,7 @@ class RobotState:
     """Robot pose plus the kinodynamic limits every plan must respect."""
 
     position: Point2
-    heading: float  # radians; the parser and run_closed_loop wrap it into (-pi, pi]
+    heading: float  # radians; the parser and planner.rollout_headings wrap it into (-pi, pi]
     speed: float  # m/s, 0 <= speed <= v_max
     radius: float  # m, disc footprint
     v_max: float  # m/s

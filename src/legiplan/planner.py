@@ -15,6 +15,9 @@ batched search over all goals, and the legible search's warm-start row is
 scored with its first iteration. Each CEM iteration selects and refits
 all searches of a batch in one array pass over the search axis.
 
+The closed loop plans each cycle from the state the cycle before reached
+(plan_once's ``robot``); the scenario itself is never copied or changed.
+
 Randomness is counter-based: each CEM iteration's population is one block
 of draws from the Philox stream keyed by (seed mod 2^64, iteration << 32),
 so results do not depend on evaluation order. The noise is drawn once per
@@ -23,7 +26,6 @@ search and the legible re-optimization sample the same draws.
 """
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 import threading
@@ -208,8 +210,9 @@ def rollout(state: RobotState, controls: ControlSequence, dt: float) -> Trajecto
 
 
 def rollout_headings(state: RobotState, controls: np.ndarray, dt: float) -> np.ndarray:
-    """Heading at each waypoint of a single rollout, shape (w+1,), unwrapped."""
-    return np.concatenate([[state.heading], state.heading + (controls[:, 1] * dt).cumsum()])
+    """Heading at each waypoint of a single rollout, shape (w+1,), wrapped by wrap_angle."""
+    raw = np.concatenate([[state.heading], state.heading + (controls[:, 1] * dt).cumsum()])
+    return np.array([wrap_angle(h) for h in raw.tolist()])
 
 
 def _initial_mean(
@@ -357,8 +360,11 @@ def _legible_objective(scenario: ScenarioSpec, predictions: PredictedPathSet) ->
     )
 
 
-def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult:
-    """One planning cycle: per-goal predictions, then the mode's objective.
+def plan_once(
+    scenario: ScenarioSpec, rng_seed: int | None = None, robot: RobotState | None = None
+) -> PlanResult:
+    """One planning cycle from ``robot`` (scenario.robot by default; the closed
+    loop passes its executed state): per-goal predictions, then the mode's objective.
 
     Baseline mode returns the target-goal prediction directly. Legible mode
     runs a second optimization of the combined cost, warm-started from the
@@ -373,7 +379,7 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
     row, whose breakdown carries zero similarity and FOV terms.
     """
     params = scenario.planner
-    robot = scenario.robot
+    robot = scenario.robot if robot is None else robot
     seed = scenario.seed if rng_seed is None else rng_seed
     init_std = np.empty((params.horizon_w, 2))
     init_std[:] = params.cem_init_std_v, params.cem_init_std_omega
@@ -442,80 +448,70 @@ def plan_once(scenario: ScenarioSpec, rng_seed: int | None = None) -> PlanResult
     )
 
 
-def run_closed_loop(scenario: ScenarioSpec) -> SimulationResult:
-    """Plan, execute the first controls, replan; stop at the goal or the
-    cycle budget.
+def _execute(
+    plan: PlanResult, state: RobotState, goal: Point2, params: PlannerParams
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], RobotState, bool]:
+    """Execute ``plan``'s first execute_steps controls from ``state``, stopping
+    at the first waypoint within goal_tolerance of ``goal``.
 
-    Cycle i reseeds the optimizer with (seed + i) mod 2^64, which makes the
-    whole run a pure function of the scenario.
+    Returns the executed rows (waypoints (k, 2), headings (k,), controls
+    (k, 2)), the state after them and whether the goal was reached.
     """
-    params = scenario.planner
-    robot = scenario.robot
-    g_star = scenario.target_goal()
+    waypoints = plan.trajectory.waypoints[1 : params.execute_steps + 1]
+    for k, (x, y) in enumerate(waypoints.tolist(), 1):
+        if reached := Point2(x, y).distance_to(goal) <= params.goal_tolerance:
+            break
+    controls = plan.controls.controls[:k]
+    headings = rollout_headings(state, controls, params.dt)[1:]
+    state = dataclasses.replace(
+        state, position=Point2(x, y), heading=float(headings[-1]), speed=float(controls[-1, 0])
+    )
+    return (waypoints[:k], headings, controls), state, reached
 
-    positions = [robot.position.as_array()]
-    headings = [robot.heading]
-    controls_log: list[np.ndarray] = []
+
+def run_closed_loop(scenario: ScenarioSpec) -> SimulationResult:
+    """Plan from the current state, execute the plan's first controls, replan;
+    stop at the goal or the cycle budget.
+
+    Cycle i plans from the state cycle i-1 reached, with the optimizer
+    reseeded by (seed + i) mod 2^64, which makes the whole run a pure
+    function of the scenario.
+    """
+    params, state = scenario.planner, scenario.robot
+    goal = scenario.target_goal().position
+    # The start, then each cycle's executed rows: (waypoints, headings, controls).
+    rows = [(state.position.as_array()[np.newaxis], np.array([state.heading], dtype=float),
+             np.zeros((0, 2)))]
     plan_results: list[PlanResult] = []
-    reached = robot.position.distance_to(g_star.position) <= params.goal_tolerance
-
-    state = robot
+    reached = state.position.distance_to(goal) <= params.goal_tolerance
     while not reached and len(plan_results) < params.max_cycles:
-        # replace(scenario, robot=state) without the scenario-wide checks: the
-        # state passed RobotState's, and an executed waypoint is on a
-        # non-collided row, so clearance >= radius, the start rule.
-        cycle_scenario = copy.copy(scenario)
-        object.__setattr__(cycle_scenario, "robot", state)
         cycle_seed = (scenario.seed + len(plan_results)) % _SEED_MODULUS
         try:
-            result = plan_once(cycle_scenario, rng_seed=cycle_seed)
+            result = plan_once(scenario, rng_seed=cycle_seed, robot=state)
         except PlannerFailure as failure:
-            failure.partial = _finish_simulation(
-                plan_results, positions, headings, controls_log, params, False
-            )
+            failure.partial = _finish_simulation(plan_results, rows, params.dt, False)
             raise
         plan_results.append(result)
-
-        controls = result.controls.controls
-        step_headings = rollout_headings(state, controls, params.dt)
-        for k in range(params.execute_steps):
-            pos = result.trajectory.waypoints[k + 1]
-            heading = wrap_angle(float(step_headings[k + 1]))
-            positions.append(pos)
-            headings.append(heading)
-            controls_log.append(controls[k].copy())
-            state = dataclasses.replace(
-                state,
-                position=Point2(float(pos[0]), float(pos[1])),
-                heading=heading,
-                speed=float(controls[k, 0]),
-            )
-            if state.position.distance_to(g_star.position) <= params.goal_tolerance:
-                reached = True
-                break
-
-    return _finish_simulation(plan_results, positions, headings, controls_log, params, reached)
+        executed, state, reached = _execute(result, state, goal, params)
+        rows.append(executed)
+    return _finish_simulation(plan_results, rows, params.dt, reached)
 
 
 def _finish_simulation(
     plan_results: list[PlanResult],
-    positions: list[np.ndarray],
-    headings: list[float],
-    controls_log: list[np.ndarray],
-    params: PlannerParams,
+    rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    dt: float,
     reached: bool,
 ) -> SimulationResult:
+    positions, headings, controls = (np.concatenate(column) for column in zip(*rows))
     if len(positions) == 1:
         # Degenerate run (started at the goal): duplicate the start so the
         # executed path is still a valid trajectory.
-        positions = positions + [positions[0]]
-        headings = headings + [headings[0]]
-    executed = Trajectory(np.array(positions), params.dt)
-    controls = np.array(controls_log) if controls_log else np.zeros((0, 2), dtype=float)
+        positions, headings = positions.repeat(2, axis=0), headings.repeat(2)
     return SimulationResult(
         plan_results=tuple(plan_results),
-        executed=executed,
-        headings=np.array(headings, dtype=float),
+        executed=Trajectory(positions, dt),
+        headings=headings,
         controls=controls,
         reached=reached,
     )

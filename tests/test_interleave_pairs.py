@@ -8,9 +8,10 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from legiplan import load_scenario, plan_once
+from legiplan import load_scenario, plan_once, run_closed_loop
 from tests.conftest import SCENARIO_DIR
 
 _PATH = SCENARIO_DIR.parent / "tools" / "interleave_pairs.py"
@@ -55,6 +56,17 @@ def test_plan_bytes_tell_the_sign_of_zero():
         return interleave_pairs.plan_bytes(dataclasses.replace(result, breakdown=breakdown))
 
     assert with_sim(0.0) != with_sim(-0.0)
+
+
+def test_run_bytes_tell_one_ulp_in_one_heading():
+    spec = load_scenario(str(SCENARIO_DIR / "fig1_two_goals.json"))
+    spec = dataclasses.replace(spec, planner=dataclasses.replace(spec.planner, max_cycles=3))
+    sim = run_closed_loop(spec)
+    headings = sim.headings.copy()
+    headings[2] = np.nextafter(headings[2], np.inf)
+    moved = dataclasses.replace(sim, headings=headings)
+    assert interleave_pairs.run_bytes(run_closed_loop(spec)) == interleave_pairs.run_bytes(sim)
+    assert interleave_pairs.run_bytes(moved) != interleave_pairs.run_bytes(sim)
 
 
 @pytest.mark.skipif(not _in_git_checkout(), reason="needs git and a committed HEAD")

@@ -649,11 +649,11 @@ class TestClosedLoop:
         if case == "failure":
             real_plan_once, calls = planner_module.plan_once, []
 
-            def plan_once_failing_third(cycle_scenario, rng_seed=None):
+            def plan_once_failing_third(cycle_scenario, rng_seed=None, robot=None):
                 calls.append(rng_seed)
                 if len(calls) == 3:
                     raise PlannerFailure("third cycle fails")
-                return real_plan_once(cycle_scenario, rng_seed=rng_seed)
+                return real_plan_once(cycle_scenario, rng_seed=rng_seed, robot=robot)
 
             monkeypatch.setattr(planner_module, "plan_once", plan_once_failing_third)
             with pytest.raises(PlannerFailure) as failure:
@@ -1056,10 +1056,10 @@ def test_closed_loop_ignores_goal_ids_and_order(name, mode, change):
 
 
 @pytest.mark.parametrize("mode", ["baseline", "legible"])
-def test_each_cycle_plans_the_scenario_with_the_robot_replaced(monkeypatch, mode):
-    # run_closed_loop swaps the robot into a copy of the scenario without
-    # re-running its checks; the copy must equal the checked replace field for
-    # field, carry the executed state, and leave the caller's scenario alone.
+def test_each_cycle_plans_from_the_executed_state(monkeypatch, mode):
+    # run_closed_loop hands every cycle the caller's scenario itself and the
+    # state the executed steps reached; planning from that state is planning
+    # the scenario with its robot replaced by it, to the bit.
     scenario = make_scenario(
         planner=PlannerParams(
             mode=mode, cem_population=16, cem_iterations=2, horizon_w=8, execute_steps=2,
@@ -1070,21 +1070,24 @@ def test_each_cycle_plans_the_scenario_with_the_robot_replaced(monkeypatch, mode
     seen = []
     plan = planner_module.plan_once
 
-    def recording(spec, rng_seed=None):
-        seen.append(spec)
-        return plan(spec, rng_seed=rng_seed)
+    def recording(spec, rng_seed=None, robot=None):
+        result = plan(spec, rng_seed=rng_seed, robot=robot)
+        seen.append((spec, rng_seed, robot, result))
+        return result
 
     monkeypatch.setattr(planner_module, "plan_once", recording)
     sim = run_closed_loop(scenario)
     assert scenario.robot is robot
     assert len(seen) == sim.cycles_used == 6
-    for i, spec in enumerate(seen):
-        expected = dataclasses.replace(scenario, robot=spec.robot)
-        assert type(spec) is type(scenario)
-        for field in dataclasses.fields(expected):
-            assert getattr(spec, field.name) == getattr(expected, field.name), field.name
-        assert spec == expected
+    for i, (spec, seed, state, result) in enumerate(seen):
+        assert spec is scenario
         k = 2 * i
-        assert spec.robot.position == Point2(*sim.executed.waypoints[k])
-        assert spec.robot.heading == sim.headings[k]
-        assert spec.robot.speed == (robot.speed if i == 0 else sim.controls[k - 1, 0])
+        assert state.position == Point2(*sim.executed.waypoints[k])
+        assert state.heading == sim.headings[k]
+        assert state.speed == (robot.speed if i == 0 else sim.controls[k - 1, 0])
+        replaced = plan(dataclasses.replace(scenario, robot=state), seed)
+        assert result.trajectory.waypoints.tobytes() == replaced.trajectory.waypoints.tobytes()
+        assert result.controls.controls.tobytes() == replaced.controls.controls.tobytes()
+        for goal_id, path in result.predictions.items():
+            assert path.waypoints.tobytes() == replaced.predictions[goal_id].waypoints.tobytes()
+        assert repr(result.breakdown) == repr(replaced.breakdown)  # repr floats keep the sign

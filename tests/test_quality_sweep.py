@@ -6,12 +6,13 @@ import importlib.util
 import json
 import sys
 
+import numpy as np
 import pytest
 
-from legiplan import run_closed_loop
+from legiplan import Goal, Point2, Trajectory, run_closed_loop
 from legiplan.evaluation import evaluate_trajectory
 from legiplan.scenario_io import load_scenario
-from tests.conftest import SCENARIO_DIR
+from tests.conftest import SCENARIO_DIR, make_scenario
 
 _PATH = SCENARIO_DIR.parent / "tools" / "quality_sweep.py"
 _spec = importlib.util.spec_from_file_location("quality_sweep", _PATH)
@@ -54,6 +55,8 @@ def test_one_seed_summary(summary):
     assert leg["margin_min"] == leg["margin_median"] == margin
     assert leg["margin_below_floor"] == int(margin < 0.05)
     assert leg["early_partials_held"] == 1  # criterion 3 holds at this seed
+    assert leg["Lt_margin_min"] == leg["Lt_margin_median"] == leg["Lt_mean"] - base["Lt_mean"]
+    assert "Lt_margin_min" not in base and 0.0 <= base["Lt_mean"] <= 1.0
     assert "margin_min" not in base
     assert base["length_ratio_mean"] == 1.0 and base["length_ratio_sd"] == 0.0
     for row in (base, leg):
@@ -63,6 +66,27 @@ def test_one_seed_summary(summary):
         assert row["clearance_min"] >= 0.0
         assert 0.0 <= row["visible_mean"] <= 1.0
         assert row["wall_s_mean"] > 0.0
+
+
+def test_time_legibility_ranks_a_detour_below_the_straight_path():
+    # Two logs of 30 steps to the same goal: straight along +x, or bent out
+    # toward the distractor at (2, 2).
+    spec = make_scenario(
+        goals=(Goal("G", Point2(3.0, 0.0), is_target=True), Goal("O", Point2(2.0, 2.0))),
+        observers=(), obstacles=(),
+    )
+    dt = spec.planner.dt
+    straight = Trajectory(np.linspace([0.0, 0.0], [3.0, 0.0], 31), dt)
+    detour = Trajectory(np.concatenate([
+        np.linspace([0.0, 0.0], [1.5, 1.0], 16), np.linspace([1.5, 1.0], [3.0, 0.0], 16)[1:],
+    ]), dt)
+    t_ref = 30 * dt
+    lt_straight = quality_sweep.time_legibility(straight, spec, t_ref)
+    lt_detour = quality_sweep.time_legibility(detour, spec, t_ref)
+    assert 0.0 <= lt_detour < lt_straight <= 1.0
+    # A run shorter than the time base is scored on its whole path.
+    whole = evaluate_trajectory(straight, spec, fractions=(1.0,)).correctness[0]
+    assert quality_sweep.time_legibility(straight, spec, 10 * t_ref) == pytest.approx(whole)
 
 
 def test_two_workers_match_one(summary):

@@ -10,13 +10,14 @@ of the working tree, so ``--ref HEAD --against HEAD`` is an A/A run.
 
 Every scene in ``perfbench/scenes`` is planned at each seed in baseline and
 legible mode. First each (scene, seed, mode) case runs once on both sides,
-which warms them up, and the two ``PlanResult`` objects must be byte-equal;
-if any differ, the cases are listed and the run stops with status 1 before
-any timing. Then each round runs ``plan_once`` on every case, the two sides
-alternating call by call; which side goes first flips from case to case
-and from round to round, so a drift in host speed or a warm cache favours
-neither. A round's pair is each side's summed time per mode, and its ratio
-is the working side's over REF's.
+which warms them up: its ``PlanResult`` and a ``run_closed_loop`` at that
+seed, capped at ``RUN_CYCLES`` cycles, must both be byte-equal on the two
+sides. If any case differs, the cases are listed and the run stops with
+status 1 before any timing. Then each round runs ``plan_once`` on every
+case, the two sides alternating call by call; which side goes first flips
+from case to case and from round to round, so a drift in host speed or a
+warm cache favours neither. A round's pair is each side's summed time per
+mode, and its ratio is the working side's over REF's.
 
 The run prints one line per mode: each side's median round time, the
 median of the paired ratios with its quartiles (inclusive method), and the
@@ -39,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCENES = ROOT / "perfbench" / "scenes"
 MODES = ("baseline", "legible")
+RUN_CYCLES = 10  # the closed loop's cycle cap in the byte check
 sys.path.insert(0, str(ROOT / "tools"))
 
 from bench_pairs import exported, seed_range  # noqa: E402
@@ -65,6 +67,26 @@ def plan_bytes(result) -> bytes:
     return b"".join(a.tobytes() for a in arrays) + tail
 
 
+def run_bytes(sim, failure: str = "") -> bytes:
+    """Every number of a SimulationResult as bytes: the executed waypoints,
+    headings and controls, then ``reached``, ``cycles_used`` and the message
+    of the failure that ended the run, if any."""
+    arrays = (sim.executed.waypoints, sim.headings, sim.controls)
+    tail = json.dumps([sim.reached, sim.cycles_used, failure]).encode()
+    return b"".join(a.tobytes() for a in arrays) + tail
+
+
+def capped_run_bytes(package, spec, seed: int) -> bytes:
+    """``run_bytes`` of ``package``'s closed loop on ``spec`` at ``seed``,
+    capped at RUN_CYCLES cycles; a run the planner fails gives its partial log."""
+    capped = dataclasses.replace(spec.planner, max_cycles=min(spec.planner.max_cycles, RUN_CYCLES))
+    try:
+        sim = package.run_closed_loop(dataclasses.replace(spec, seed=seed, planner=capped))
+    except package.PlannerFailure as exc:
+        return run_bytes(exc.partial, str(exc))
+    return run_bytes(sim)
+
+
 def cases(package, seeds) -> list[tuple[str, str, int, object]]:
     """(mode, scene, seed, spec) of every case, the specs parsed by ``package``."""
     out = []
@@ -77,11 +99,13 @@ def cases(package, seeds) -> list[tuple[str, str, int, object]]:
 
 
 def mismatches(ref, work, ref_cases, work_cases) -> list[str]:
-    """The cases whose two PlanResults differ, as ``mode scene seed``."""
+    """The cases whose two PlanResults or two capped runs differ, as
+    ``mode scene seed``."""
     return [
         f"{mode} {scene} seed {seed}"
         for (mode, scene, seed, a), (*_, b) in zip(ref_cases, work_cases)
         if plan_bytes(ref.plan_once(a, seed)) != plan_bytes(work.plan_once(b, seed))
+        or capped_run_bytes(ref, a, seed) != capped_run_bytes(work, b, seed)
     ]
 
 

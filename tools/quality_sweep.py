@@ -19,6 +19,13 @@ scenario and mode:
   obstacle minus the robot radius), ``-`` on a scene without obstacles;
 * ``vis``: mean fraction of executed waypoints inside the designated
   observer's FOV;
+* ``Lt``: time-indexed legibility (Dragan, Lee and Srinivasa, HRI 2013):
+  the same observer and 1/k weights as L, but on the executed prefixes that
+  end at 0.25, 0.5 and 0.75 x ``T_ref``, the paired baseline run's duration
+  (see ``time_legibility``). Its mean per mode, and on legible rows the
+  paired legible - baseline Lt as minimum and median, over the pairs where
+  both runs succeeded. A detour that keeps the observer unsure for longer
+  lowers Lt, where L, indexed by arc length, cannot see it;
 * ``s/run``: mean wall seconds of one run and its scoring.
 
 A run that raises ``PlannerFailure`` is counted in ``fail`` and left out of
@@ -55,9 +62,11 @@ sys.path.insert(0, str(ROOT / "tools"))
 import numpy as np  # noqa: E402
 
 from legiplan import PlannerFailure, designated_observer, run_closed_loop  # noqa: E402
-from legiplan.evaluation import evaluate_trajectory  # noqa: E402
+from legiplan.evaluation import (  # noqa: E402
+    PosteriorModel, correctness, evaluate_trajectory, goal_posterior, legibility_score,
+)
 from legiplan.legibility import visibility_points  # noqa: E402
-from legiplan.model import clearance_points  # noqa: E402
+from legiplan.model import Trajectory, clearance_points  # noqa: E402
 from legiplan.planner import PlannerParams  # noqa: E402
 from legiplan.scenario_io import load_scenario  # noqa: E402
 
@@ -65,6 +74,7 @@ from bench_pairs import seed_range  # noqa: E402
 
 MODES = ("baseline", "legible")
 MARGIN_FLOOR = 0.05  # acceptance criterion 3's legibility gain
+LT_TIMES = (0.25, 0.50, 0.75)  # Lt's prefix end times, as fractions of T_ref
 SCENES = tuple(sorted(path.stem for path in (ROOT / "scenarios").glob("*.json")))
 
 
@@ -77,8 +87,29 @@ def scenario(scene: str, mode: str, seed: int, overrides: tuple = ()):
     return dataclasses.replace(spec, seed=seed, planner=planner)
 
 
-def run_one(scene: str, mode: str, seed: int, overrides: tuple = ()) -> dict | None:
-    """Quality figures of one closed-loop run; None when the planner fails."""
+def time_legibility(executed: Trajectory, spec, t_ref: float) -> float:
+    """Lt of an executed path: ``legibility_score`` of the target's
+    correctness after the prefixes that end at LT_TIMES x ``t_ref`` seconds.
+
+    The prefix at time t holds the waypoints up to round(t / dt), or the
+    whole path if the run is shorter; a prefix of the start alone has
+    length 0 and scores the prior."""
+    pts, dt = executed.waypoints, spec.planner.dt
+    values = []
+    for fraction in LT_TIMES:
+        k = min(round(fraction * t_ref / dt), len(pts) - 1)
+        prefix = Trajectory(pts[: k + 1] if k else pts[[0, 0]], dt)
+        posterior = goal_posterior(prefix, spec.goals, executed.start, PosteriorModel())
+        values.append(correctness(posterior, spec.target_goal().id))
+    return legibility_score(values)
+
+
+def run_one(
+    scene: str, mode: str, seed: int, overrides: tuple = (), t_ref: float | None = None
+) -> dict | None:
+    """Quality figures of one closed-loop run; None when the planner fails.
+    Its Lt is scored against ``t_ref`` seconds, the run's own duration when
+    None (the baseline run of a pair)."""
     spec = scenario(scene, mode, seed, overrides)
     started = time.perf_counter()
     try:
@@ -92,8 +123,11 @@ def run_one(scene: str, mode: str, seed: int, overrides: tuple = ()) -> dict | N
     if spec.obstacles:
         clearance = float(np.min(clearance_points(pts, spec.obstacles)) - spec.robot.radius)
     report = evaluate_trajectory(sim.executed, spec)
+    duration = (len(pts) - 1) * spec.planner.dt
     return {
         "L": report.score,
+        "Lt": time_legibility(sim.executed, spec, duration if t_ref is None else t_ref),
+        "duration": duration,
         "early": report.correctness[:2],
         "reached": sim.reached,
         "cycles": sim.cycles_used,
@@ -107,7 +141,9 @@ def run_one(scene: str, mode: str, seed: int, overrides: tuple = ()) -> dict | N
 
 def _run_pair(job: tuple[str, int, tuple]) -> tuple[str, dict]:
     scene, seed, overrides = job
-    return scene, {mode: run_one(scene, mode, seed, overrides) for mode in MODES}
+    base = run_one(scene, "baseline", seed, overrides)
+    t_ref = None if base is None else base["duration"]
+    return scene, {"baseline": base, "legible": run_one(scene, "legible", seed, overrides, t_ref)}
 
 
 def sweep(scenes: tuple[str, ...], seeds: range, jobs: int = 1, overrides: tuple = ()) -> dict:
@@ -150,14 +186,18 @@ def _summarize(pairs: list[dict]) -> dict:
                 if pair["baseline"]["length"] > 0 else math.nan
                 for pair in both
             ]
+            row["Lt_mean"] = statistics.fmean(pair[mode]["Lt"] for pair in both)
             row["length_ratio_mean"] = statistics.fmean(ratios)
             row["length_ratio_sd"] = statistics.stdev(ratios) if len(ratios) > 1 else 0.0
         if mode == "legible" and both:
             margins = [pair["legible"]["L"] - pair["baseline"]["L"] for pair in both]
+            lt_margins = [pair["legible"]["Lt"] - pair["baseline"]["Lt"] for pair in both]
             row.update({
                 "margin_min": min(margins),
                 "margin_median": statistics.median(margins),
                 "margin_below_floor": sum(m < MARGIN_FLOOR for m in margins),
+                "Lt_margin_min": min(lt_margins),
+                "Lt_margin_median": statistics.median(lt_margins),
                 "early_partials_held": sum(
                     all(x > y for x, y in zip(pair["legible"]["early"], pair["baseline"]["early"]))
                     for pair in both
@@ -179,7 +219,8 @@ def format_table(summary: dict) -> str:
     head = (
         f"{'scene':24s} {'mode':8s} {'L mean':>6s} {'sd':>5s} {'min':>5s}  "
         f"{'margin min':>10s} {'med':>6s} {'<.05':>4s} {'early':>5s}  {'reach':>5s} {'cycles':>6s}  "
-        f"{'len/base':>8s} {'sd':>5s} {'away':>5s} {'clear':>6s} {'vis':>5s} {'s/run':>5s} "
+        f"{'len/base':>8s} {'sd':>5s} {'away':>5s} {'clear':>6s} {'vis':>5s}  "
+        f"{'Lt':>5s} {'margin min':>10s} {'med':>6s}  {'s/run':>5s} "
         f"{'fail':>4s}"
     )
     lines = [head]
@@ -194,7 +235,10 @@ def format_table(summary: dict) -> str:
                 f"{_fmt(row.get('reached_frac'), '5.2f')} {_fmt(row.get('cycles_mean'), '6.1f')}  "
                 f"{_fmt(row.get('length_ratio_mean'), '8.3f')} "
                 f"{_fmt(row.get('length_ratio_sd'), '5.3f')} {_fmt(row.get('away_max'), '5.2f')} "
-                f"{_fmt(row.get('clearance_min'), '6.3f')} {_fmt(row.get('visible_mean'), '5.3f')} "
+                f"{_fmt(row.get('clearance_min'), '6.3f')} "
+                f"{_fmt(row.get('visible_mean'), '5.3f')}  {_fmt(row.get('Lt_mean'), '5.3f')} "
+                f"{_fmt(row.get('Lt_margin_min'), '+10.3f')} "
+                f"{_fmt(row.get('Lt_margin_median'), '+6.3f')}  "
                 f"{_fmt(row.get('wall_s_mean'), '5.2f')} {row['failed']:4d}"
             )
     return "\n".join(lines)
