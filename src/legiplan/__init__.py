@@ -27,6 +27,7 @@ from .model import (
     LegibilityParams,
     Obstacle,
     ObserverState,
+    PlannerFailure,
     PlannerParams,
     Point2,
     RectObstacle,
@@ -49,8 +50,8 @@ from .task_cost import CostBreakdown, task_cost  # eager: the function, over the
 # Deferred names and the submodule each loads on first use: parsing a scenario
 # and scoring a logged path load neither the planner nor the SVG writer.
 _DEFERRED = {
-    **dict.fromkeys(("ControlSequence", "PlannerFailure", "PlanResult", "SimulationResult",
-                     "plan_once", "rollout", "run_closed_loop", "planner"), "planner"),
+    **dict.fromkeys(("ControlSequence", "PlanResult", "SimulationResult", "plan_once", "rollout",
+                     "run_closed_loop", "planner"), "planner"),
     **dict.fromkeys(("render_svg", "svg_render"), "svg_render"),
 }
 

@@ -11,10 +11,9 @@ import json
 import os
 import sys
 
-from . import scenario_io, svg_render
+from . import scenario_io
 from .evaluation import PosteriorModel, evaluate_trajectory
-from .model import ScenarioError, ScenarioSpec
-from .planner import PlannerFailure, PlanResult, plan_once, rollout_headings, run_closed_loop
+from .model import _MODES, PlannerFailure, ScenarioError, ScenarioSpec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -67,39 +66,37 @@ def _check_writable(*paths: str | None) -> None:
         raise OSError(code, os.strerror(code), path)
 
 
-def _plan_csv(result: PlanResult, spec: ScenarioSpec, out: str) -> None:
-    headings = rollout_headings(spec.robot, result.controls.controls, spec.planner.dt)
-    rows = scenario_io.plan_rows(
-        result.trajectory, headings, result.controls.controls, spec.robot.speed, spec
-    )
-    scenario_io.write_trajectory_csv(out, rows)
+def _write_svg(path: str, spec: ScenarioSpec, trajectories, predictions=None) -> None:
+    from .svg_render import render_svg  # only an --svg run loads the SVG writer
+    data = render_svg(spec, trajectories, predictions)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from .planner import plan_once, rollout_headings
     spec = _override(scenario_io.load_scenario(args.scenario), args.mode, args.seed)
     _check_writable(args.out, args.svg)
     result = plan_once(spec, rng_seed=spec.seed)
     if args.out:
-        _plan_csv(result, spec, args.out)
+        controls = result.controls.controls
+        headings = rollout_headings(spec.robot, controls, spec.planner.dt)
+        rows = scenario_io.plan_rows(result.trajectory, headings, controls, spec.robot.speed, spec)
+        scenario_io.write_trajectory_csv(args.out, rows)
     if args.svg:
-        data = svg_render.render_svg(
-            spec, [(spec.planner.mode, result.trajectory)], result.predictions
-        )
-        with open(args.svg, "wb") as fh:
-            fh.write(data)
+        _write_svg(args.svg, spec, [(spec.planner.mode, result.trajectory)], result.predictions)
     _print_json(result.breakdown.to_dict())
     return EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .planner import run_closed_loop
     spec = _override(scenario_io.load_scenario(args.scenario), args.mode, args.seed)
     _check_writable(args.out, args.svg)
     sim = run_closed_loop(spec)
     scenario_io.write_trajectory_csv(args.out, scenario_io.simulation_rows(sim, spec))
     if args.svg:
-        data = svg_render.render_svg(spec, [(spec.planner.mode, sim.executed)])
-        with open(args.svg, "wb") as fh:
-            fh.write(data)
+        _write_svg(args.svg, spec, [(spec.planner.mode, sim.executed)])
     summary = {
         "mode": spec.planner.mode,
         "seed": spec.seed,
@@ -139,10 +136,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .planner import run_closed_loop
     spec = _override(scenario_io.load_scenario(args.scenario), None, args.seed)
     _check_writable(args.svg)
     runs = {}
-    for mode in ("baseline", "legible"):
+    for mode in _MODES:
         mode_spec = _override(spec, mode, None)
         sim = run_closed_loop(mode_spec)
         report = evaluate_trajectory(sim.executed, mode_spec, mode=mode)
@@ -157,8 +155,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             ("baseline", runs["baseline"][1].executed),
             ("legible", legible_sim.executed),
         ]
-        with open(args.svg, "wb") as fh:
-            fh.write(svg_render.render_svg(legible_spec, trajectories, predictions))
+        _write_svg(args.svg, legible_spec, trajectories, predictions)
 
     base_report = runs["baseline"][2]
     leg_report = runs["legible"][2]
@@ -186,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="run one planning cycle")
     plan.add_argument("--scenario", required=True)
-    plan.add_argument("--mode", choices=["baseline", "legible"])
+    plan.add_argument("--mode", choices=_MODES)
     plan.add_argument("--seed", type=int)
     plan.add_argument("--out", help="write the planned horizon as CSV")
     plan.add_argument("--svg", help="render the scene and plan to SVG")
@@ -194,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="run the closed loop to the goal")
     simulate.add_argument("--scenario", required=True)
-    simulate.add_argument("--mode", choices=["baseline", "legible"])
+    simulate.add_argument("--mode", choices=_MODES)
     simulate.add_argument("--seed", type=int)
     simulate.add_argument("--out", required=True, help="trajectory CSV output path")
     simulate.add_argument("--svg", help="render the executed path to SVG")

@@ -26,6 +26,20 @@ class ScenarioError(ValueError):
         self.rule = rule
 
 
+class PlannerFailure(RuntimeError):
+    """Raised when every candidate stays in collision, none scores a finite
+    cost, or a chosen path leaves the coordinate domain (COORD_LIMIT).
+
+    Carries the best breakdown seen, and in closed-loop runs the partial
+    simulation log up to the failing cycle.
+    """
+
+    def __init__(self, message: str, breakdown=None, partial=None):
+        super().__init__(message)
+        self.breakdown = breakdown
+        self.partial = partial
+
+
 # The coordinate domain of every Point2 and Trajectory: no distance or arc length overflows.
 COORD_LIMIT = 1e150
 _COORD_RULE = f"coordinates must lie within +-{COORD_LIMIT:g}"

@@ -40,7 +40,8 @@ from .legibility import (
     fov_cost_batch, legibility_aware_cost, weighted_similarity_batch,
 )
 from .model import (
-    PlannerParams, Point2, RobotState, ScenarioSpec, Trajectory, velocity_points, wrap_angle,
+    PlannerFailure, PlannerParams, Point2, RobotState, ScenarioSpec, Trajectory, velocity_points,
+    wrap_angle,
 )
 from .task_cost import (
     CostBreakdown, task_cost_batch,
@@ -49,20 +50,6 @@ from .task_cost import (
 
 _SEED_MODULUS = 2**64
 _STD_FLOOR = 1e-3  # keeps the sampling distribution from collapsing
-
-
-class PlannerFailure(RuntimeError):
-    """Raised when every candidate stays in collision, none scores a finite
-    cost, or a chosen path leaves the coordinate domain (COORD_LIMIT).
-
-    Carries the best breakdown seen, and in closed-loop runs the partial
-    simulation log up to the failing cycle.
-    """
-
-    def __init__(self, message: str, breakdown=None, partial=None):
-        super().__init__(message)
-        self.breakdown = breakdown
-        self.partial = partial
 
 
 @dataclass(frozen=True)

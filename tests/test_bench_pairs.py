@@ -58,21 +58,44 @@ def test_summary_reports_each_side_and_the_pairs_won():
     ]
     assert [p["sha_match"] for p in pairs] == [False, True, True, True]
     assert pairs[0]["metrics"]["setup_s"] == pytest.approx((8.0, 7.2, 0.9))
-    summary = bench_pairs.summarize(pairs)
-    assert list(summary) == list(METRICS)
+    summary = {
+        name: bench_pairs.summarize([p["metrics"][name][:2] for p in pairs], name)
+        for name in METRICS
+    }
     for name, s in summary.items():
         assert s["median_ratio"] == pytest.approx(0.925)
         assert (s["ref_median"], s["ref_qd"]) == (2.0 * (METRICS.index(name) + 1), 0.0)
         # L_mean is better higher, so the one pair it read higher is its only win.
         assert (s["won"], s["pairs"]) == ((1, 4) if name == "L_mean" else (3, 4))
-    lines = bench_pairs.summary_lines(summary)
-    assert lines[0] == (
-        "latency_p50_xref   ref 2.0000 (qd 0.0000) -> 1.8500 (qd 0.4750), median ratio 0.9250,"
-        " better in 3/4: unresolved"
+    assert bench_pairs.summary_line("latency_p50_xref", summary["latency_p50_xref"]) == (
+        "latency_p50_xref   ref 2.0000 (qd 0.0000) -> 1.8500 (qd 0.4750), median ratio 0.9250"
+        " [q1 0.8250, q3 1.0625], better in 3/4: unresolved"
     )
     head, *rows = bench_pairs.pair_lines(pairs[0], ref_first=True)
     assert head == "seed 0 (ref first): output_sha256 DIFFER, failed 0 -> 0"
     assert len(rows) == len(METRICS) and rows[0].endswith("ratio 0.9000")
+
+
+def test_summary_of_synthetic_rounds():
+    # ratios 0.8, 0.9, 0.95, 1.0, 1.2: the new side won 3 of 5 rounds.
+    pairs = [(10.0, 9.0), (20.0, 16.0), (20.0, 19.0), (10.0, 12.0), (4.0, 4.0)]
+    s = bench_pairs.summarize(pairs, "latency_p50_xref")
+    assert s["median_ratio"] == pytest.approx(0.95)
+    # statistics.quantiles' exclusive method, as for each side's spread.
+    assert s["ratio_q1"] == pytest.approx(0.85) and s["ratio_q3"] == pytest.approx(1.1)
+    assert (s["ref_median"], s["new_median"]) == (10.0, 12.0)
+    assert (s["won"], s["pairs"]) == (3, 5)
+    # The verdict judges the two medians, not the ratios.
+    assert bench_pairs.summary_line("legible", s) == (
+        "legible            ref 10.0000 (qd 13.0000) -> 12.0000 (qd 11.0000), median ratio"
+        " 0.9500 [q1 0.8500, q3 1.1000], better in 3/5: worse beyond bound"
+    )
+
+
+def test_one_pair_summarizes_itself():
+    s = bench_pairs.summarize([(2.0, 1.0)], "setup_s")
+    assert (s["ratio_q1"], s["median_ratio"], s["ratio_q3"]) == (0.5, 0.5, 0.5)
+    assert (s["ref_qd"], s["new_qd"], s["won"], s["verdict"]) == (0.0, 0.0, 1, "no change")
 
 
 def test_rules_are_read_from_the_benchmark():
@@ -124,15 +147,29 @@ def test_sides_alternate_and_every_pair_is_reported(monkeypatch, capsys, tmp_pat
 
     monkeypatch.setattr(bench_pairs, "exported", exported)
     monkeypatch.setattr(bench_pairs, "run_side", run_side)
-    assert bench_pairs.main(["--ref", "HEAD~1", "--workload", "w", "--seeds", "4-6"]) == 0
+    assert bench_pairs.main(["--ref", "HEAD~1", "--workload", "score_logs", "--seeds", "4-6"]) == 0
     assert {c[3] for c in calls[1:]} == {30}
     assert [c[:3] for c in calls] == [
         ("export", "HEAD~1"),
-        ("ref", "w", 4), ("new", "w", 4),
-        ("new", "w", 5), ("ref", "w", 5),
-        ("ref", "w", 6), ("new", "w", 6),
+        ("ref", "score_logs", 4), ("new", "score_logs", 4),
+        ("new", "score_logs", 5), ("ref", "score_logs", 5),
+        ("ref", "score_logs", 6), ("new", "score_logs", 6),
     ]
     out = capsys.readouterr().out
     assert out.count("output_sha256 match") == 3
-    assert "median ratio 0.5000, better in 3/3: no change" in out  # 3 pairs show no gain
+    # 3 pairs show no gain
+    assert "median ratio 0.5000 [q1 0.5000, q3 0.5000], better in 3/3: no change" in out
     assert "L_mean" in out and "better in 0/3: worse beyond bound" in out
+
+
+def test_an_unknown_workload_is_a_usage_error_before_any_export(monkeypatch):
+    # perfbench/run.py refuses it too, but only after the ref was exported.
+    monkeypatch.setattr(bench_pairs, "exported", _never_exported)
+    assert bench_pairs.WORKLOADS == ("legible_multigoal", "baseline_single_goal", "score_logs")
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--ref", "HEAD", "--workload", "bogus", "--seeds", "1"])
+    assert exit_info.value.code == 2
+
+
+def _never_exported(ref):
+    raise AssertionError(f"exported {ref} before the arguments were checked")

@@ -134,7 +134,7 @@ def test_unwritable_output_fails_before_planning(
     def planned(*args, **kwargs):
         raise AssertionError("the closed loop ran before the output paths were checked")
 
-    monkeypatch.setattr("legiplan.cli.run_closed_loop", planned)
+    monkeypatch.setattr("legiplan.planner.run_closed_loop", planned)  # the commands import it
     argv = [arg.format(dir=tmp_path) for arg in argv]
     code = cli_main([argv[0], "--scenario", fast_scenario, *argv[1:]])
     assert code == 1

@@ -1,6 +1,7 @@
 """What ``import legiplan`` loads: parsing a scenario and scoring a logged
-path load neither the planner nor the SVG writer, and every name of the
-package still resolves to the object its defining module holds."""
+path, in the API or with ``legiplan evaluate``, load neither the planner nor
+the SVG writer, and every name of the package still resolves to the object
+its defining module holds."""
 from __future__ import annotations
 
 import dataclasses
@@ -52,15 +53,27 @@ print(json.dumps({
 """
 
 
-def _child_report() -> dict:
+_RUN_CLI = """
+import json, runpy, sys
+try:
+    runpy.run_module("legiplan", run_name="__main__", alter_sys=True)
+except SystemExit as exit_:
+    loaded = sorted(m for m in sys.modules if m.startswith("legiplan."))
+    print(json.dumps({"code": exit_.code, "loaded": loaded}), file=sys.stderr)
+"""
+
+
+def _run_child(*args: str) -> subprocess.CompletedProcess:
     src_root = str(Path(legiplan.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(SCENARIO_DIR / "restaurant_side.json")],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
-        check=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath), check=True, timeout=120,
     )
-    return json.loads(done.stdout)
+
+
+def _child_report() -> dict:
+    return json.loads(_run_child("-c", _CHILD, str(SCENARIO_DIR / "restaurant_side.json")).stdout)
 
 
 def test_parsing_and_scoring_load_neither_the_planner_nor_the_svg_writer():
@@ -74,6 +87,24 @@ def test_parsing_and_scoring_load_neither_the_planner_nor_the_svg_writer():
     assert report["deferred"] and all(report["deferred"].values())
     assert report["unbound"] == []
     assert report["task_cost"] == "function"  # not rebound to the submodule
+
+
+def test_the_evaluate_command_loads_neither_the_planner_nor_the_svg_writer(tmp_path):
+    spec = legiplan.load_scenario(str(SCENARIO_DIR / "restaurant_side.json"))
+    start, end = spec.robot.position, spec.target_goal().position
+    rows = [(0.4 * i, start.x + (end.x - start.x) * i / 8, start.y + (end.y - start.y) * i / 8,
+             0.0, 0.5, 0.0, 1.0) for i in range(9)]
+    log = tmp_path / "straight.csv"
+    legiplan.scenario_io.write_trajectory_csv(str(log), rows)
+    # `python -m legiplan evaluate ...`, then the loaded submodules on stderr.
+    done = _run_child("-c", _RUN_CLI, "evaluate", "--scenario",
+                      str(SCENARIO_DIR / "restaurant_side.json"), "--trajectory", str(log))
+    assert 0.0 <= json.loads(done.stdout)["score"] <= 1.0
+    report = json.loads(done.stderr)
+    assert report["code"] == 0 and "legiplan.cli" in report["loaded"]
+    assert not set(DEFERRED_MODULES) & set(report["loaded"])
+    # cli_main catches PlannerFailure from model, the planner raises the same class.
+    assert planner.PlannerFailure is legiplan.PlannerFailure is model.PlannerFailure
 
 
 def test_the_moved_parameter_classes_keep_every_import_path():

@@ -1,5 +1,5 @@
-"""tools/setup_pairs.py: its summary on synthetic probe timings, and one
-round of HEAD against this checkout."""
+"""tools/setup_pairs.py: its rounds and summary on synthetic probe timings,
+its argument checks, and one round of HEAD against this checkout."""
 from __future__ import annotations
 
 import importlib.util
@@ -43,17 +43,27 @@ def test_rounds_alternate_and_pair_ref_with_this_checkout(monkeypatch):
     root = setup_pairs.ROOT
     assert calls == ["ref", root, root, "ref", "ref", root, root, "ref"]
     assert pairs == [(0.060, 0.048), (0.060, 0.048), (0.060, 0.066), (0.060, 0.048)]
-    s = setup_pairs.summarize(pairs)
-    assert s["ratio_median"] == pytest.approx(0.8)
-    assert (s["won"], s["rounds"]) == (3, 4)
+    s = setup_pairs.summarize(pairs, "setup_s")
+    assert s["median_ratio"] == pytest.approx(0.8)
+    assert (s["won"], s["pairs"]) == (3, 4)
     line = setup_pairs.summary_line("score_logs", s)
-    assert line.startswith("score_logs ref 60.00 ms  work 48.00 ms  ratio 0.8000")
-    assert line.endswith("work faster in 3/4 rounds")
+    assert line.startswith("score_logs         ref 0.0600 (qd 0.0000) -> 0.0480 (qd 0.0135)")
+    assert line.endswith("median ratio 0.8000 [q1 0.8000, q3 1.0250], better in 3/4: no change")
 
 
 def test_zero_rounds_is_a_usage_error():
     with pytest.raises(SystemExit) as exit_info:
         setup_pairs.main(["--ref", "HEAD", "--workload", "score_logs", "--rounds", "0"])
+    assert exit_info.value.code == 2
+
+
+def test_an_unknown_workload_is_a_usage_error_before_any_export(monkeypatch):
+    def exported(ref):
+        raise AssertionError(f"exported {ref} before the arguments were checked")
+
+    monkeypatch.setattr(setup_pairs, "exported", exported)
+    with pytest.raises(SystemExit) as exit_info:
+        setup_pairs.main(["--ref", "HEAD", "--workload", "bogus"])
     assert exit_info.value.code == 2
 
 
@@ -63,4 +73,4 @@ def test_one_round_against_head(capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out[0] == "score_logs set-up, this checkout over HEAD:"
-    assert out[1].startswith("score_logs ref ") and out[1].endswith("/1 rounds")
+    assert out[1].startswith("score_logs         ref ") and "better in " in out[1]

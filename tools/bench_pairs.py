@@ -6,23 +6,27 @@ REF is exported with ``git archive`` into a temporary directory, which is
 removed afterwards. For each seed the exported ref and this checkout each
 run ``perfbench/run.py --workload W --seed N --trace 0`` for
 ``BENCHMARK.json``'s ``run_seconds`` (30), one after the other; which side
-goes first alternates from pair to pair, so a drift in host speed does not
-favour one side. Each pair prints the six
-end-to-end metrics of ``BENCHMARK.json`` for both sides, their ratio (this
-checkout over REF) and whether the two ``output_sha256`` matched. The run
-ends with one line per metric: each side's median and quartile distance,
-the median ratio, the pairs this checkout won by the metric's ``better``
-direction (ties count for neither), and a verdict:
+goes first alternates from pair to pair (``in_turn``), so a drift in host
+speed does not favour one side. Each pair prints the six end-to-end metrics
+of ``BENCHMARK.json`` for both sides, their ratio (this checkout over REF)
+and whether the two ``output_sha256`` matched. The run ends with one
+``summary_line`` per metric.
+
+``summarize`` is the one summary of (REF, new) pairs, which
+``tools/interleave_pairs.py`` and ``tools/setup_pairs.py`` print too: each
+side's median and quartile distance (every quartile by
+``statistics.quantiles``' default, exclusive, method), the median paired
+ratio (new over REF) with its quartiles, the pairs the new side won by the
+metric's ``better`` direction in ``BENCHMARK.json`` (ties count for
+neither), and a verdict by its ``bound``:
 
 * ``gain``: at least 10 pairs, at least 9/10 of them won, and the medians
   differ in the better direction by more than REF's quartile distance;
-* ``worse beyond bound``: this checkout's median is worse than REF's by more
+* ``worse beyond bound``: the new side's median is worse than REF's by more
   than the metric's ``bound``, a fraction of REF's median;
 * ``unresolved``: either side's quartile distance exceeds the bound, unless
-  every run of this checkout is better than every run of REF;
+  every run of the new side is better than every run of REF;
 * ``no change``: otherwise.
-
-``better`` and ``bound`` are read from ``BENCHMARK.json``.
 
 Each side imports the program from its own ``src/``; the benchmark files
 are REF's on one side and this checkout's on the other.
@@ -41,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 METRICS = tuple(m["name"] for m in BENCHMARK["end_to_end"])
 # name -> (+1 when lower is better, -1 when higher is, bound)
 RULES = {
@@ -74,6 +79,16 @@ def exported(ref: str):
         yield checkout
 
 
+def in_turn(i: int, ref, new) -> tuple:
+    """``(ref(), new())``, calling ``ref`` first when ``i`` is even and
+    ``new`` first when it is odd."""
+    if i % 2:
+        second = new()
+        return ref(), second
+    first = ref()
+    return first, new()
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The results file of one untraced benchmark run in ``checkout``."""
     subprocess.run(
@@ -99,15 +114,21 @@ def compare(ref: dict, new: dict) -> dict:
     }
 
 
-def quartile_distance(values: list[float]) -> float:
+def quartiles(values) -> tuple[float, float]:
+    """The first and third quartiles; one value is both."""
     if len(values) < 2:
-        return 0.0
+        return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def quartile_distance(values) -> float:
+    q1, q3 = quartiles(values)
     return q3 - q1
 
 
 def verdict(ref: list[float], new: list[float], sign: int, bound: float) -> tuple[int, str]:
-    """The pairs this checkout won and the metric's verdict (module docstring);
+    """The pairs the new side won and the verdict (module docstring);
     ``sign`` is +1 when lower is better, -1 when higher is."""
     ref, new = [sign * x for x in ref], [sign * x for x in new]  # now lower is better
     won = sum(b < a for a, b in zip(ref, new))
@@ -122,20 +143,28 @@ def verdict(ref: list[float], new: list[float], sign: int, bound: float) -> tupl
     return won, "no change"
 
 
-def summarize(pairs: list[dict]) -> dict:
-    """Per metric: each side's median and quartile distance, the median
-    ratio, the pairs this checkout won and the verdict."""
-    summary = {}
-    for name in METRICS:
-        ref, new, ratios = zip(*(p["metrics"][name] for p in pairs))
-        won, said = verdict(ref, new, *RULES[name])
-        summary[name] = {
-            "ref_median": statistics.median(ref), "ref_qd": quartile_distance(ref),
-            "new_median": statistics.median(new), "new_qd": quartile_distance(new),
-            "median_ratio": statistics.median(ratios), "won": won, "pairs": len(pairs),
-            "verdict": said,
-        }
-    return summary
+def summarize(pairs: list[tuple[float, float]], metric: str) -> dict:
+    """The summary of (REF, new) pairs, judged by ``metric``'s rule in
+    ``BENCHMARK.json`` (module docstring)."""
+    ref, new = [a for a, _ in pairs], [b for _, b in pairs]
+    ratios = [b / a if a else float("nan") for a, b in pairs]
+    won, said = verdict(ref, new, *RULES[metric])
+    ratio_q1, ratio_q3 = quartiles(ratios)
+    return {
+        "ref_median": statistics.median(ref), "ref_qd": quartile_distance(ref),
+        "new_median": statistics.median(new), "new_qd": quartile_distance(new),
+        "median_ratio": statistics.median(ratios), "ratio_q1": ratio_q1, "ratio_q3": ratio_q3,
+        "won": won, "pairs": len(pairs), "verdict": said,
+    }
+
+
+def summary_line(label: str, s: dict) -> str:
+    return (
+        f"{label:<18} ref {s['ref_median']:.4f} (qd {s['ref_qd']:.4f}) -> "
+        f"{s['new_median']:.4f} (qd {s['new_qd']:.4f}), median ratio {s['median_ratio']:.4f} "
+        f"[q1 {s['ratio_q1']:.4f}, q3 {s['ratio_q3']:.4f}], better in {s['won']}/{s['pairs']}: "
+        f"{s['verdict']}"
+    )
 
 
 def pair_lines(pair: dict, ref_first: bool) -> list[str]:
@@ -149,35 +178,25 @@ def pair_lines(pair: dict, ref_first: bool) -> list[str]:
     ]
 
 
-def summary_lines(summary: dict) -> list[str]:
-    return [
-        f"{name:<18} ref {s['ref_median']:.4f} (qd {s['ref_qd']:.4f}) -> "
-        f"{s['new_median']:.4f} (qd {s['new_qd']:.4f}), median ratio {s['median_ratio']:.4f}, "
-        f"better in {s['won']}/{s['pairs']}: {s['verdict']}"
-        for name, s in summary.items()
-    ]
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="git ref to compare against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seeds", required=True, type=seed_range, help="A-B, inclusive")
     args = parser.parse_args(argv)
 
     pairs = []
     with exported(args.ref) as ref_checkout:
         for i, seed in enumerate(args.seeds):
-            ref_first = i % 2 == 0
-            sides = [ref_checkout, ROOT] if ref_first else [ROOT, ref_checkout]
-            results = {
-                side: run_side(side, args.workload, seed, BENCHMARK["run_seconds"])
-                for side in sides
-            }
-            pairs.append(compare(results[ref_checkout], results[ROOT]))
-            print("\n".join(pair_lines(pairs[-1], ref_first)), flush=True)
+            pairs.append(compare(*in_turn(
+                i,
+                lambda: run_side(ref_checkout, args.workload, seed, BENCHMARK["run_seconds"]),
+                lambda: run_side(ROOT, args.workload, seed, BENCHMARK["run_seconds"]),
+            )))
+            print("\n".join(pair_lines(pairs[-1], ref_first=i % 2 == 0)), flush=True)
     print(f"{args.workload}, this checkout over {args.ref}, {len(pairs)} pairs:")
-    print("\n".join(summary_lines(summarize(pairs))))
+    for name in METRICS:
+        print(summary_line(name, summarize([p["metrics"][name][:2] for p in pairs], name)))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Time this checkout's planner against a git ref's in one interpreter.
+"""Time this checkout's closed loop against a git ref's in one interpreter.
 
     python3 tools/interleave_pairs.py --ref HEAD~1 --rounds 30 --seeds 1-2
 
@@ -8,22 +8,22 @@ removed afterwards. Its ``src/legiplan`` is imported as the package
 one interpreter; ``--against REF2`` takes the second side from REF2 instead
 of the working tree, so ``--ref HEAD --against HEAD`` is an A/A run.
 
-Every scene in ``perfbench/scenes`` is planned at each seed in baseline and
-legible mode. First each (scene, seed, mode) case runs once on both sides,
-which warms them up: its ``PlanResult`` and a ``run_closed_loop`` at that
-seed, capped at ``RUN_CYCLES`` cycles, must both be byte-equal on the two
-sides. If any case differs, the cases are listed and the run stops with
-status 1 before any timing. Then each round runs ``plan_once`` on every
-case, the two sides alternating call by call; which side goes first flips
-from case to case and from round to round, so a drift in host speed or a
-warm cache favours neither. A round's pair is each side's summed time per
-mode, and its ratio is the working side's over REF's.
+Every scene in ``perfbench/scenes`` is run at each seed in baseline and
+legible mode: one ``run_closed_loop``, capped at ``RUN_CYCLES`` cycles, per
+(mode, scene, seed) case. First each case runs once on both sides, which
+warms them up, and its runs must be byte-equal (``run_bytes``: every
+cycle's ``PlanResult``, the executed path and the failure's message, if
+any). If any case differs, the cases are listed and the run stops with
+status 1 before any timing. Then each round runs every case again, the two
+sides alternating call by call; which side goes first flips from case to
+case and from round to round, so a drift in host speed or a warm cache
+favours neither. A round's pair is each side's summed milliseconds per mode.
 
-The run prints one line per mode: each side's median round time, the
-median of the paired ratios with its quartiles (inclusive method), and the
-rounds the working side won. Calls alternate within one process, so this
-resolves a change of a few percent that separate benchmark processes,
-each with its own memory layout, cannot.
+The run prints one ``bench_pairs.summary_line`` per mode, judged by
+``latency_p50_xref``'s rule, the tightest op-latency bound in
+``BENCHMARK.json``. Calls alternate within one process, so this resolves a
+change of a few percent that separate benchmark processes, each with its
+own memory layout, cannot. 30 rounds take about 40 s on a 2-vCPU host.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ import contextlib
 import dataclasses
 import importlib.util
 import json
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -40,10 +39,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCENES = ROOT / "perfbench" / "scenes"
 MODES = ("baseline", "legible")
-RUN_CYCLES = 10  # the closed loop's cycle cap in the byte check
+RUN_CYCLES = 10  # each case's closed-loop cycle cap
 sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_pairs import exported, seed_range  # noqa: E402
+from bench_pairs import exported, in_turn, seed_range, summarize, summary_line  # noqa: E402
 
 
 def load_package(name: str, src: Path):
@@ -68,84 +67,68 @@ def plan_bytes(result) -> bytes:
 
 
 def run_bytes(sim, failure: str = "") -> bytes:
-    """Every number of a SimulationResult as bytes: the executed waypoints,
-    headings and controls, then ``reached``, ``cycles_used`` and the message
-    of the failure that ended the run, if any."""
+    """Every number of a SimulationResult as bytes: each cycle's
+    ``plan_bytes``, the executed waypoints, headings and controls, then
+    ``reached``, ``cycles_used`` and the message of the failure that ended
+    the run, if any."""
+    plans = b"".join(plan_bytes(result) for result in sim.plan_results)
     arrays = (sim.executed.waypoints, sim.headings, sim.controls)
     tail = json.dumps([sim.reached, sim.cycles_used, failure]).encode()
-    return b"".join(a.tobytes() for a in arrays) + tail
+    return plans + b"".join(a.tobytes() for a in arrays) + tail
 
 
-def capped_run_bytes(package, spec, seed: int) -> bytes:
-    """``run_bytes`` of ``package``'s closed loop on ``spec`` at ``seed``,
-    capped at RUN_CYCLES cycles; a run the planner fails gives its partial log."""
-    capped = dataclasses.replace(spec.planner, max_cycles=min(spec.planner.max_cycles, RUN_CYCLES))
+def closed_loop(package, spec) -> tuple:
+    """``package``'s closed loop on ``spec`` and ``""``, or, for a run the
+    planner fails, its partial log and the failure's message."""
     try:
-        sim = package.run_closed_loop(dataclasses.replace(spec, seed=seed, planner=capped))
+        return package.run_closed_loop(spec), ""
     except package.PlannerFailure as exc:
-        return run_bytes(exc.partial, str(exc))
-    return run_bytes(sim)
+        return exc.partial, str(exc)
 
 
 def cases(package, seeds) -> list[tuple[str, str, int, object]]:
-    """(mode, scene, seed, spec) of every case, the specs parsed by ``package``."""
+    """(mode, scene, seed, spec) of every case, the specs parsed by
+    ``package``, seeded and capped at RUN_CYCLES cycles."""
     out = []
     for path in sorted(SCENES.glob("*.json")):
         spec = package.parse_scenario(path.read_bytes())
+        cycles = min(spec.planner.max_cycles, RUN_CYCLES)
         for mode in MODES:
-            moded = dataclasses.replace(spec, planner=dataclasses.replace(spec.planner, mode=mode))
-            out.extend((mode, path.stem, seed, moded) for seed in seeds)
+            planner = dataclasses.replace(spec.planner, mode=mode, max_cycles=cycles)
+            out.extend(
+                (mode, path.stem, seed, dataclasses.replace(spec, seed=seed, planner=planner))
+                for seed in seeds
+            )
     return out
 
 
 def mismatches(ref, work, ref_cases, work_cases) -> list[str]:
-    """The cases whose two PlanResults or two capped runs differ, as
-    ``mode scene seed``."""
+    """The cases whose two runs differ, as ``mode scene seed``."""
     return [
         f"{mode} {scene} seed {seed}"
         for (mode, scene, seed, a), (*_, b) in zip(ref_cases, work_cases)
-        if plan_bytes(ref.plan_once(a, seed)) != plan_bytes(work.plan_once(b, seed))
-        or capped_run_bytes(ref, a, seed) != capped_run_bytes(work, b, seed)
+        if run_bytes(*closed_loop(ref, a)) != run_bytes(*closed_loop(work, b))
     ]
 
 
 def time_rounds(ref, work, ref_cases, work_cases, rounds: int) -> dict[str, list[tuple]]:
-    """Per mode, each round's (ref, work) summed seconds over its cases."""
+    """Per mode, each round's (ref, work) summed milliseconds over its cases."""
+
+    def timed(package, spec) -> float:
+        start = time.perf_counter()
+        closed_loop(package, spec)
+        return 1e3 * (time.perf_counter() - start)
+
     timings = {mode: [] for mode in MODES}
     for r in range(rounds):
         totals = {mode: [0.0, 0.0] for mode in MODES}
-        for i, ((mode, _, seed, a), (*_, b)) in enumerate(zip(ref_cases, work_cases)):
-            calls = [(0, ref.plan_once, a), (1, work.plan_once, b)]
-            for side, plan_once, spec in calls if (r + i) % 2 == 0 else calls[::-1]:
-                start = time.perf_counter()
-                plan_once(spec, rng_seed=seed)
-                totals[mode][side] += time.perf_counter() - start
+        for i, ((mode, _, _, a), (*_, b)) in enumerate(zip(ref_cases, work_cases)):
+            pair = in_turn(r + i, lambda: timed(ref, a), lambda: timed(work, b))
+            for side, ms in enumerate(pair):
+                totals[mode][side] += ms
         for mode, pair in totals.items():
             timings[mode].append(tuple(pair))
     return timings
-
-
-def summarize(pairs: list[tuple[float, float]]) -> dict:
-    """Each side's median, the paired ratios' (work / ref) median and
-    quartiles, and the rounds the working side won, of (ref, work) pairs."""
-    ratios = [work / ref for ref, work in pairs]
-    q1, median, q3 = (
-        statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
-    )
-    return {
-        "ref_median": statistics.median(ref for ref, _ in pairs),
-        "work_median": statistics.median(work for _, work in pairs),
-        "ratio_median": median, "ratio_q1": q1, "ratio_q3": q3,
-        "won": sum(work < ref for ref, work in pairs), "rounds": len(pairs),
-    }
-
-
-def summary_line(mode: str, s: dict) -> str:
-    return (
-        f"{mode:<8} ref {1e3 * s['ref_median']:.2f} ms  work {1e3 * s['work_median']:.2f} ms  "
-        f"ratio {s['ratio_median']:.4f} [q1 {s['ratio_q1']:.4f}, q3 {s['ratio_q3']:.4f}]  "
-        f"work faster in {s['won']}/{s['rounds']} rounds"
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -157,6 +140,8 @@ def main(argv: list[str] | None = None) -> int:
         "--seeds", type=seed_range, default=seed_range("1-2"), help="A-B, inclusive"
     )
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
 
     with contextlib.ExitStack() as stack:
         ref = load_package("legiplan_ref", stack.enter_context(exported(args.ref)) / "src")
@@ -172,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         timings = time_rounds(ref, work, ref_cases, work_cases, args.rounds)
     for mode in MODES:
-        print(summary_line(mode, summarize(timings[mode])))
+        print(summary_line(mode, summarize(timings[mode], "latency_p50_xref")))
     return 0
 
 

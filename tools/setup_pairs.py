@@ -9,12 +9,10 @@ new interpreter, so both pay the program's import again (with
 ``PYTHONDONTWRITEBYTECODE=1``, its compilation too); which side goes first
 alternates from round to round. A probe prints its set-up time (import,
 scene parsing and warm-up) in wall seconds and rescaled to nominal host
-speed; a round's pair is the two nominal times, and its ratio is this
-checkout's over REF's.
+speed; a round's pair is the two nominal times in milliseconds.
 
-The run prints each side's median, the median of the paired ratios with its
-quartiles (inclusive method) and the rounds this checkout won: the summary
-of ``tools/interleave_pairs.py``.
+The run prints one ``bench_pairs.summary_line``, judged by ``setup_s``'s
+rule in ``BENCHMARK.json``.
 """
 from __future__ import annotations
 
@@ -26,35 +24,31 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_pairs import exported  # noqa: E402
-from interleave_pairs import summarize, summary_line  # noqa: E402
+from bench_pairs import WORKLOADS, exported, in_turn, summarize, summary_line  # noqa: E402
 
 
 def probe(checkout: Path, workload: str) -> float:
-    """The nominal set-up seconds of one ``--setup-probe`` run in ``checkout``."""
+    """The nominal set-up milliseconds of one ``--setup-probe`` run in ``checkout``."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--setup-probe"],
         cwd=checkout, capture_output=True, text=True, check=True, timeout=120,
     )
-    return float(done.stdout.split()[-1])
+    return 1e3 * float(done.stdout.split()[-1])
 
 
 def time_rounds(ref: Path, workload: str, rounds: int) -> list[tuple[float, float]]:
-    """Each round's (REF, this checkout) nominal set-up seconds."""
-    pairs = []
-    for r in range(rounds):
-        sides = [ref, ROOT] if r % 2 == 0 else [ROOT, ref]
-        seconds = {side: probe(side, workload) for side in sides}
-        pairs.append((seconds[ref], seconds[ROOT]))
-    return pairs
+    """Each round's (REF, this checkout) nominal set-up milliseconds."""
+    return [
+        in_turn(r, lambda: probe(ref, workload), lambda: probe(ROOT, workload))
+        for r in range(rounds)
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="git ref to compare against")
-    parser.add_argument("--workload", required=True,
-                        choices=("legible_multigoal", "baseline_single_goal", "score_logs"))
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--rounds", type=int, default=20)
     args = parser.parse_args(argv)
     if args.rounds < 1:
@@ -63,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     with exported(args.ref) as ref:
         pairs = time_rounds(ref, args.workload, args.rounds)
     print(f"{args.workload} set-up, this checkout over {args.ref}:")
-    print(summary_line(args.workload, summarize(pairs)))
+    print(summary_line(args.workload, summarize(pairs, "setup_s")))
     return 0
 
 
