@@ -79,7 +79,8 @@ def _deviation_angles(rel: np.ndarray, gaze: np.ndarray) -> np.ndarray:
     at_observer = norm == 0.0
     safe = np.where(at_observer, 1.0, norm)
     rows = np.empty((norm.size + 1, 2))
-    rows[:-1], rows[-1] = rel.reshape(2, -1).T, gaze  # the last row is the spare
+    rows[:-1, 0], rows[:-1, 1] = rel.reshape(2, -1)  # two column copies, not one transposed
+    rows[-1] = gaze  # the spare
     cosang = (rows @ gaze)[:-1].reshape(norm.shape) / safe
     # No out=: a 0-d batch makes cosang a numpy scalar.
     angles = np.arccos(cosang.clip(-1.0, 1.0))
@@ -163,9 +164,9 @@ class _LegibleCycle(NamedTuple):
     The target's position (2,); the goals' (2, G, 1, 1), the mask (G, 1, 1)
     of goals on the target's position, and the similarity cost's signs
     (G, 1), -1 for the target (None from bare positions); the predicted
-    velocities (2, G, 1, T) and their speeds (G, 1, T); _observer_view's
-    observer. A NamedTuple, since a frozen dataclass adds ~0.8 ms to the
-    module's import.
+    velocities (2, G, R, T) and their speeds (G, R, T), of which a batch reads
+    its leading rows, R = 1 or at least its rows; _observer_view's observer. A
+    NamedTuple, since a frozen dataclass adds ~0.8 ms to the module's import.
     """
 
     target_xy: np.ndarray
@@ -196,7 +197,8 @@ class _LegibleCycle(NamedTuple):
     def similarities(self, p, vel, speeds, d_star, visible, params) -> np.ndarray:
         """Similarity (G, n) to each goal's prediction of a batch given as
         _candidate_planes, with its visibility mask (n, T)."""
-        cos = _masked_cosines(vel, speeds, self.pred_vel, self.pred_speeds, params.eps_v)
+        b, speed_b = self.pred_vel[..., : len(speeds), :], self.pred_speeds[..., : len(speeds), :]
+        cos = _masked_cosines(vel, speeds, b, speed_b, params.eps_v)
         h = _h_weights(p, d_star, self.goals, self.on_target, params.h_max)  # (G, n, T)
         return np.add.reduce(visible * h * cos, axis=-1)
 
@@ -331,18 +333,25 @@ def legible_objective(
     returns task_cost_batch's terms plus "sim", "fov" and total = task +
     lambda_sim*sim + lambda_fov*fov, each (n,); a collided row keeps
     COLLISION_COST, legibility cannot rescue it. The bits do not depend on the
-    batch's memory layout or on the order of ``goals``.
+    batch's memory layout or on the order of ``goals``. The first call (the
+    planner's largest, with its warm row) repeats the predictions to its rows,
+    so an op on them runs one inner loop per goal; sums keep their row views.
     """
     cycle = _LegibleCycle.of_goals(pred_velocities, goals, observer)
 
     def objective(waypoints: np.ndarray) -> dict[str, np.ndarray]:
+        nonlocal cycle
+        rows = cycle  # this call's constants, whatever a concurrent call stores
+        if (n := len(waypoints)) > rows.pred_speeds.shape[1]:
+            wide = {k: getattr(rows, k).repeat(n, axis=-2) for k in ("pred_vel", "pred_speeds")}
+            cycle = rows = rows._replace(**wide)
         # The task terms hand on the batch's planes, velocities, speeds and
         # target distances.
         task, *batch = _task_terms(
-            waypoints, dt, cycle.target_xy, obstacles, robot_radius, task_weights
+            waypoints, dt, rows.target_xy, obstacles, robot_radius, task_weights
         )
-        visible, fov = _observer_terms(batch[0], *cycle.observer)
-        sim = cycle.signed_similarity(*batch, visible, params)
+        visible, fov = _observer_terms(batch[0], *rows.observer)
+        sim = rows.signed_similarity(*batch, visible, params)
         total = task["total"] + params.lambda_sim * sim + params.lambda_fov * fov
         total = np.where(task["collided"], COLLISION_COST, total)
         return {**task, "sim": sim, "fov": fov, "total": total}

@@ -468,10 +468,18 @@ def velocity_points(waypoints: np.ndarray, dt: float) -> np.ndarray:
     """Per-step velocity vectors of waypoints (..., w+1, 2), same shape.
 
     Finite differences (q_{t+1} - q_t) / dt; the last value is repeated so
-    every waypoint index has a velocity.
+    every waypoint index has a velocity. Each plane is differenced as one flat
+    run; a difference straddling two rows is 0 before the division, so it
+    cannot overflow, and then holds the repeated value. Returns a view of planes.
     """
-    diffs = (waypoints[..., 1:, :] - waypoints[..., :-1, :]) / dt  # np.diff's bits, faster
-    return np.concatenate([diffs, diffs[..., -1:, :]], axis=-2)
+    p = _planes(waypoints)
+    vel = np.empty(p.shape)
+    flat, out = p.reshape(2, -1), vel.reshape(2, -1)
+    np.subtract(flat[:, 1:], flat[:, :-1], out=out[:, :-1])  # np.diff's bits, faster
+    vel[..., -1] = 0.0
+    out /= dt
+    vel[..., -1] = vel[..., -2]
+    return vel.transpose(*range(1, vel.ndim), 0)
 
 
 def velocities(traj: Trajectory) -> np.ndarray:

@@ -322,7 +322,8 @@ def _plan_path(waypoints: np.ndarray, dt: float) -> Trajectory:
 
 
 def _task_objective(scenario: ScenarioSpec, goal_xy: np.ndarray) -> Objective:
-    """Task cost toward ``goal_xy``: one goal (2,), or one per row (n, 1, 2)."""
+    """Task cost toward ``goal_xy``: one goal (2,), or per-row goals at the
+    batch's shape (n, w+1, 2), one inner loop per op; task_cost has the row rules."""
 
     def objective(waypoints: np.ndarray) -> dict[str, np.ndarray]:
         return task_cost_batch(
@@ -380,12 +381,13 @@ def plan_once(
         z.flags.writeable = False
 
     # One batched search predicts the path toward every goal; row r of its
-    # population is scored against goal r // cem_population.
-    goals_xy = np.array([goal.position.as_array() for goal in scenario.goals])
+    # population is scored against goal r // cem_population, given at the
+    # batch's shape (G * population, w+1, 2) as a view of contiguous planes.
+    steps = params.horizon_w + 1
+    goals_xy = np.array([goal.position.as_array() for goal in scenario.goals]).T
+    goals_xy = goals_xy.repeat(params.cem_population * steps, axis=1).reshape(2, -1, steps)
     results = _cem_optimize(
-        _task_objective(
-            scenario, goals_xy.repeat(params.cem_population, axis=0)[:, np.newaxis]
-        ),
+        _task_objective(scenario, goals_xy.transpose(1, 2, 0)),
         robot,
         params,
         noise,

@@ -3,7 +3,9 @@ approach rate, smoothness, and speed tracking.
 
 The batch entry point scores whole candidate populations at once; the public
 single-trajectory function is a thin wrapper over it, so both routes always
-agree.
+agree. Row differences are shifted slices of the flat batch, one inner loop per
+op; a value that straddles two rows is never reduced, and each sum runs over
+its row view, as the pairwise sum's order is the bits.
 """
 from __future__ import annotations
 
@@ -63,18 +65,23 @@ def task_cost_batch(
 ) -> dict[str, np.ndarray]:
     """Score a batch of trajectories, shape (n, w+1, 2), against a goal.
 
-    ``goal_xy`` is one goal for every row, shape (2,), or one goal per row,
-    shape (n, 1, 2). Returns arrays keyed by term name plus "total" and
-    "collided", each of shape (n,). The bits do not depend on the batch's
-    memory layout.
+    ``goal_xy`` is any shape that broadcasts against (n, w+1, 2): one goal
+    (2,), or per-row goals, fastest at the batch's own shape. Returns arrays
+    keyed by term name plus "total" and "collided", each of shape (n,). The
+    bits do not depend on the batch's memory layout; the module docstring has
+    the straddle rule.
     """
     return _task_terms(waypoints, dt, goal_xy, obstacles, robot_radius, weights)[0]
 
 
 def _clearance_terms(c: np.ndarray, d_safe: float) -> tuple[np.ndarray, ...]:
-    """collided, clearance and approach terms (n,) of clearances c (n, T)."""
+    """collided, clearance and approach terms (n,) of clearances c (n, T);
+    the drops are flat, the one straddling two rows is never summed, and sums
+    run on row views."""
     j_clr = np.add.reduce((np.maximum(0.0, d_safe - c) / d_safe) ** 2, axis=1)
-    j_app = np.add.reduce(np.maximum(0.0, c[:, :-1] - c[:, 1:]), axis=1) / d_safe
+    drops, flat = np.empty(c.size), c.reshape(-1)
+    np.maximum(0.0, np.subtract(flat[:-1], flat[1:], out=drops[:-1]), out=drops[:-1])
+    j_app = np.add.reduce(drops.reshape(c.shape)[:, :-1], axis=1) / d_safe
     return np.logical_or.reduce(c < 0.0, axis=1), j_clr, j_app  # .any(axis=1)'s ufunc
 
 
@@ -91,7 +98,7 @@ def _task_terms(
 ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """task_cost_batch's terms, then what a caller's other terms reuse: the
     batch's planes and velocity planes (2, n, T), speeds and goal distances
-    (n, T)."""
+    (n, T). Smoothness and velocity run on the flat batch and sum row views."""
     # In C order: the smoothness sum's bits follow the memory order.
     waypoints = np.ascontiguousarray(waypoints, dtype=float)
     p = _planes(waypoints)
@@ -108,11 +115,14 @@ def _task_terms(
         row = _obstacle_free_row(p.shape[2], robot_radius, weights.d_safe)
         collided, j_clr, j_app = (x.repeat(len(planar)) for x in row)  # fresh arrays
 
-    accel = waypoints[:, 2:] - 2.0 * waypoints[:, 1:-1] + waypoints[:, :-2]
-    j_sm = np.add.reduce(accel**2, axis=(1, 2)) / dt**4
+    # accel[r, :-2] are row r's squared second differences; accel[r, -2:]
+    # straddle two rows (or, in the last row, are never written).
+    flat, accel = waypoints.reshape(-1), np.empty(waypoints.shape)
+    a = np.multiply(flat[2:-2], 2.0, out=accel.reshape(-1)[:-4])
+    np.square(np.add(np.subtract(flat[4:], a, out=a), flat[:-4], out=a), out=a)
+    j_sm = np.add.reduce(accel[:, :-2], axis=(1, 2)) / dt**4
 
-    # numpy keeps the planar memory order, so these planes are contiguous too.
-    vel = velocity_points(planar, dt).transpose(2, 0, 1)
+    vel = velocity_points(planar, dt).transpose(2, 0, 1)  # its contiguous planes
     speeds = _hypot2(*vel)  # (n, T)
     j_sp = np.add.reduce((weights.v_pref - speeds) ** 2, axis=1) / weights.v_pref**2
 

@@ -5,7 +5,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.util
+import json
+import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,7 +143,7 @@ def test_sides_alternate_and_every_pair_is_reported(monkeypatch, capsys, tmp_pat
         calls.append(("export", ref))
         yield tmp_path
 
-    def run_side(checkout, workload, seed, seconds):
+    def run_side(checkout, workload, seed, seconds, env):
         side = "ref" if checkout == tmp_path else "new"
         calls.append((side, workload, seed, seconds))
         return record(seed, 1.0 if side == "ref" else 0.5)
@@ -160,6 +163,37 @@ def test_sides_alternate_and_every_pair_is_reported(monkeypatch, capsys, tmp_pat
     # 3 pairs show no gain
     assert "median ratio 0.5000 [q1 0.5000, q3 0.5000], better in 3/3: no change" in out
     assert "L_mean" in out and "better in 0/3: worse beyond bound" in out
+
+
+def test_both_sides_run_with_one_fresh_bytecode_prefix(monkeypatch, tmp_path):
+    # A stale __pycache__ in this checkout once let it skip the compilation
+    # the exported ref paid, and read a lower setup_s for no program reason.
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "stale"))
+    runs = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        assert prefix.is_dir() and not any(prefix.iterdir())  # made for this run
+        runs.append((Path(cwd), env))
+        seed = int(cmd[cmd.index("--seed") + 1])
+        results = Path(cwd) / "perfbench" / "results"
+        results.mkdir(parents=True, exist_ok=True)
+        (results / f"score_logs-seed{seed}-trace0-result.json").write_text(
+            json.dumps(record(seed, 1.0))
+        )
+
+    @contextlib.contextmanager
+    def exported(ref):
+        yield tmp_path / "ref"
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "exported", exported)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path / "new")
+    assert bench_pairs.main(["--ref", "HEAD", "--workload", "score_logs", "--seeds", "1-2"]) == 0
+    assert [cwd.name for cwd, _ in runs] == ["ref", "new", "new", "ref"]
+    (prefix,) = {env["PYTHONPYCACHEPREFIX"] for _, env in runs}
+    assert prefix != str(tmp_path / "stale") and not Path(prefix).exists()  # removed after
+    assert all(env["PATH"] == os.environ["PATH"] for _, env in runs)
 
 
 def test_an_unknown_workload_is_a_usage_error_before_any_export(monkeypatch):

@@ -98,6 +98,21 @@ def test_cases_are_seeded_capped_and_moded():
         assert spec.planner.max_cycles <= interleave_pairs.RUN_CYCLES
 
 
+def test_drift_shared_by_both_sides_is_no_change():
+    # The host's speed drifts x0.7-x1.4 from round to round, and this
+    # checkout is 0.5% slower in every one: the raw rounds' spread is wider
+    # than the bound, each round divided by its mean has none.
+    drift = [0.7 + 0.7 * ((7 * r) % 30) / 29 for r in range(30)]
+    pairs = [(100.0 * d, 100.5 * d) for d in drift]
+    assert interleave_pairs.summarize(pairs, "latency_p50_xref")["verdict"] == "unresolved"
+    s = interleave_pairs.judged(pairs)
+    assert s["verdict"] == "no change"
+    assert s["median_ratio"] == pytest.approx(1.005)
+    assert s["ref_median"] == pytest.approx(100.0 * 1.05)  # milliseconds, as measured
+    assert s["new_median"] == pytest.approx(100.5 * 1.05)
+    assert (s["won"], s["pairs"]) == (0, 30)
+
+
 @pytest.mark.parametrize("rounds", ["0", "-3"])
 def test_no_round_is_a_usage_error_before_any_export(monkeypatch, rounds):
     def exported(ref):

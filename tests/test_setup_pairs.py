@@ -6,6 +6,7 @@ import importlib.util
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +33,7 @@ def test_rounds_alternate_and_pair_ref_with_this_checkout(monkeypatch):
     # the third round, where this checkout is slower.
     calls = []
 
-    def fake_probe(checkout, workload):
+    def fake_probe(checkout, workload, env):
         calls.append(checkout)
         if checkout == "ref":
             return 0.060
@@ -49,6 +50,23 @@ def test_rounds_alternate_and_pair_ref_with_this_checkout(monkeypatch):
     line = setup_pairs.summary_line("score_logs", s)
     assert line.startswith("score_logs         ref 0.0600 (qd 0.0000) -> 0.0480 (qd 0.0135)")
     assert line.endswith("median ratio 0.8000 [q1 0.8000, q3 1.0250], better in 3/4: no change")
+
+
+def test_every_probe_runs_with_one_fresh_bytecode_prefix(monkeypatch, tmp_path):
+    # Neither side may read bytecode left in its own tree: a stale
+    # __pycache__ here read setup_s 0.75x of the exported ref's.
+    runs = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        assert Path(env["PYTHONPYCACHEPREFIX"]).is_dir()
+        runs.append((cwd, env["PYTHONPYCACHEPREFIX"]))
+        return subprocess.CompletedProcess(cmd, 0, stdout="0.0612 0.0500\n")
+
+    monkeypatch.setattr(setup_pairs.subprocess, "run", fake_run)
+    assert setup_pairs.time_rounds(tmp_path, "score_logs", 2) == [(50.0, 50.0)] * 2
+    assert [cwd for cwd, _ in runs] == [tmp_path, setup_pairs.ROOT, setup_pairs.ROOT, tmp_path]
+    (prefix,) = {p for _, p in runs}
+    assert not Path(prefix).exists()  # removed after the rounds
 
 
 def test_zero_rounds_is_a_usage_error():

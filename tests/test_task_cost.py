@@ -214,17 +214,21 @@ def test_breakdown_dict_keeps_its_bytes(make):
 
 
 def _layouts(batch: np.ndarray) -> dict[str, np.ndarray]:
-    """The same (n, T, 2) values in four memory layouts."""
+    """The same (n, T, 2) values in five memory layouts."""
     planar = np.ascontiguousarray(batch.transpose(2, 0, 1)).transpose(1, 2, 0)
+    wider = np.zeros((2 * batch.shape[0], batch.shape[1] + 2, 2))
+    wider[::2, 1:-1] = batch
     layouts = {
         "C": batch,
         "fortran": np.asfortranarray(batch),
         "planar_view": planar,  # each coordinate a contiguous (n, T) plane
         "reversed_rows": batch[::-1].copy()[::-1],  # negative row stride
+        "sliced": wider[::2, 1:-1],  # every other row of a longer batch, its ends cut
     }
     assert layouts["fortran"].flags.f_contiguous and not layouts["fortran"].flags.c_contiguous
     assert not planar.flags.c_contiguous and planar[..., 0].flags.c_contiguous
     assert layouts["reversed_rows"].strides[0] < 0
+    assert not (layouts["sliced"].flags.c_contiguous or layouts["sliced"].flags.f_contiguous)
     return layouts
 
 
@@ -233,18 +237,21 @@ def test_batch_bits_do_not_depend_on_memory_layout():
     # the smoothness sum ran over a C-ordered copy, a Fortran-ordered batch or
     # a planar view changed the smooth and total bits of every batch drawn
     # here, and Fortran order the goal and speed bits too.
-    rng = np.random.default_rng(15)
+    rng, goal_rng = np.random.default_rng(15), np.random.default_rng(16)
     goals = (Goal("A", Point2(3.0, -1.2)), Goal("T", Point2(3.0, 1.2), is_target=True))
     observer = ObserverState("O", Point2(3.5, 1.2), heading=math.pi)
     obstacles = (
         CircleObstacle(Point2(1.5, 0.0), 0.4), RectObstacle(Point2(1.0, 1.5), Point2(2.0, 2.0)),
     )
+    # The per-row goals (at the batch's shape, as the planner's prediction
+    # search hands them) and the predictions take each layout too.
     pred_velocities = rng.normal(scale=0.5, size=(2, 11, 2))
 
-    def score(batch):
+    def score(batch, row_goals, pred_velocities):
         weights, target = TaskCostWeights(), goals[1].position.as_array()
         return {
             "task": task_cost_batch(batch, 0.4, target, obstacles, 0.2, weights),
+            "task_row_goals": task_cost_batch(batch, 0.4, row_goals, obstacles, 0.2, weights),
             "legible": legible_objective(
                 0.4, pred_velocities, goals, observer, obstacles, 0.2, weights,
                 LegibilityParams(),
@@ -254,9 +261,11 @@ def test_batch_bits_do_not_depend_on_memory_layout():
     for _ in range(100):
         batch = np.cumsum(rng.normal(scale=0.3, size=(33, 11, 2)), axis=1)
         batch[:3, 5] = (1.5, 0.0)  # collided rows
-        expected = score(batch)
-        for layout, other in _layouts(batch).items():
-            got = score(other)
+        row_goals = goal_rng.normal(scale=3.0, size=(33, 1, 2)).repeat(11, axis=1)
+        expected = score(batch, row_goals, pred_velocities)
+        inputs = zip(*(_layouts(x).items() for x in (batch, row_goals, pred_velocities)))
+        for (layout, other), (_, goals_in), (_, pred_in) in inputs:
+            got = score(other, goals_in, pred_in)
             for kernel, terms in expected.items():
                 assert list(got[kernel]) == list(terms)
                 for name, values in terms.items():

@@ -29,13 +29,17 @@ neither), and a verdict by its ``bound``:
 * ``no change``: otherwise.
 
 Each side imports the program from its own ``src/``; the benchmark files
-are REF's on one side and this checkout's on the other.
+are REF's on one side and this checkout's on the other. Both sides run with
+``PYTHONPYCACHEPREFIX`` at one new temporary directory (``bytecode_prefix``):
+neither reads bytecode left in its own tree, which the exported REF lacks and
+this checkout may hold, so a stale ``__pycache__`` cannot bias ``setup_s``.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -79,6 +83,14 @@ def exported(ref: str):
         yield checkout
 
 
+@contextlib.contextmanager
+def bytecode_prefix():
+    """The environment both sides run in: this one with PYTHONPYCACHEPREFIX
+    at a new temporary directory, removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as cache:
+        yield {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+
+
 def in_turn(i: int, ref, new) -> tuple:
     """``(ref(), new())``, calling ``ref`` first when ``i`` is even and
     ``new`` first when it is odd."""
@@ -89,12 +101,13 @@ def in_turn(i: int, ref, new) -> tuple:
     return first, new()
 
 
-def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The results file of one untraced benchmark run in ``checkout``."""
+def run_side(checkout: Path, workload: str, seed: int, seconds: float, env: dict) -> dict:
+    """The results file of one untraced benchmark run in ``checkout``, in
+    ``bytecode_prefix``'s environment ``env``."""
     subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, check=True, stdout=subprocess.DEVNULL,
+        cwd=checkout, check=True, stdout=subprocess.DEVNULL, env=env,
     )
     results = checkout / "perfbench" / "results" / f"{workload}-seed{seed}-trace0-result.json"
     return json.loads(results.read_text())
@@ -186,12 +199,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     pairs = []
-    with exported(args.ref) as ref_checkout:
+    seconds = BENCHMARK["run_seconds"]
+    with exported(args.ref) as ref_checkout, bytecode_prefix() as env:
         for i, seed in enumerate(args.seeds):
             pairs.append(compare(*in_turn(
                 i,
-                lambda: run_side(ref_checkout, args.workload, seed, BENCHMARK["run_seconds"]),
-                lambda: run_side(ROOT, args.workload, seed, BENCHMARK["run_seconds"]),
+                lambda: run_side(ref_checkout, args.workload, seed, seconds, env),
+                lambda: run_side(ROOT, args.workload, seed, seconds, env),
             )))
             print("\n".join(pair_lines(pairs[-1], ref_first=i % 2 == 0)), flush=True)
     print(f"{args.workload}, this checkout over {args.ref}, {len(pairs)} pairs:")

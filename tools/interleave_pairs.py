@@ -19,11 +19,15 @@ sides alternating call by call; which side goes first flips from case to
 case and from round to round, so a drift in host speed or a warm cache
 favours neither. A round's pair is each side's summed milliseconds per mode.
 
-The run prints one ``bench_pairs.summary_line`` per mode, judged by
+The run prints one ``bench_pairs.summary_line`` per mode. ``judged`` first
+divides each round's pair by its own mean, so a drift in host speed that
+both sides of a round share cannot read as "unresolved", then applies
 ``latency_p50_xref``'s rule, the tightest op-latency bound in
-``BENCHMARK.json``. Calls alternate within one process, so this resolves a
-change of a few percent that separate benchmark processes, each with its
-own memory layout, cannot. 30 rounds take about 40 s on a 2-vCPU host.
+``BENCHMARK.json``. The line shows each side's median milliseconds; its
+quartile distances are those of the divided rounds, fractions of a round's
+mean. Calls alternate within one process, so this resolves a change of a
+few percent that separate benchmark processes, each with its own memory
+layout, cannot. 30 rounds take about 40 s on a 2-vCPU host.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ import contextlib
 import dataclasses
 import importlib.util
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -131,6 +136,15 @@ def time_rounds(ref, work, ref_cases, work_cases, rounds: int) -> dict[str, list
     return timings
 
 
+def judged(pairs: list[tuple[float, float]]) -> dict:
+    """``summarize`` of the rounds' (ref, work) milliseconds, each pair first
+    divided by its mean, with each side's median put back in milliseconds."""
+    scaled = [(a / m, b / m) for a, b in pairs for m in [(a + b) / 2]]
+    s = summarize(scaled, "latency_p50_xref")
+    s["ref_median"], s["new_median"] = (statistics.median(side) for side in zip(*pairs))
+    return s
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="git ref to compare against")
@@ -157,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         timings = time_rounds(ref, work, ref_cases, work_cases, args.rounds)
     for mode in MODES:
-        print(summary_line(mode, summarize(timings[mode], "latency_p50_xref")))
+        print(summary_line(mode, judged(timings[mode])))
     return 0
 
 
