@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .legibility import PredictedPathSet
-from .model import CircleObstacle, ScenarioSpec, Trajectory
+from .model import CircleObstacle, Point2, ScenarioSpec, Trajectory
 
 MARGIN = 1.0  # m of padding around the scene
 PIXELS_PER_METER = 80.0
@@ -38,8 +38,20 @@ def _fmt(value: float) -> str:
 
 
 def _pt(x: float, y: float) -> str:
-    # Flip y so world +y renders upward.
+    # Flip y so world +y renders upward, as every element below does.
     return f"{_fmt(x)},{_fmt(-y)}"
+
+
+def _circle(center: Point2, r: str, paint: str) -> str:
+    # r comes as text: the fixed marks write "0.12", not _fmt's "0.120".
+    return f'<circle cx="{_fmt(center.x)}" cy="{_fmt(-center.y)}" r="{r}" {paint}/>'
+
+
+def _text(x: float, y: float, size: str, color: str, text: str) -> str:
+    return (
+        f'<text x="{_fmt(x)}" y="{_fmt(-y)}" font-size="{size}" font-family="sans-serif" '
+        f'fill="{color}">{text.translate(_XML_TEXT)}</text>'
+    )
 
 
 def _polyline(points: np.ndarray, color: str, width: float, dashed: bool = False,
@@ -94,6 +106,7 @@ def render_svg(
     x0, x1, y0, y1 = _scene_bounds(scenario, trajectories, predictions)
     width = x1 - x0
     height = y1 - y0
+    arrows = (("target", PREDICTION_TARGET_COLOR), ("other", PREDICTION_OTHER_COLOR))
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -101,12 +114,12 @@ def render_svg(
         f'height="{_fmt(height * PIXELS_PER_METER)}" '
         f'viewBox="{_fmt(x0)} {_fmt(-y1)} {_fmt(width)} {_fmt(height)}">',
         "<defs>",
-        '<marker id="arrow-target" viewBox="0 0 10 10" refX="8" refY="5" '
-        'markerWidth="4" markerHeight="4" orient="auto-start-reverse">'
-        f'<path d="M 0 0 L 10 5 L 0 10 z" fill="{PREDICTION_TARGET_COLOR}"/></marker>',
-        '<marker id="arrow-other" viewBox="0 0 10 10" refX="8" refY="5" '
-        'markerWidth="4" markerHeight="4" orient="auto-start-reverse">'
-        f'<path d="M 0 0 L 10 5 L 0 10 z" fill="{PREDICTION_OTHER_COLOR}"/></marker>',
+        *(
+            f'<marker id="arrow-{name}" viewBox="0 0 10 10" refX="8" refY="5" '
+            'markerWidth="4" markerHeight="4" orient="auto-start-reverse">'
+            f'<path d="M 0 0 L 10 5 L 0 10 z" fill="{color}"/></marker>'
+            for name, color in arrows
+        ),
         "</defs>",
         f'<rect x="{_fmt(x0)}" y="{_fmt(-y1)}" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" fill="#ffffff"/>',
@@ -114,10 +127,7 @@ def render_svg(
 
     for ob in scenario.obstacles:
         if isinstance(ob, CircleObstacle):
-            parts.append(
-                f'<circle cx="{_fmt(ob.center.x)}" cy="{_fmt(-ob.center.y)}" '
-                f'r="{_fmt(ob.radius)}" fill="{OBSTACLE_FILL}"/>'
-            )
+            parts.append(_circle(ob.center, _fmt(ob.radius), f'fill="{OBSTACLE_FILL}"'))
         else:
             parts.append(
                 f'<rect x="{_fmt(ob.min.x)}" y="{_fmt(-ob.max.y)}" '
@@ -126,62 +136,37 @@ def render_svg(
             )
 
     for obs in scenario.observers:
-        left = obs.heading + obs.fov / 2.0
-        right = obs.heading - obs.fov / 2.0
-        apex = (obs.position.x, obs.position.y)
-        tips = [
-            (apex[0] + FOV_WEDGE_DEPTH * math.cos(a), apex[1] + FOV_WEDGE_DEPTH * math.sin(a))
-            for a in (left, right)
-        ]
-        wedge = " ".join(_pt(*p) for p in (apex, tips[0], tips[1]))
+        apex = obs.position
+        wedge = " ".join([_pt(apex.x, apex.y)] + [
+            _pt(apex.x + FOV_WEDGE_DEPTH * math.cos(a), apex.y + FOV_WEDGE_DEPTH * math.sin(a))
+            for a in (obs.heading + obs.fov / 2.0, obs.heading - obs.fov / 2.0)
+        ])
         parts.append(f'<polygon points="{wedge}" fill="{FOV_FILL}" fill-opacity="0.25"/>')
-        parts.append(
-            f'<circle cx="{_fmt(apex[0])}" cy="{_fmt(-apex[1])}" r="0.12" '
-            f'fill="{OBSERVER_COLOR}"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(apex[0] + 0.2)}" y="{_fmt(-(apex[1] + 0.2))}" '
-            f'font-size="0.3" font-family="sans-serif" fill="{OBSERVER_COLOR}">'
-            f'{obs.id.translate(_XML_TEXT)}</text>'
-        )
+        parts.append(_circle(apex, "0.12", f'fill="{OBSERVER_COLOR}"'))
+        parts.append(_text(apex.x + 0.2, apex.y + 0.2, "0.3", OBSERVER_COLOR, obs.id))
 
     if predictions:
-        target_id = scenario.target_goal().id
         for goal in scenario.goals:
             traj = predictions.get(goal.id)
-            if traj is None:
-                continue
-            is_target = goal.id == target_id
-            color = PREDICTION_TARGET_COLOR if is_target else PREDICTION_OTHER_COLOR
-            marker = "arrow-target" if is_target else "arrow-other"
-            parts.append(_polyline(traj.waypoints, color, 0.04, dashed=True, marker=marker))
+            if traj is not None:
+                name, color = arrows[0] if goal.is_target else arrows[1]
+                parts.append(_polyline(traj.waypoints, color, 0.04, dashed=True,
+                                       marker=f"arrow-{name}"))
 
     for label, traj in trajectories:
         color = TRAJECTORY_COLORS.get(label, FALLBACK_TRAJECTORY_COLOR)
         parts.append(_polyline(traj.waypoints, color, 0.08))
 
-    start = scenario.robot.position
-    parts.append(
-        f'<circle cx="{_fmt(start.x)}" cy="{_fmt(-start.y)}" '
-        f'r="{_fmt(scenario.robot.radius)}" fill="none" stroke="#333333" '
-        'stroke-width="0.04"/>'
-    )
+    parts.append(_circle(scenario.robot.position, _fmt(scenario.robot.radius),
+                         'fill="none" stroke="#333333" stroke-width="0.04"'))
     for goal in scenario.goals:
         color = TARGET_GOAL_COLOR if goal.is_target else GOAL_COLOR
-        parts.append(
-            f'<circle cx="{_fmt(goal.position.x)}" cy="{_fmt(-goal.position.y)}" '
-            f'r="0.15" fill="{color}"/>'
-        )
+        parts.append(_circle(goal.position, "0.15", f'fill="{color}"'))
         if goal.is_target:
-            parts.append(
-                f'<circle cx="{_fmt(goal.position.x)}" cy="{_fmt(-goal.position.y)}" '
-                f'r="0.25" fill="none" stroke="{color}" stroke-width="0.05"/>'
-            )
-        label = goal.id.translate(_XML_TEXT) + ("*" if goal.is_target else "")
-        parts.append(
-            f'<text x="{_fmt(goal.position.x + 0.3)}" y="{_fmt(-(goal.position.y + 0.1))}" '
-            f'font-size="0.35" font-family="sans-serif" fill="{color}">{label}</text>'
-        )
+            parts.append(_circle(goal.position, "0.25",
+                                 f'fill="none" stroke="{color}" stroke-width="0.05"'))
+        label = goal.id + ("*" if goal.is_target else "")
+        parts.append(_text(goal.position.x + 0.3, goal.position.y + 0.1, "0.35", color, label))
 
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")

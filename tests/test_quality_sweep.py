@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import math
 import sys
 
 import numpy as np
@@ -127,7 +128,9 @@ def test_set_overrides_planner_fields(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("setting, message", [
     ("planner.cem_elites=1000", "cem_elites must be in"),  # PlannerParams
     ("planner.dt=0.01", "v_max must be <= a_max * horizon_w * dt"),  # scenario invariant
-    ("planner.cem_iterations=2.5", "takes int"),
+    ("planner.cem_iterations=2.5", "must be an integer"),  # the scene parser's types
+    ("planner.cem_iterations=three", "not a JSON value"),
+    ("planner.cem_init_std_omega=60", "$.planner.cem_init_std_omega: unknown key"),  # a field
     ("planner.mode=legible", "expected planner.KEY=VALUE"),
     ("legibility.lambda_sim=1", "expected planner.KEY=VALUE"),
 ])
@@ -137,6 +140,15 @@ def test_set_rejects_bad_overrides_before_running(capsys, monkeypatch, setting, 
     with pytest.raises(SystemExit):
         quality_sweep.main(["--seeds", str(SEED), "--set", setting])
     assert message in capsys.readouterr().err
+
+
+def test_set_reads_the_scene_files_keys_and_units():
+    # The file's cem_init_std.omega_deg is in degrees per second; its sibling stays.
+    spec = quality_sweep.scenario(SCENE, "legible", SEED, (("cem_init_std.omega_deg", 30),))
+    parsed = load_scenario(str(SCENARIO_DIR / f"{SCENE}.json"))
+    assert spec.planner.cem_init_std_omega == pytest.approx(math.radians(30))
+    assert spec.planner.cem_init_std_v == parsed.planner.cem_init_std_v
+    assert spec.planner.mode == "legible" and spec.seed == SEED
 
 
 def test_empty_seed_range_is_a_usage_error(capsys, monkeypatch):

@@ -1,12 +1,14 @@
 """Print the sha256 of every CLI output on the shipped scenarios.
 
 For each scenario in ``scenarios/`` and seeds 3 and 7 it runs
-``simulate`` in both modes (CSV and stdout), ``evaluate`` on each
+``simulate`` in both modes (CSV, SVG and stdout), ``evaluate`` on each
 simulated CSV at the default fractions and on a 20-point ``--fractions``
-grid, each plain and with ``--mask-fov`` (stdout), ``compare`` (stdout) and
-``plan --mode legible`` (CSV and stdout): 210 outputs, one ``sha256  label``
-line each. A refactor that keeps output bytes prints the
-same lines before and after, so diff the output of two checkouts:
+grid, each plain and with ``--mask-fov`` (stdout), ``compare`` (stdout and
+SVG) and ``plan --mode legible`` (CSV, SVG and stdout): 266 outputs, one
+``sha256  label`` line each. Without its 56 ``.svg`` lines the listing is
+the 210 lines it printed before the SVG files were hashed. A refactor that
+keeps output bytes prints the same lines before and after, so diff the
+output of two checkouts:
 
     python3 tools/cli_output_hashes.py > after.txt
 
@@ -44,10 +46,12 @@ def _run(argv: list[str]) -> bytes:
 def outputs(scenario: Path, seed: int, tmp: Path):
     """Yield (label, bytes) for every output of one scenario and seed."""
     common = ["--scenario", str(scenario), "--seed", str(seed)]
-    csv = tmp / "out.csv"
+    csv, svg = tmp / "out.csv", tmp / "out.svg"
+    files = ["--out", str(csv), "--svg", str(svg)]
     for mode in ("baseline", "legible"):
-        stdout = _run(["simulate", *common, "--mode", mode, "--out", str(csv)])
+        stdout = _run(["simulate", *common, "--mode", mode, *files])
         yield f"simulate-{mode}.csv", csv.read_bytes()
+        yield f"simulate-{mode}.svg", svg.read_bytes()
         yield f"simulate-{mode}.stdout", stdout
         evaluate = ["evaluate", "--scenario", str(scenario), "--trajectory", str(csv)]
         yield f"evaluate-{mode}.stdout", _run(evaluate)
@@ -55,9 +59,11 @@ def outputs(scenario: Path, seed: int, tmp: Path):
         yield f"evaluate-{mode}-grid.stdout", _run([*evaluate, "--fractions", GRID])
         grid_fov = [*evaluate, "--fractions", GRID, "--mask-fov"]
         yield f"evaluate-{mode}-grid-mask-fov.stdout", _run(grid_fov)
-    yield "compare.stdout", _run(["compare", *common])
-    stdout = _run(["plan", *common, "--mode", "legible", "--out", str(csv)])
+    yield "compare.stdout", _run(["compare", *common, "--svg", str(svg)])
+    yield "compare.svg", svg.read_bytes()
+    stdout = _run(["plan", *common, "--mode", "legible", *files])
     yield "plan-legible.csv", csv.read_bytes()
+    yield "plan-legible.svg", svg.read_bytes()
     yield "plan-legible.stdout", stdout
 
 

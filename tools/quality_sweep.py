@@ -36,17 +36,18 @@ compare a change that alters output bytes:
     python3 tools/quality_sweep.py --seeds 0-79 --json after.json
 
 ``--set planner.KEY=VALUE`` (repeatable) runs every scene with that planner
-field changed, for example ``--set planner.cem_iterations=3``; the value takes
-the type of the field's default, and ``PlannerParams`` and the scenario
-invariants check it on every scene before any run starts. The overrides are
-echoed in the table's first line and in the JSON.
+key of the scene file set to VALUE, a JSON value; KEY is dotted for a nested
+key, for example ``--set planner.cem_iterations=3`` or
+``--set planner.cem_init_std.omega_deg=30``. The change is written into each
+scene's document and read by ``parse_scenario``, so the file's types, units,
+ranges and JSON paths apply, on every scene before any run starts. The
+overrides are echoed in the table's first line and in the JSON.
 
 The package is imported from this checkout's ``src/``.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import statistics
@@ -63,12 +64,11 @@ import numpy as np  # noqa: E402
 
 from legiplan import PlannerFailure, designated_observer, run_closed_loop  # noqa: E402
 from legiplan.evaluation import (  # noqa: E402
-    PosteriorModel, correctness, evaluate_trajectory, goal_posterior, legibility_score,
+    PosteriorModel, evaluate_trajectory, legibility_score, posterior_batch,
 )
 from legiplan.legibility import visibility_points  # noqa: E402
-from legiplan.model import Trajectory, clearance_points  # noqa: E402
-from legiplan.planner import PlannerParams  # noqa: E402
-from legiplan.scenario_io import load_scenario  # noqa: E402
+from legiplan.model import Trajectory, clearance_points, prefix_points  # noqa: E402
+from legiplan.scenario_io import parse_scenario  # noqa: E402
 
 from bench_pairs import seed_range  # noqa: E402
 
@@ -79,12 +79,19 @@ SCENES = tuple(sorted(path.stem for path in (ROOT / "scenarios").glob("*.json"))
 
 
 def scenario(scene: str, mode: str, seed: int, overrides: tuple = ()):
-    """A shipped scene at `seed` in `mode`, with planner fields `overrides`
-    ((KEY, VALUE) pairs); PlannerParams and ScenarioSpec raise ValueError
-    on a value they reject."""
-    spec = load_scenario(str(ROOT / "scenarios" / f"{scene}.json"))
-    planner = dataclasses.replace(spec.planner, mode=mode, **dict(overrides))
-    return dataclasses.replace(spec, seed=seed, planner=planner)
+    """A shipped scene at `seed` in `mode`, with the planner keys `overrides`
+    ((KEY, VALUE) pairs, KEY dotted for a nested key) set in its document;
+    the parser raises ScenarioError on a key or value it rejects."""
+    doc = json.loads((ROOT / "scenarios" / f"{scene}.json").read_bytes())
+    for key, value in overrides:
+        *parents, name = key.split(".")
+        section = doc["planner"]
+        for parent in parents:  # copied, so no override's own value is changed
+            section[parent] = dict(section[parent]) if isinstance(section.get(parent), dict) else {}
+            section = section[parent]
+        section[name] = value
+    doc["planner"]["mode"], doc["seed"] = mode, seed
+    return parse_scenario(doc)
 
 
 def time_legibility(executed: Trajectory, spec, t_ref: float) -> float:
@@ -95,13 +102,11 @@ def time_legibility(executed: Trajectory, spec, t_ref: float) -> float:
     whole path if the run is shorter; a prefix of the start alone has
     length 0 and scores the prior."""
     pts, dt = executed.waypoints, spec.planner.dt
-    values = []
-    for fraction in LT_TIMES:
-        k = min(round(fraction * t_ref / dt), len(pts) - 1)
-        prefix = Trajectory(pts[: k + 1] if k else pts[[0, 0]], dt)
-        posterior = goal_posterior(prefix, spec.goals, executed.start, PosteriorModel())
-        values.append(correctness(posterior, spec.target_goal().id))
-    return legibility_score(values)
+    ends = [min(round(fraction * t_ref / dt), len(pts) - 1) for fraction in LT_TIMES]
+    lengths = prefix_points(pts, (1.0,))[0].take(ends)  # running arc length
+    posterior = posterior_batch(lengths, pts.take(ends, axis=0), pts[0], spec.goals,
+                                PosteriorModel())
+    return legibility_score(posterior[:, spec.goals.index(spec.target_goal())].tolist())
 
 
 def run_one(
@@ -244,28 +249,19 @@ def format_table(summary: dict) -> str:
     return "\n".join(lines)
 
 
-_PLANNER_DEFAULTS = {
-    f.name: f.default for f in dataclasses.fields(PlannerParams) if f.name != "mode"
-}
-
-
-def _planner_override(text: str) -> tuple[str, int | float]:
-    """One ``planner.KEY=VALUE`` as (KEY, VALUE); VALUE takes the type of the
-    field's default (float for the fields whose default is None). The sweep
-    sets ``mode`` itself."""
+def _planner_override(text: str) -> tuple[str, object]:
+    """One ``planner.KEY=VALUE`` as (KEY, VALUE), VALUE read as JSON. The
+    scene parser checks KEY and VALUE; the sweep sets ``mode`` itself."""
     name, _, value = text.partition("=")
     section, _, key = name.partition(".")
-    if section != "planner" or key not in _PLANNER_DEFAULTS:
+    if section != "planner" or key.partition(".")[0] in ("", "mode"):
         raise argparse.ArgumentTypeError(
-            f"expected planner.KEY=VALUE, KEY one of {', '.join(_PLANNER_DEFAULTS)}; got {text!r}"
+            f"expected planner.KEY=VALUE, KEY a planner key other than mode; got {text!r}"
         )
-    kind = int if isinstance(_PLANNER_DEFAULTS[key], int) else float
     try:
-        return key, kind(value)
+        return key, json.loads(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"planner.{key} takes {kind.__name__}, got {value!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"planner.{key}: not a JSON value: {value!r}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -284,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(f"--set on {scene}: {exc}")
     summary = sweep(SCENES, args.seeds, jobs=2, overrides=overrides)
-    echo = "".join(f" planner.{key}={value}" for key, value in overrides)
+    echo = "".join(f" planner.{key}={json.dumps(value)}" for key, value in overrides)
     print(f"seeds {args.seeds.start}-{args.seeds.stop - 1}" + (f"  set{echo}" if echo else ""))
     print(format_table(summary))
     if args.json is not None:
