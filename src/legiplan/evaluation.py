@@ -88,9 +88,9 @@ def posterior_batch(
     prior = model.prior_for(goals)
     weights = np.array(list(prior.values()))
     goal_xy = np.array([(g.position.x, g.position.y) for g in goals], dtype=float)
-    # sqrt(vecdot(v, v)) has the bits of the scalar np.linalg.norm(v).
-    dq, ds = endpoints[:, None, :] - goal_xy, start - goal_xy
-    costs = (lengths[:, None] + np.sqrt(np.vecdot(dq, dq))) - np.sqrt(np.vecdot(ds, ds))
+    gx, gy = goal_xy.T
+    d_q = _hypot2(endpoints[:, :1] - gx, endpoints[:, 1:] - gy)
+    costs = (lengths[:, None] + d_q) - _hypot2(start[0] - gx, start[1] - gy)
     with np.errstate(over="ignore", invalid="ignore"):
         exponents = -model.beta * costs
         if not all(prior.values()):
@@ -139,7 +139,8 @@ def legibility_score(correctness_values: list[float] | tuple[float, ...]) -> flo
         if not 0.0 <= c <= 1.0:
             raise ValueError(f"correctness values must lie in [0, 1], got {_shown(c)}")
     weights = np.array([1.0 / k for k in range(1, len(correctness_values) + 1)])
-    return float(np.dot(weights, correctness_values) / weights.sum())
+    # A running sum adds in order, as np.dot's BLAS kernels do not.
+    return float((weights * correctness_values).cumsum()[-1] / weights.sum())
 
 
 def evaluate_trajectory(

@@ -70,21 +70,12 @@ def _deviation_angles(rel: np.ndarray, gaze: np.ndarray) -> np.ndarray:
     """theta_dev_points of points given as planes (2, ...) relative to the
     observer, whose unit gaze vector is ``gaze``; the planes may be views.
 
-    Every gaze product is one row of a single matrix-vector product over
-    C-ordered interleaved rows plus a spare row: numpy rounds a one-row
-    product, or rows in another layout, differently. So a point's angle is
-    the same whatever batch it comes in, and the scalar wrappers are exact.
+    The angle is arctan2(|cross|, dot), elementwise, so a point's angle does
+    not depend on its batch. The + 0.0 turns the observer's own -0.0 dot into
+    +0.0, which keeps its angle 0.
     """
-    norm = _hypot2(*rel)
-    at_observer = norm == 0.0
-    safe = np.where(at_observer, 1.0, norm)
-    rows = np.empty((norm.size + 1, 2))
-    rows[:-1, 0], rows[:-1, 1] = rel.reshape(2, -1)  # two column copies, not one transposed
-    rows[-1] = gaze  # the spare
-    cosang = (rows @ gaze)[:-1].reshape(norm.shape) / safe
-    # No out=: a 0-d batch makes cosang a numpy scalar.
-    angles = np.arccos(cosang.clip(-1.0, 1.0))
-    return np.where(at_observer, 0.0, angles)
+    rx, ry = rel
+    return np.arctan2(np.abs(rx * gaze[1] - ry * gaze[0]), rx * gaze[0] + ry * gaze[1] + 0.0)
 
 
 def _observer_view(observer: ObserverState | None) -> tuple:

@@ -60,11 +60,8 @@ def _hypot2(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     near-equivalents that round differently (share of random float64 inputs
     whose last bit differs, numpy 2.4.6):
     - ``np.hypot`` / ``math.hypot``: ~17%, they rescale to avoid overflow;
-    - the no-axis scalar ``np.linalg.norm(v)``: ~8%, it takes a ``dot`` path;
-      its batched bit-identical form is ``np.sqrt(np.vecdot(v, v))`` over
-      the last axis, which evaluation.posterior_batch uses;
-    - a per-channel ``x*gx + y*gy`` for a matmul such as ``rel @ gaze``:
-      ~30%, the matmul rounds differently.
+    - the no-axis scalar ``np.linalg.norm(v)``: ~8%, it takes a BLAS ``dot``
+      path, whose rounding depends on the host's kernel.
     """
     return np.sqrt(dx * dx + dy * dy)
 

@@ -202,15 +202,9 @@ def test_h_weight_matches_norm(pts, g_star, g, h_max):
 
 def ref_theta_dev(pts, observer):
     rel = pts - observer.position.as_array()
-    norm = np.linalg.norm(rel, axis=-1)
-    gaze = np.array([math.cos(observer.heading), math.sin(observer.heading)])
-    # One matrix-vector product over every point, each listed twice so that
-    # even one point is a two-row product: numpy rounds a one-row product
-    # through its dot routine, which the kernel never uses.
-    flat = rel.reshape(-1, 2)
-    dots = (np.concatenate([flat, flat]) @ gaze)[: len(flat)].reshape(norm.shape)
-    cosang = dots / np.where(norm == 0.0, 1.0, norm)
-    return np.where(norm == 0.0, 0.0, np.arccos(np.clip(cosang, -1.0, 1.0)))
+    gx, gy = math.cos(observer.heading), math.sin(observer.heading)
+    x, y = rel[..., 0], rel[..., 1]
+    return np.arctan2(np.abs(x * gy - y * gx), x * gx + y * gy + 0.0)
 
 
 @settings(max_examples=200, deadline=None)
